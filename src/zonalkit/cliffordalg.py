@@ -7,11 +7,13 @@ e_j e_k + e_k e_j = -2 delta_jk.  Coefficients may be exact rationals
 (multivector fields over the paravector coordinates), which is what the
 Dirac / generalised Cauchy-Riemann operators act on.
 
-For powers of the paravector product x y^c there is a dedicated fast path:
-x y^c = a + v with a = <x,y> scalar and v satisfying v^2 = -(Q_x Q_y - a^2),
-so all powers stay in span{1, v} and the pair (scalar part, coefficient of v)
-suffices.  The blade-level algebra is retained to cross-validate that pair
-representation at small n, where the 2^n component count is harmless.
+Powers of the paravector product x y^c are written in the invariants:
+x y^c = a + v with a = <x,y> scalar and v^2 = a^2 - Q_x Q_y, so every power
+stays in span{1, v}.  Its scalar part and its coefficient of v are built in
+:mod:`zonalkit.zonalalg` and reach coordinates through
+``ZonalInvariant.to_radialexpr``.  The blade-level algebra stays as the
+independent certificate of that formula at small n, where the 2^n component
+count is harmless.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, Literal, Union
 
 from . import radialexpr as rx
-from .ratnum import binomial
+from . import zonalalg as za
 
 Coeff = Union[Fraction, rx.RadialExpr]
 CROperator = Literal["Dirac", "D", "Dbar"]
@@ -219,68 +221,12 @@ def laplacian_field(f: Multivector, group: rx.VarGroup = "x") -> Multivector:
     return f.map_coeffs(lambda c: c.laplacian(group))
 
 
-# -- powers of x y^c: the complex-like pair representation ---------------------
-
-
-@dataclass(frozen=True)
-class ParavectorPower:
-    """An element s + v with v^2 = -b2 scalar; powers stay in span{1, v}.
-
-    ``scalar`` is the scalar part (= <x,y> for x y^c) and ``b2`` the squared
-    norm of the imaginary part (= Q_x Q_y - <x,y>^2 for x y^c).
-    """
-
-    scalar: rx.RadialExpr
-    b2: rx.RadialExpr
-
-    def real_power(self, k: int) -> rx.RadialExpr:
-        """Scalar part of (s + v)^k: sum_h C(k, 2h) s^(k-2h) (-b2)^h."""
-        if k < 0:
-            raise ValueError("use xyc_power_real for the Laurent extension")
-        return _pair_power(self.scalar, self.b2.scale(-1), k, odd=False)
-
-    def spherical_derivative_power(self, k: int) -> rx.RadialExpr:
-        """Coefficient of v in (s + v)^k: sum_h C(k, 2h+1) s^(k-1-2h) (-b2)^h."""
-        if k < 1:
-            raise ValueError("spherical derivative of a power needs k >= 1")
-        return _pair_power(self.scalar, self.b2.scale(-1), k, odd=True)
-
-
-def _pair_power(a: rx.RadialExpr, v2: rx.RadialExpr, k: int, odd: bool) -> rx.RadialExpr:
-    """sum over even (odd) r of C(k, r) a^(k-r) v2^(r//2); v2 = v^2 as a scalar."""
-    nx, ny = a.nx, a.ny
-    out = rx.RadialExpr.zero(nx, ny)
-    start = 1 if odd else 0
-    a_pow = rx.constant(1, nx, ny)
-    a_powers = [a_pow]
-    for _ in range(k):
-        a_pow = a_pow * a
-        a_powers.append(a_pow)
-    v_pow = rx.constant(1, nx, ny)
-    for h in range(0, (k - start) // 2 + 1):
-        r = 2 * h + start
-        c = binomial(k, r)
-        if c:
-            out = out + (a_powers[k - r] * v_pow).scale(c)
-        v_pow = v_pow * v2
-    return out
-
-
-def xyc_pair(nvars: int) -> ParavectorPower:
-    """The (scalar part, |imaginary|^2) pair for x y^c over R^nvars coordinates."""
-    a = rx.inner_xy(nvars)
-    q = rx.quadratic_form("x", nvars, nvars) * rx.quadratic_form("y", nvars, nvars)
-    return ParavectorPower(a, q - a * a)
+# -- powers of x y^c ---------------------------------------------------------
 
 
 def xyc_power_real(k: int, nvars: int) -> rx.RadialExpr:
     """((x y^c)^k)_0 symbolically; k < 0 gives the Laurent form over (Q_x Q_y)^k."""
-    pair = xyc_pair(nvars)
-    if k >= 0:
-        return pair.real_power(k)
-    kk = -k
-    return pair.real_power(kk) * rx.norm_power("x", -2 * kk, nvars, nvars) \
-                               * rx.norm_power("y", -2 * kk, nvars, nvars)
+    return za.xyc_power_real_invariant(k, nvars).to_radialexpr()
 
 
 def xyc_spherical_derivative(k: int, nvars: int) -> rx.RadialExpr:
@@ -289,7 +235,7 @@ def xyc_spherical_derivative(k: int, nvars: int) -> rx.RadialExpr:
     Defined as the v-coefficient, which is pole-free even where the imaginary
     part vanishes (x, y parallel); no division by |v| ever happens.
     """
-    return xyc_pair(nvars).spherical_derivative_power(k)
+    return za.xyc_spherical_derivative_invariant(k, nvars).to_radialexpr()
 
 
 def xyc_multivector(nvars: int) -> Multivector:

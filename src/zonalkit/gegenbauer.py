@@ -9,9 +9,10 @@ with every Gamma ratio reduced to a rising factorial.  The lam -> 0 limit
 three-term recurrence, mirroring the fact that the zonal normalisation
 (k+lam)/lam is singular at lam = 0.
 
-The lift to two-variable kernels replaces t by w = <x,y>/(|x||y|) and
-multiplies by (|x||y|)^k, which turns every term into a polynomial:
-w^(k-2j) (|x||y|)^k = <x,y>^(k-2j) (Q_x Q_y)^j.
+The kernels themselves are written in the invariants <x,y>, |x| and |y|:
+replacing t by w = <x,y>/(|x||y|) and multiplying by |x|^p |y|^q turns
+t^j into <x,y>^j |x|^(p-j) |y|^(q-j), a :class:`ZonalInvariant` term.
+Coordinates come only from ``ZonalInvariant.to_radialexpr``.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from fractions import Fraction
 
 from . import radialexpr as rx
 from .ratnum import factorial, pochhammer
+from .zonalalg import ZonalInvariant
 
 
 @dataclass(frozen=True)
@@ -33,11 +35,6 @@ class GegenbauerPoly:
 
     def __post_init__(self):
         assert len(self.coeffs) == self.degree + 1
-
-    def coefficient(self, j: int) -> Fraction:
-        if 0 <= j <= self.degree:
-            return self.coeffs[j]
-        return Fraction(0)
 
     def derivative_coeffs(self) -> tuple[Fraction, ...]:
         if self.degree == 0:
@@ -83,11 +80,6 @@ def chebyshev_T(k: int) -> GegenbauerPoly:
     return GegenbauerPoly(k, Fraction(0), tuple(cur))
 
 
-def zero_poly(k: int, lam) -> GegenbauerPoly:
-    """The zero polynomial padded to degree k; stands in for negative degrees."""
-    return GegenbauerPoly(k, Fraction(lam), tuple(Fraction(0) for _ in range(k + 1)))
-
-
 def eval_float(poly: GegenbauerPoly, t: float) -> float:
     """Float evaluation; three-term recurrence on [-1, 1], Horner outside.
 
@@ -116,48 +108,21 @@ def eval_float(poly: GegenbauerPoly, t: float) -> float:
     return acc
 
 
-# -- lifts to two-variable expressions ---------------------------------------
+# -- kernels in the invariants <x,y>, |x|, |y| --------------------------------
 
 
-def zonal_lift(poly: GegenbauerPoly, nvars: int) -> rx.RadialExpr:
-    """C(w) (|x||y|)^k as a pure polynomial over nvars + nvars coordinates."""
-    k = poly.degree
-    a = rx.inner_xy(nvars)
-    q = rx.quadratic_form("x", nvars, nvars) * rx.quadratic_form("y", nvars, nvars)
-    out = rx.RadialExpr.zero(nvars, nvars)
-    a_pow = rx.constant(1, nvars, nvars)
-    a_powers = [a_pow]
-    for _ in range(k):
-        a_pow = a_pow * a
-        a_powers.append(a_pow)
-    q_pow = rx.constant(1, nvars, nvars)
-    for j in range(k, -1, -1):
-        c = poly.coefficient(j)
-        if (k - j) % 2 == 0:
-            if c:
-                out = out + (a_powers[j] * q_pow).scale(c)
-            if j >= 2:
-                q_pow = q_pow * q
-    return out
+def zonal_lift_invariant(poly: GegenbauerPoly, dim: int, deg_x: int, deg_y: int) -> ZonalInvariant:
+    """C(w) |x|^deg_x |y|^deg_y over R^dim: sum_j c_j (j, deg_x - j, deg_y - j).
+
+    With deg_x = deg_y = k every term is a polynomial; other degrees give the
+    Laurent lifts of the appendix-A identities.
+    """
+    return ZonalInvariant(dim, {(j, deg_x - j, deg_y - j): c
+                                for j, c in enumerate(poly.coeffs) if c})
 
 
-def radial_lift(poly: GegenbauerPoly, ell: int, nvars: int) -> rx.RadialExpr:
-    """C(w) |x|^ell as an expression (introduces |y|^(-j) Laurent factors)."""
-    a = rx.inner_xy(nvars)
-    out = rx.RadialExpr.zero(nvars, nvars)
-    a_pow = rx.constant(1, nvars, nvars)
-    for j in range(poly.degree + 1):
-        c = poly.coefficient(j)
-        if c:
-            out = out + (a_pow
-                         * rx.norm_power("x", ell - j, nvars, nvars)
-                         * rx.norm_power("y", -j, nvars, nvars)).scale(c)
-        a_pow = a_pow * a
-    return out
-
-
-def zonal_direct(n: int, k: int) -> rx.RadialExpr:
-    """The degree-k zonal harmonic kernel on R^(n+1), as an exact polynomial.
+def zonal_direct_invariant(n: int, k: int) -> ZonalInvariant:
+    """The degree-k zonal harmonic kernel on R^(n+1) in invariant form.
 
     For n >= 2 this is ((k+lam)/lam) C_k^lam(w) (|x||y|)^k with lam = (n-1)/2;
     the plane case n = 1 uses 2 T_k(w) (|x||y|)^k.
@@ -166,13 +131,18 @@ def zonal_direct(n: int, k: int) -> rx.RadialExpr:
         raise ValueError("ambient space must be at least R^2 (n >= 1)")
     if k < 0:
         raise ValueError("degree must be nonnegative")
-    nvars = n + 1
+    dim = n + 1
     if k == 0:
-        return rx.constant(1, nvars, nvars)
+        return ZonalInvariant(dim, {(0, 0, 0): Fraction(1)})
     if n == 1:
-        return zonal_lift(chebyshev_T(k), 2).scale(2)
+        return zonal_lift_invariant(chebyshev_T(k), dim, k, k).scale(2)
     lam = Fraction(n - 1, 2)
-    return zonal_lift(gegenbauer(k, lam), nvars).scale((k + lam) / lam)
+    return zonal_lift_invariant(gegenbauer(k, lam), dim, k, k).scale((k + lam) / lam)
+
+
+def zonal_direct(n: int, k: int) -> rx.RadialExpr:
+    """The degree-k zonal harmonic kernel on R^(n+1), as an exact polynomial."""
+    return zonal_direct_invariant(n, k).to_radialexpr()
 
 
 def telescoping_coefficients(m: int, lam, k: int) -> list[Fraction]:

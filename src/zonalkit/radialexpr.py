@@ -75,7 +75,7 @@ class _Layout:
 
     __slots__ = (
         "nx", "ny", "px_shift", "py_shift", "x_shifts", "y_shifts",
-        "zero_key", "px_clear", "py_clear",
+        "zero_key", "px_clear", "py_clear", "exp_fields",
     )
 
     def __init__(self, nx: int, ny: int):
@@ -89,6 +89,9 @@ class _Layout:
         self.zero_key = _RAD_BIAS | (_RAD_BIAS << _RAD_BITS)
         self.px_clear = ~_RAD_MASK
         self.py_clear = ~(_RAD_MASK << _RAD_BITS)
+        ones = sum(1 << s for s in self.x_shifts + self.y_shifts)
+        # (mask, low bits, high bits) of every monomial field
+        self.exp_fields = (ones * _EXP_MASK, ones, ones << (_EXP_BITS - 1))
 
     def pack(self, xexp: Sequence[int], yexp: Sequence[int], px: int, py: int) -> int:
         if not (_RAD_MIN <= px <= _RAD_MAX and _RAD_MIN <= py <= _RAD_MAX):
@@ -120,6 +123,19 @@ def _layout(nx: int, ny: int) -> _Layout:
     if lay is None:
         lay = _LAYOUTS[(nx, ny)] = _Layout(nx, ny)
     return lay
+
+
+def _dir_deriv_overflows(lay: _Layout, key: int, radial: bool) -> bool:
+    """Whether <y,grad_x> applied to one term leaves a packed field."""
+    p = ((key & _RAD_MASK) - _RAD_BIAS) if radial else 0
+    if p and p - 2 < _RAD_MIN:
+        return True
+    for sx, sy in zip(lay.x_shifts, lay.y_shifts):
+        ex = (key >> sx) & _EXP_MASK
+        ey = (key >> sy) & _EXP_MASK
+        if (ey == _EXP_MASK and (ex or p)) or (ex == _EXP_MASK and p):
+            return True
+    return False
 
 
 def _gcd_reduce(terms: dict[int, int], den: int) -> tuple[dict[int, int], int]:
@@ -314,7 +330,8 @@ class RadialExpr:
     expression, so sharing across threads or worker processes is safe.
     """
 
-    __slots__ = ("nx", "ny", "_terms", "_den", "_lay", "_radial_free", "_degx", "_degy")
+    __slots__ = ("nx", "ny", "_terms", "_den", "_lay", "_radial_free", "_degx", "_degy",
+                 "_digest")
 
     def __init__(self, *args, **kwargs):
         raise TypeError("use the module constructors (constant, coordinate, ...) or from_terms")
@@ -340,6 +357,7 @@ class RadialExpr:
         self._radial_free = radial_free
         self._degx = degx
         self._degy = degy
+        self._digest = None
         return self
 
     @classmethod
@@ -556,6 +574,16 @@ class RadialExpr:
         ys = lay.y_shifts
         rad_shift = lay.px_shift
         rad_dec = 2 << rad_shift
+        radial = not self._radial_free
+        mask, low, high = lay.exp_fields
+        for key in self._terms:
+            # v has a zero field exactly where key has a field at the cap, and
+            # (v - low) & ~v & high finds a zero field; the exact test runs
+            # only on those rare candidates
+            v = ~key & mask
+            if (((v - low) & ~v & high or (radial and (key & _RAD_MASK) < 2))
+                    and _dir_deriv_overflows(lay, key, radial)):
+                raise RadialOverflow("<y,grad_x> would leave a packed exponent field")
         out: dict[int, int] = {}
         get = out.get
         for key, c in self._terms.items():
@@ -697,42 +725,29 @@ class RadialExpr:
         return ExtendedValue(a, b, c2, d, qx, qy)
 
     def eval_float(self, point_x: Sequence[float], point_y: Sequence[float]) -> float:
-        lay = self._lay
-        qx = sum(float(v) * float(v) for v in point_x)
-        qy = sum(float(v) * float(v) for v in point_y)
-        total = 0.0
-        den = float(self._den)
-        for key, c in self._terms.items():
-            px = (key & _RAD_MASK) - _RAD_BIAS
-            py = ((key >> _RAD_BITS) & _RAD_MASK) - _RAD_BIAS
-            if (px < 0 and qx == 0.0) or (py < 0 and qy == 0.0):
-                raise PoleError("pole at the origin")
-            v = c / den
-            for coord, s in zip(point_x, lay.x_shifts):
-                e = (key >> s) & _EXP_MASK
-                if e:
-                    v *= float(coord) ** e
-            for coord, s in zip(point_y, lay.y_shifts):
-                e = (key >> s) & _EXP_MASK
-                if e:
-                    v *= float(coord) ** e
-            if px:
-                v *= qx ** (px / 2.0)
-            if py:
-                v *= qy ** (py / 2.0)
-            total += v
-        return total
+        return float(self.eval_float_batch(np.asarray([point_x], dtype=float),
+                                           np.asarray([point_y], dtype=float))[0])
 
     def eval_float_batch(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-        """Vectorised float evaluation at rows of X (s, nx) and Y (s, ny)."""
+        """Vectorised float evaluation at rows of X (s, nx) and Y (s, ny).
+
+        Terms are summed in sorted key order, so the value depends on the
+        expression and not on the construction that built it.
+        """
         lay = self._lay
         X = np.asarray(X, dtype=float)
         Y = np.asarray(Y, dtype=float)
         qx = np.sum(X * X, axis=1)
         qy = np.sum(Y * Y, axis=1)
+        x_origin = bool(np.any(qx == 0.0))
+        y_origin = bool(np.any(qy == 0.0))
         total = np.zeros(X.shape[0])
         den = float(self._den)
-        for key, c in self._terms.items():
+        for key, c in sorted(self._terms.items()):
+            px = (key & _RAD_MASK) - _RAD_BIAS
+            py = ((key >> _RAD_BITS) & _RAD_MASK) - _RAD_BIAS
+            if (px < 0 and x_origin) or (py < 0 and y_origin):
+                raise PoleError("pole at the origin")
             v = np.full(X.shape[0], c / den)
             for i, s in enumerate(lay.x_shifts):
                 e = (key >> s) & _EXP_MASK
@@ -742,8 +757,6 @@ class RadialExpr:
                 e = (key >> s) & _EXP_MASK
                 if e:
                     v = v * Y[:, j] ** e
-            px = (key & _RAD_MASK) - _RAD_BIAS
-            py = ((key >> _RAD_BITS) & _RAD_MASK) - _RAD_BIAS
             if px:
                 v = v * qx ** (px / 2.0)
             if py:
@@ -762,9 +775,16 @@ class RadialExpr:
     __hash__ = None  # type: ignore[assignment]
 
     def equals(self, other: "RadialExpr") -> bool:
-        """Canonical-form equality (the decision procedure for all identities)."""
+        """Canonical-form equality (the decision procedure for all identities).
+
+        Equal canonical forms serialise to the same bytes, so equal sides
+        share a digest either of them has already computed.
+        """
         self._require_same_shape(other)
-        return self == other
+        if self != other:
+            return False
+        self._digest = other._digest = self._digest or other._digest
+        return True
 
     def sorted_terms(self) -> list[tuple[tuple[int, ...], tuple[int, ...], int, int, Fraction]]:
         return sorted(self.terms(), key=lambda t: (t[0], t[1], t[2], t[3]))
@@ -795,7 +815,9 @@ class RadialExpr:
         return from_terms(data["nx"], data["ny"], items)
 
     def digest(self) -> str:
-        return hashlib.sha256(self.to_json().encode()).hexdigest()
+        if self._digest is None:
+            self._digest = hashlib.sha256(self.to_json().encode()).hexdigest()
+        return self._digest
 
     def __str__(self) -> str:
         if not self._terms:

@@ -36,13 +36,16 @@ def gamma_ratio(a: RationalLike, b: RationalLike) -> Fraction:
 
     Callers must arrange the ratio so the shift is a nonnegative integer;
     anything else is rejected rather than approximated.  b may not sit on a
-    pole of Gamma inside the shift range (the product would silently be 0).
+    pole of Gamma (a nonpositive integer), where the product would silently
+    be 0 or the ratio undefined; that is rejected too.
     """
     a = Fraction(a)
     b = Fraction(b)
     shift = a - b
     if shift.denominator != 1 or shift < 0:
         raise ValueError(f"gamma_ratio requires a - b to be a nonnegative integer, got {shift}")
+    if b.denominator == 1 and b <= 0:
+        raise ValueError(f"gamma_ratio: b = {b} is a pole of Gamma")
     return pochhammer(b, int(shift))
 
 

@@ -38,9 +38,9 @@ from .gegenbauer import (
     chebyshev_T,
     gegenbauer,
     telescoping_coefficients,
-    radial_lift,
     zonal_direct,
-    zonal_lift,
+    zonal_direct_invariant,
+    zonal_lift_invariant,
 )
 from .ratnum import binomial
 
@@ -140,15 +140,15 @@ def _expr_witness(diff: rx.RadialExpr, cap: int = 24) -> dict:
 
 
 def _expr_cell(params: dict, lhs: rx.RadialExpr, rhs: rx.RadialExpr) -> dict:
-    ok = lhs.equals(rhs)
-    out = {
+    lhs_digest = lhs.digest()
+    ok = lhs.equals(rhs)  # an equal rhs takes over lhs's digest
+    return {
         "params": params,
         "status": "pass" if ok else "fail",
-        "lhs_digest": lhs.digest(),
+        "lhs_digest": lhs_digest,
         "rhs_digest": rhs.digest(),
         "witness": None if ok else _expr_witness(lhs - rhs),
     }
-    return out
 
 
 def _invariant_cell(params: dict, lhs: za.ZonalInvariant, rhs: za.ZonalInvariant) -> dict:
@@ -387,16 +387,15 @@ def _run_laplacian(params: dict) -> dict:
         pref = zr.beta_tilde(m, k) if parity == "odd" else zr.beta_hat(m, k)
         if params["engine"] == "invariant":
             lhs, _ = zr.laplacian_route_invariant(parity, m, k)
-            rhs = za.zonal_direct_invariant(target_n, k).scale(pref)
+            rhs = zonal_direct_invariant(target_n, k).scale(pref)
             return _invariant_cell(params, lhs, rhs)
         lhs, _ = zr.laplacian_route(parity, m, k)
         rhs = zonal_direct(target_n, k).scale(pref)
         return _expr_cell(params, lhs, rhs)
     if params["check"] == "fixed_y":
         out, pref = zr.laplacian_route_fixed_y(parity, m, k)
-        nv = target_n + 1
-        rhs = (zonal_direct(target_n, k) * (rx.quadratic_form("y", nv, nv) ** m)).scale(pref)
-        return _expr_cell(params, out, rhs)
+        rhs = zonal_direct_invariant(target_n, k) * za.monomial(target_n + 1, 0, 0, 2 * m)
+        return _expr_cell(params, out, rhs.scale(pref).to_radialexpr())
     if params["check"] == "prefactor_consistency":
         # single-sided prefactor times the |y|-side eigenvalue = two-variable prefactor
         lhs = zr.fixed_y_prefactor(parity, m, k) * zr.lap_c(target_n + 1, m, m, k)
@@ -583,12 +582,11 @@ def _eta_findings(args: SuiteArgs) -> list[dict]:
 # suite: appendix A (direct double-Laplacian bookkeeping)
 # ---------------------------------------------------------------------------
 
-def _lift_cc(k: int, lam: Fraction, ell: int, nvars: int) -> rx.RadialExpr:
-    """C_k^lam(w) (|x||y|)^ell over nvars coordinates (zero polynomial for k < 0)."""
+def _lift(k: int, lam: Fraction, N: int, deg_x: int, deg_y: int) -> za.ZonalInvariant:
+    """C_k^lam(w) |x|^deg_x |y|^deg_y over R^N; zero for k < 0 (the C_k = 0 convention)."""
     if k < 0:
-        return rx.RadialExpr.zero(nvars, nvars)
-    poly = gegenbauer(k, lam) if lam != 0 else chebyshev_T(k)
-    return radial_lift(poly, ell, nvars) * rx.norm_power("y", ell, nvars, nvars)
+        return za.ZonalInvariant(N)
+    return zonal_lift_invariant(gegenbauer(k, lam), N, deg_x, deg_y)
 
 
 def _cells_appendix_a(args: SuiteArgs) -> list[dict]:
@@ -608,15 +606,15 @@ def _cells_appendix_a(args: SuiteArgs) -> list[dict]:
 def _run_appendix_a(params: dict) -> dict:
     if params["check"] == "n6_prefactor":
         k = params["k"]
-        f = zonal_lift(gegenbauer(k, Fraction(1)), 6)
+        f = _lift(k, Fraction(1), 6, k, k).to_radialexpr()
         lhs = f.laplacian("x").laplacian("y")
-        rhs = zonal_lift(gegenbauer(k - 2, Fraction(2)), 6).scale(-16 * (1 + k))
+        rhs = _lift(k - 2, Fraction(2), 6, k - 2, k - 2).scale(-16 * (1 + k)).to_radialexpr()
         return _expr_cell(params, lhs, rhs)
     if params["check"] == "harmonic_iff":
         N, k = params["N"], params["k"]
         matching = Fraction(N - 2, 2)
-        z = radial_lift(gegenbauer(k, matching), k, N)
-        off = radial_lift(gegenbauer(k, matching + 1), k, N)
+        z = _lift(k, matching, N, k, 0).to_radialexpr()
+        off = _lift(k, matching + 1, N, k, 0).to_radialexpr()
         ok = z.laplacian("x").is_zero() and not off.laplacian("x").is_zero()
         return {"params": params, "status": "pass" if ok else "fail",
                 "lhs_digest": z.digest(), "rhs_digest": off.digest(),
@@ -625,32 +623,25 @@ def _run_appendix_a(params: dict) -> dict:
     lam = Fraction(params["lambda"])
     k, ell = params["k"], params["ell"]
     two = 2 * lam * (2 * lam + 2 - N)
+    t1 = Fraction((ell - k) * (N + k + ell - 2))
     if params["check"] == "single_laplacian":
-        f = radial_lift(gegenbauer(k, lam), ell, N)
-        lhs = f.laplacian("x")
-        rhs_terms = []
-        if k >= 2:
-            rhs_terms.append((two, radial_lift(gegenbauer(k - 2, lam + 1), ell - 2, N)))
-        rhs_terms.append((Fraction((ell - k) * (N + k + ell - 2)),
-                          radial_lift(gegenbauer(k, lam), ell - 2, N)))
-        rhs = rx.RadialExpr.zero(N, N)
-        for c, e in rhs_terms:
-            rhs = rhs + e.scale(c)
-        return _expr_cell(params, lhs, rhs)
+        lhs = _lift(k, lam, N, ell, 0).to_radialexpr().laplacian("x")
+        rhs = (_lift(k - 2, lam + 1, N, ell - 2, 0).scale(two)
+               + _lift(k, lam, N, ell - 2, 0).scale(t1))
+        return _expr_cell(params, lhs, rhs.to_radialexpr())
     if params["check"] == "double_laplacian":
-        f = _lift_cc(k, lam, ell, N)
+        f = _lift(k, lam, N, ell, ell).to_radialexpr()
         lhs = f.laplacian("x").laplacian("y")
-        t1 = Fraction((ell - k) * (N + k + ell - 2))
-        rhs = rx.RadialExpr.zero(N, N)
+        rhs = za.ZonalInvariant(N)
         pieces = [
-            (t1 * two, _lift_cc(k - 2, lam + 1, ell - 2, N)),
-            (t1 * t1, _lift_cc(k, lam, ell - 2, N)),
-            (two * (2 * lam + 2) * (2 * lam + 4 - N), _lift_cc(k - 4, lam + 2, ell - 2, N)),
-            (two * (ell - k + 2) * (N + k + ell - 4), _lift_cc(k - 2, lam + 1, ell - 2, N)),
+            (t1 * two, (k - 2, lam + 1)),
+            (t1 * t1, (k, lam)),
+            (two * (2 * lam + 2) * (2 * lam + 4 - N), (k - 4, lam + 2)),
+            (two * (ell - k + 2) * (N + k + ell - 4), (k - 2, lam + 1)),
         ]
-        for c, e in pieces:
-            rhs = rhs + e.scale(c)
-        return _expr_cell(params, lhs, rhs)
+        for c, (kk, mu) in pieces:
+            rhs = rhs + _lift(kk, mu, N, ell - 2, ell - 2).scale(c)
+        return _expr_cell(params, lhs, rhs.to_radialexpr())
     raise ValueError(f"unknown check {params['check']!r}")
 
 
@@ -712,7 +703,7 @@ def _run_appendix_b(params: dict) -> dict:
     k = params["k"]
     if check == "spherical_derivative":
         lhs = ca.xyc_spherical_derivative(k + 1, nvars)
-        rhs = zonal_lift(gegenbauer(k, Fraction(1)), nvars) if k else rx.constant(1, nvars, nvars)
+        rhs = zonal_lift_invariant(gegenbauer(k, Fraction(1)), nvars, k, k).to_radialexpr()
         return _expr_cell(params, lhs, rhs)
     if check == "real_from_derivatives":
         lhs = ca.xyc_power_real(k, nvars)
@@ -725,11 +716,8 @@ def _run_appendix_b(params: dict) -> dict:
         xy = ca.xyc_multivector(nvars)
         lhs = xy.power(k + 1)
         zk = zonal_direct(3, k).scale(Fraction(1, k + 1))
-        zk1 = zonal_direct(3, k - 1).scale(Fraction(1, k)) if k >= 1 else None
-        rhs = xy.scale(zk)
-        q = rx.quadratic_form("x", nvars, nvars) * rx.quadratic_form("y", nvars, nvars)
-        if zk1 is not None:
-            rhs = rhs - ca.scalar_mv(3, q * zk1)
+        qzk1 = zonal_direct_invariant(3, k - 1) * za.monomial(nvars, 0, 2, 2)
+        rhs = xy.scale(zk) - ca.scalar_mv(3, qzk1.scale(Fraction(1, k)).to_radialexpr())
         ok = lhs == rhs
         return {"params": params, "status": "pass" if ok else "fail",
                 "lhs_digest": _digest_text(json.dumps(lhs.to_json_dict(), sort_keys=True)),
@@ -820,6 +808,9 @@ def _cells_reproducing(args: SuiteArgs) -> list[dict]:
     nmax = 4 if args.nmax is None else args.nmax
     kmax = 4 if args.kmax is None else args.kmax
     samples = 1_000_000 if args.samples is None else args.samples
+    if nmax + 1 > max(_RATIONAL_UNITS):
+        raise ValueError(f"reproducing suite: nmax={nmax} is out of range; "
+                         f"rational unit poles exist for n <= {max(_RATIONAL_UNITS) - 1}")
     return [{"n": n, "k": k, "samples": samples, "seed": args.seed + 100 * n + k,
              "rel_tol": 0.01}
             for n in range(2, nmax + 1) for k in range(kmax + 1)]
@@ -906,8 +897,11 @@ def run_suite(suite: str, args: SuiteArgs | None = None, threads: int = 1) -> Ve
             raise ValueError(f"unknown suite {name!r}")
     items: list[tuple[str, dict]] = []
     for name in names:
-        for params in _BUILDERS[name](args):
-            items.append((name, params))
+        cells = _BUILDERS[name](args)
+        if not cells:
+            raise ValueError(f"suite {name!r} has no cells for nmax={args.nmax}, "
+                             f"kmax={args.kmax}, mmax={args.mmax}")
+        items.extend((name, params) for params in cells)
     if threads > 1 and len(items) > 1:
         with ProcessPoolExecutor(max_workers=threads) as pool:
             results = list(pool.map(_execute, items, chunksize=1))

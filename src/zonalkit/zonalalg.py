@@ -8,13 +8,17 @@ keyed by the integer triple (A, R, S), which is a faithful (and canonical)
 representation since the three generators are algebraically independent for
 group size >= 2.
 
-This is the performance-engineered path: a coordinate expansion of the
-high-order iterated-Laplacian cells (three double Laplacians in R^9) would
-need on the order of 10^8 monomials, far past any realistic memory budget,
+Every route input is written here first and reaches coordinates through
+:meth:`ZonalInvariant.to_radialexpr`, the one expander from invariants to a
+:class:`~zonalkit.radialexpr.RadialExpr`.  The invariant form also carries
+the deepest iterated-Laplacian cells on its own: a coordinate expansion of
+three double Laplacians in R^9 would need on the order of 10^8 monomials,
 while the invariant form keeps tens of terms.  The closed-form operator
 rules used here are cross-validated monomial by monomial against the
-coordinate engine in the test suite, and :meth:`to_radialexpr` converts back
-for direct comparison wherever expansion is feasible.
+coordinate engine in the test suite.
+
+Modules depend one way: radialexpr <- zonalalg <- gegenbauer <-
+cliffordalg / zonalroutes <- verify.
 
 Operator rules on a^A |x|^R |y|^S over R^N x R^N:
 
@@ -31,7 +35,6 @@ import json
 from fractions import Fraction
 
 from . import radialexpr as rx
-from .gegenbauer import GegenbauerPoly, chebyshev_T, gegenbauer
 from .ratnum import binomial
 
 Key = tuple[int, int, int]
@@ -136,22 +139,44 @@ class ZonalInvariant:
     # -- conversion / reporting -----------------------------------------------
 
     def to_radialexpr(self) -> rx.RadialExpr:
-        """Expand into the coordinate representation (feasible sizes only)."""
+        """Expand into coordinates (feasible sizes only).
+
+        Terms are grouped by the parities of R and S.  Within a group every
+        |x|^R |y|^S is |x|^r0 |y|^s0 Q_x^i Q_y^j for the group's radial floor
+        (r0, s0), so the group is one polynomial times one radial monomial.
+        The polynomial is built by Horner in a: going down in A,
+        out = out * a + sum c Q_x^i Q_y^j, with the Q powers grown one factor
+        at a time, so every product has a small factor or factors in
+        disjoint variables.
+        """
         n = self.dim
         a = rx.inner_xy(n)
-        out = rx.RadialExpr.zero(n, n)
-        a_powers: dict[int, rx.RadialExpr] = {0: rx.constant(1, n, n)}
-        top = max((A for (A, _, _) in self.terms), default=0)
-        for i in range(1, top + 1):
-            a_powers[i] = a_powers[i - 1] * a
-        for (A, R, S), c in sorted(self.terms.items()):
-            piece = a_powers[A]
-            if R:
-                piece = piece * rx.norm_power("x", R, n, n)
-            if S:
-                piece = piece * rx.norm_power("y", S, n, n)
-            out = out + piece.scale(c)
-        return out
+        qx = [rx.constant(1, n, n)]
+        qy = [rx.constant(1, n, n)]
+        groups: dict[tuple[int, int], list[tuple[Key, Fraction]]] = {}
+        for key, c in self.terms.items():
+            groups.setdefault((key[1] & 1, key[2] & 1), []).append((key, c))
+        parts = []
+        for members in groups.values():
+            r0 = _radial_floor(R for (_, R, _), _ in members)
+            s0 = _radial_floor(S for (_, _, S), _ in members)
+            by_a: dict[int, list[tuple[int, int, Fraction]]] = {}
+            for (A, R, S), c in members:
+                by_a.setdefault(A, []).append(((R - r0) // 2, (S - s0) // 2, c))
+            out = rx.RadialExpr.zero(n, n)
+            for A in range(max(by_a), -1, -1):
+                if out:
+                    out = out * a
+                for i, j, c in by_a.get(A, ()):
+                    out = out + (_power(qx, "x", i).scale(c) * _power(qy, "y", j))
+            if r0:
+                out = out * rx.norm_power("x", r0, n, n)
+            if s0:
+                out = out * rx.norm_power("y", s0, n, n)
+            parts.append(out)
+        if not parts:
+            return rx.RadialExpr.zero(n, n)
+        return sum(parts[1:], parts[0])
 
     def sorted_terms(self) -> list[tuple[Key, Fraction]]:
         return sorted(self.terms.items())
@@ -185,41 +210,60 @@ class ZonalInvariant:
         return f"<ZonalInvariant dim={self.dim} terms={len(self.terms)}>"
 
 
+def _radial_floor(powers) -> int:
+    """Lowest radial power of one parity class that leaves the rest even and >= 0.
+
+    That is the minimum when it is negative and the parity bit otherwise.
+    """
+    low = min(powers)
+    return low if low < 0 else low & 1
+
+
+def _power(table: list[rx.RadialExpr], group: rx.VarGroup, i: int) -> rx.RadialExpr:
+    """Q^i for the group, extending ``table`` (Q^0, Q^1, ...) one factor of Q at a time."""
+    while len(table) <= i:
+        n = table[0].nx
+        table.append(table[-1] * rx.quadratic_form(group, n, n))
+    return table[i]
+
+
 # -- constructors -------------------------------------------------------------
 
 def monomial(dim: int, A: int, R: int, S: int, coeff=1) -> ZonalInvariant:
     return ZonalInvariant(dim, {(A, R, S): Fraction(coeff)})
 
 
-def zonal_lift_invariant(poly: GegenbauerPoly, dim: int) -> ZonalInvariant:
-    """C(w) (|x||y|)^k in invariant form: sum_j c_j (j, k-j, k-j)."""
-    k = poly.degree
-    terms = {(j, k - j, k - j): poly.coefficient(j)
-             for j in range(k + 1) if poly.coefficient(j)}
-    return ZonalInvariant(dim, terms)
+def _xyc_power_part(k: int, dim: int, odd: bool) -> ZonalInvariant:
+    """Scalar part (odd=False) or coefficient of v (odd=True) of (a + v)^k.
 
-
-def zonal_direct_invariant(n: int, k: int) -> ZonalInvariant:
-    """Invariant-form counterpart of gegenbauer.zonal_direct(n, k)."""
-    dim = n + 1
-    if k == 0:
-        return monomial(dim, 0, 0, 0)
-    if n == 1:
-        return zonal_lift_invariant(chebyshev_T(k), 2).scale(2)
-    lam = Fraction(n - 1, 2)
-    return zonal_lift_invariant(gegenbauer(k, lam), dim).scale((k + lam) / lam)
+    x y^c = a + v with a = <x,y> and v^2 = a^2 - |x|^2|y|^2 a scalar, so
+    (a + v)^k = sum_r C(k, r) a^(k-r) v^r, and the even (odd) r give the
+    scalar part (the coefficient of v) with v^r = v^odd (v^2)^h.
+    """
+    out: dict[Key, Fraction] = {}
+    for h in range((k - odd) // 2 + 1):
+        c0 = binomial(k, 2 * h + odd)
+        for i in range(h + 1):
+            # (a^2 - |x|^2|y|^2)^h expanded
+            c = c0 * binomial(h, i) * (-1) ** (h - i)
+            key = (k - odd - 2 * h + 2 * i, 2 * (h - i), 2 * (h - i))
+            out[key] = out.get(key, Fraction(0)) + c
+    return ZonalInvariant(dim, out)
 
 
 def xyc_power_real_invariant(k: int, dim: int) -> ZonalInvariant:
-    """Real part of the k-th power of x y^c, for k >= 0, in invariant form."""
+    """Real part of the k-th power of x y^c in invariant form.
+
+    For k < 0 this is the Laurent form ((x y^c)^|k|)_0 (|x||y|)^(2k), since
+    (x y^c)^-1 = y x^c / (|x|^2 |y|^2) and y x^c has the same scalar part.
+    """
     if k < 0:
-        raise ValueError("negative powers carry radial factors; compose explicitly")
-    out: dict[Key, Fraction] = {}
-    for h in range(k // 2 + 1):
-        # (a^2 - |x|^2|y|^2)^h expanded
-        c0 = binomial(k, 2 * h)
-        for i in range(h + 1):
-            c = c0 * binomial(h, i) * (-1) ** (h - i)
-            key = (k - 2 * h + 2 * i, 2 * (h - i), 2 * (h - i))
-            out[key] = out.get(key, Fraction(0)) + c
-    return ZonalInvariant(dim, out)
+        return xyc_power_real_invariant(-k, dim) * monomial(dim, 0, 2 * k, 2 * k)
+    return _xyc_power_part(k, dim, odd=False)
+
+
+def xyc_spherical_derivative_invariant(k: int, dim: int) -> ZonalInvariant:
+    """The coefficient of v in (x y^c)^k = (a + v)^k, k >= 1, in invariant form."""
+    if k < 1:
+        raise ValueError("spherical derivative of a power needs k >= 1")
+    return _xyc_power_part(k, dim, odd=True)

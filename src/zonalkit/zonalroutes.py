@@ -38,7 +38,7 @@ import numpy as np
 from . import radialexpr as rx
 from . import zonalalg as za
 from .cliffordalg import xyc_power_real
-from .gegenbauer import chebyshev_T, gegenbauer, zonal_direct, zonal_lift
+from .gegenbauer import zonal_direct, zonal_direct_invariant
 from .ratnum import factorial, pochhammer
 
 Parity = Literal["odd", "even"]
@@ -190,16 +190,6 @@ def fixed_y_prefactor_general(m: int, lam) -> Fraction:
     return (-1) ** m * Fraction(4) ** m * pochhammer(lam, m) * factorial(m)
 
 
-COEFFICIENTS = {
-    "alpha": alpha_top,
-    "c": lap_c,
-    "beta": beta,
-    "betaTilde": beta_tilde,
-    "betaHat": beta_hat,
-    "eta": eta_reference,
-}
-
-
 # ---------------------------------------------------------------------------
 # route specifications
 # ---------------------------------------------------------------------------
@@ -262,20 +252,25 @@ def ladder_route(n: int, k: int) -> rx.RadialExpr:
     return f
 
 
-def _laplacian_seed(parity: Parity, m: int, k: int) -> tuple[rx.RadialExpr, int]:
-    deg = k + 2 * m
+def _laplacian_seed(parity: Parity, m: int, k: int) -> za.ZonalInvariant:
+    """The space (odd) or plane (even) kernel of degree k+2m lifted verbatim.
+
+    Lifting keeps the invariant terms and reads them over R^(2m+3) (odd) or
+    R^(2m+2) (even), the dimension of the iterated-Laplacian target.
+    """
     if parity == "odd":
-        nvars = 2 * m + 3
-        seed = zonal_lift(gegenbauer(deg, Fraction(1, 2)), nvars).scale(2 * deg + 1) \
-            if deg else rx.constant(1, nvars, nvars)
+        low_n, dim = 2, 2 * m + 3
     elif parity == "even":
-        nvars = 2 * m + 2
-        # the plane kernel is 2 T_deg (|x||y|)^deg for deg >= 1 but 1 at deg = 0
-        seed = zonal_lift(chebyshev_T(deg), nvars).scale(2) \
-            if deg else rx.constant(1, nvars, nvars)
+        low_n, dim = 1, 2 * m + 2
     else:
         raise ValueError(f"unknown parity {parity!r}")
-    return seed, nvars
+    return za.ZonalInvariant(dim, zonal_direct_invariant(low_n, k + 2 * m).terms)
+
+
+def _laplacian_prefactor(parity: Parity, m: int, k: int) -> Fraction:
+    if m == 0:
+        return Fraction(1)
+    return beta_tilde(m, k) if parity == "odd" else beta_hat(m, k)
 
 
 def laplacian_route(parity: Parity, m: int, k: int) -> tuple[rx.RadialExpr, Fraction]:
@@ -284,14 +279,10 @@ def laplacian_route(parity: Parity, m: int, k: int) -> tuple[rx.RadialExpr, Frac
     Coordinate-level computation; the result should equal prefactor *
     zonal_direct(target n, k) with target n = 2m+2 (odd) or 2m+1 (even).
     """
-    seed, _ = _laplacian_seed(parity, m, k)
-    out = seed
+    out = _laplacian_seed(parity, m, k).to_radialexpr()
     for _ in range(m):
         out = out.laplacian("x").laplacian("y")
-    pref = beta_tilde(m, k) if parity == "odd" else beta_hat(m, k)
-    if m == 0:
-        pref = Fraction(1)
-    return out, pref
+    return out, _laplacian_prefactor(parity, m, k)
 
 
 def laplacian_route_invariant(parity: Parity, m: int, k: int) -> tuple[za.ZonalInvariant, Fraction]:
@@ -302,24 +293,10 @@ def laplacian_route_invariant(parity: Parity, m: int, k: int) -> tuple[za.ZonalI
     the engineered path for those cells, with its operator rules
     cross-validated against the coordinate engine elsewhere in the suite.
     """
-    deg = k + 2 * m
-    if parity == "odd":
-        dim = 2 * m + 3
-        seed = za.zonal_lift_invariant(gegenbauer(deg, Fraction(1, 2)), dim) \
-            .scale(2 * deg + 1) if deg else za.monomial(dim, 0, 0, 0)
-    elif parity == "even":
-        dim = 2 * m + 2
-        seed = za.zonal_lift_invariant(chebyshev_T(deg), dim).scale(2) \
-            if deg else za.monomial(dim, 0, 0, 0)
-    else:
-        raise ValueError(f"unknown parity {parity!r}")
-    out = seed
+    out = _laplacian_seed(parity, m, k)
     for _ in range(m):
         out = out.lap_x().lap_y()
-    pref = beta_tilde(m, k) if parity == "odd" else beta_hat(m, k)
-    if m == 0:
-        pref = Fraction(1)
-    return out, pref
+    return out, _laplacian_prefactor(parity, m, k)
 
 
 def laplacian_route_fixed_y(parity: Parity, m: int, k: int) -> tuple[rx.RadialExpr, Fraction]:
@@ -329,8 +306,7 @@ def laplacian_route_fixed_y(parity: Parity, m: int, k: int) -> tuple[rx.RadialEx
     prefactor * Q_y^m * zonal_direct(target n, k); the Q_y^m factor is the
     |y|-degree correction that disappears on |y| = 1.
     """
-    seed, _ = _laplacian_seed(parity, m, k)
-    out = seed
+    out = _laplacian_seed(parity, m, k).to_radialexpr()
     for _ in range(m):
         out = out.laplacian("x")
     return out, fixed_y_prefactor(parity, m, k)
@@ -362,11 +338,16 @@ def kelvin_route(n: int, k: int) -> tuple[rx.RadialExpr, Fraction]:
     if k < 1:
         raise ValueError("inversion route needs k >= 1")
     m = (n - 1) // 2
-    nvars = n + 1
-    f = xyc_power_real(k, nvars) * rx.norm_power("x", -2 * k, nvars, nvars)
+    f = _inversion_seed(k, n + 1)
     for _ in range(m):
         f = f.laplacian("x")
     return f.kelvin("x"), kelvin_constant_reference(n, k)
+
+
+def _inversion_seed(k: int, nvars: int) -> rx.RadialExpr:
+    """((x y^(-1))^(-k))_0 = ((x y^c)^k)_0 |x|^(-2k), after the |y|^(2k) rescaling."""
+    seed = za.xyc_power_real_invariant(k, nvars) * za.monomial(nvars, 0, -2 * k, 0)
+    return seed.to_radialexpr()
 
 
 @dataclass(frozen=True)
@@ -412,7 +393,7 @@ def eta_relation(m: int, k: int) -> EtaRelationResult:
     lhs = xyc_power_real(k + 2 * m, nvars)
     for _ in range(m):
         lhs = lhs.laplacian("x").laplacian("y")
-    f = xyc_power_real(k, nvars) * rx.norm_power("x", -2 * k, nvars, nvars)
+    f = _inversion_seed(k, nvars)
     for _ in range(m):
         f = f.laplacian("x")
     rhs_raw = f.kelvin("x")
@@ -456,7 +437,7 @@ def poisson_series(x, y, terms: int) -> float:
     w = float(x @ y) / r if r > 0 else 0.0
     if N == 2:
         # 1 + 2 sum_k T_k(w) r^k
-        total = 1.0
+        total = 1.0 if terms > 0 else 0.0
         prev, cur = 1.0, w
         rk = r
         for k in range(1, terms):

@@ -87,6 +87,20 @@ def test_verify_small_suite_exit_codes(capsys):
     assert "FAIL" in out
 
 
+def test_verify_nmax_beyond_pole_table_exit_2(capsys):
+    code, _, err = run_cli(capsys, "verify", "--suite", "reproducing", "--nmax", "5",
+                           "--threads", "1")
+    assert code == 2
+    assert "nmax=5" in err
+
+
+def test_verify_empty_suite_exit_2(capsys):
+    code, _, err = run_cli(capsys, "verify", "--suite", "ladder", "--kmax", "-1",
+                           "--threads", "1")
+    assert code == 2
+    assert "no cells" in err
+
+
 def test_verify_json_report_deterministic(tmp_path, capsys):
     p1 = tmp_path / "a.json"
     p2 = tmp_path / "b.json"

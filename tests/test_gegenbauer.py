@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -8,9 +9,8 @@ from zonalkit.gegenbauer import (
     eval_float,
     gegenbauer,
     telescoping_coefficients,
-    radial_lift,
     zonal_direct,
-    zonal_lift,
+    zonal_lift_invariant,
 )
 from zonalkit.ratnum import factorial, pochhammer
 from zonalkit.zonalroutes import alpha_top
@@ -105,12 +105,41 @@ def test_zonal_direct_harmonic_small():
 
 
 def test_radial_lift_carries_laurent_tail():
-    f = radial_lift(gegenbauer(2, HALF), 2, 5)
+    # C(w) |x|^2 with no |y| factor
+    f = zonal_lift_invariant(gegenbauer(2, HALF), 5, 2, 0).to_radialexpr()
     # w^2 term contributes |y|^-2
     assert any(py == -2 for _, _, _, py, _ in f.terms())
     # and multiplying by |y|^2 recovers the polynomial kernel lift
     g = f * rx.norm_power("y", 2, 5, 5)
-    assert g.equals(zonal_lift(gegenbauer(2, HALF), 5))
+    assert g.equals(zonal_lift_invariant(gegenbauer(2, HALF), 5, 2, 2).to_radialexpr())
+
+
+def rational_point(dim, rng):
+    """A rational point with rational norm: a scaled inverse stereographic image."""
+    u = [Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(dim - 1)]
+    q = sum(v * v for v in u)
+    r = Fraction(rng.randint(1, 6), rng.randint(1, 3))
+    return [r * (1 - q) / (1 + q)] + [r * 2 * v / (1 + q) for v in u], r
+
+
+def test_zonal_direct_values_match_gegenbauer_sum():
+    # Z_k(x, y) = ((k+lam)/lam) sum_j c_j <x,y>^j (|x||y|)^(k-j), 2 T_k in the plane
+    rng = random.Random(17)
+    for n in (1, 2, 3, 4):
+        for k in range(6):
+            if n == 1:
+                poly, scale = chebyshev_T(k), Fraction(2 if k else 1)
+            else:
+                lam = Fraction(n - 1, 2)
+                poly, scale = gegenbauer(k, lam), (k + lam) / lam
+            z = zonal_direct(n, k)
+            for _ in range(3):
+                x, nx = rational_point(n + 1, rng)
+                y, ny = rational_point(n + 1, rng)
+                a = sum(u * v for u, v in zip(x, y))
+                want = scale * sum(c * a ** j * (nx * ny) ** (k - j)
+                                   for j, c in enumerate(poly.coeffs))
+                assert z.eval_exact(x, y).as_tuple() == (want, 0, 0, 0), (n, k)
 
 
 def test_telescoping_expansion_and_closed_form():

@@ -269,6 +269,14 @@ def test_json_roundtrip_and_term_order():
     assert back.digest() == f.digest()
 
 
+def test_equal_sides_share_one_digest():
+    f = zonal_direct(2, 3)
+    g = rx.from_terms(3, 3, list(f.terms()))
+    d = f.digest()
+    assert f.equals(g)
+    assert g.digest() == d == rx.from_terms(3, 3, list(f.terms())).digest()
+
+
 def test_equals_distinguishes():
     a2 = rx.inner_xy(NX) ** 2
     qq = rx.quadratic_form("x", NX, NY) * rx.quadratic_form("y", NX, NY)
@@ -279,3 +287,15 @@ def test_degree_cap_guard():
     f = rx.inner_xy(2) ** 40
     with pytest.raises(rx.RadialOverflow):
         (f * f) * (f * f)
+
+
+def test_dir_deriv_raises_instead_of_carrying():
+    # x0 y0^127: the x0 derivative would carry y0^128 into the y1 field
+    with pytest.raises(rx.RadialOverflow):
+        rx.from_terms(2, 2, [((1, 0), (127, 0), 0, 0, 1)]).dir_deriv()
+    # x0^127 |x|^-1: the radial branch raises x0 to 128
+    with pytest.raises(rx.RadialOverflow):
+        rx.from_terms(2, 2, [((127, 0), (0, 0), -1, 0, 1)]).dir_deriv()
+    # a field at the cap that the operator does not raise is fine
+    got = rx.from_terms(2, 2, [((0, 1), (127, 0), 0, 0, 1)]).dir_deriv()
+    assert got.equals(rx.from_terms(2, 2, [((0, 0), (127, 1), 0, 0, 1)]))

@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from zonalkit.ratnum import binomial, factorial, gamma_ratio, pochhammer, sqrt_exact
 
@@ -40,8 +40,15 @@ def test_gamma_ratio_rejects_non_integer_shift():
         gamma_ratio(Fraction(1), Fraction(3))
 
 
+def test_gamma_ratio_rejects_pole():
+    for a, b in ((1, -2), (0, 0), (Fraction(-1), Fraction(-3))):
+        with pytest.raises(ValueError):
+            gamma_ratio(a, b)
+
+
 @given(b=rationals, i=st.integers(0, 6), j=st.integers(0, 6))
 def test_gamma_ratio_transitive(b, i, j):
+    assume(not (b.denominator == 1 and b <= 0))  # b on a Gamma pole is rejected
     a = b + i + j
     c = b
     mid = b + j

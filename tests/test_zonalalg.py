@@ -3,9 +3,9 @@ from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
-from zonalkit import cliffordalg as ca
+from zonalkit import radialexpr as rx
 from zonalkit import zonalalg as za
-from zonalkit.gegenbauer import zonal_direct
+from zonalkit.gegenbauer import zonal_direct_invariant
 
 monomials = st.tuples(st.integers(0, 3), st.integers(-5, 5), st.integers(-5, 5),
                       st.fractions(min_value=-20, max_value=20, max_denominator=4))
@@ -39,29 +39,48 @@ def test_ring_operations_match_coordinate_engine():
         assert p.to_radialexpr().equals(a.to_radialexpr() * b.to_radialexpr())
 
 
-def test_zonal_invariant_matches_direct():
-    for n in (1, 2, 3, 4):
-        for k in range(5):
-            inv = za.zonal_direct_invariant(n, k)
-            assert inv.to_radialexpr().equals(zonal_direct(n, k)), (n, k)
+def naive_expansion(inv: za.ZonalInvariant) -> rx.RadialExpr:
+    """Each term as its own product of coordinate factors, summed."""
+    n = inv.dim
+    out = rx.RadialExpr.zero(n, n)
+    for (A, R, S), c in inv.terms.items():
+        out = out + c * rx.inner_xy(n) ** A * rx.norm_power("x", R, n, n) \
+            * rx.norm_power("y", S, n, n)
+    return out
 
 
-def test_xyc_real_invariant_matches_pair_representation():
+@settings(max_examples=80, deadline=None)
+@given(dim=st.integers(2, 4),
+       terms=st.lists(st.tuples(st.integers(0, 4), st.integers(-5, 5), st.integers(-5, 5),
+                                st.fractions(min_value=-20, max_value=20, max_denominator=4)),
+                      min_size=0, max_size=5))
+def test_expander_matches_naive_products(dim, terms):
+    inv = za.ZonalInvariant(dim)
+    for A, R, S, c in terms:
+        inv = inv + za.monomial(dim, A, R, S, c)
+    assert inv.to_radialexpr().equals(naive_expansion(inv))
+
+
+def test_expander_matches_naive_products_on_route_seeds():
     for dim in (3, 4):
-        for k in range(7):
+        for k in range(-2, 7):
             inv = za.xyc_power_real_invariant(k, dim)
-            assert inv.to_radialexpr().equals(ca.xyc_power_real(k, dim)), (dim, k)
+            assert inv.to_radialexpr().equals(naive_expansion(inv)), (dim, k)
+    for n in (1, 2, 3):
+        for k in range(5):
+            inv = zonal_direct_invariant(n, k)
+            assert inv.to_radialexpr().equals(naive_expansion(inv)), (n, k)
 
 
 def test_invariant_harmonicity():
     for n in (2, 3, 5):
         for k in (1, 2, 4):
-            z = za.zonal_direct_invariant(n, k)
+            z = zonal_direct_invariant(n, k)
             assert z.lap_x().is_zero()
             assert z.lap_y().is_zero()
 
 
 def test_serialization_digest_stable():
-    z = za.zonal_direct_invariant(3, 4)
-    assert z.digest() == za.zonal_direct_invariant(3, 4).digest()
-    assert z.to_json() == za.zonal_direct_invariant(3, 4).to_json()
+    z = zonal_direct_invariant(3, 4)
+    assert z.digest() == zonal_direct_invariant(3, 4).digest()
+    assert z.to_json() == zonal_direct_invariant(3, 4).to_json()

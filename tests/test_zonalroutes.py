@@ -199,6 +199,13 @@ def test_poisson_series_converges_to_closed_form():
         assert abs(zr.poisson_series(x, y, 200) - zr.poisson_closed(x, y)) < 1e-10
 
 
+def test_poisson_series_empty_sum_is_zero():
+    for dim in (2, 3, 4):
+        x = np.full(dim, 0.3)
+        y = np.full(dim, 0.2)
+        assert zr.poisson_series(x, y, 0) == 0.0
+
+
 def test_poisson_series_warns_on_divergence():
     x = np.array([1.5, 0.0])
     y = np.array([1.0, 0.0])
