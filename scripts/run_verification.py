@@ -4,7 +4,8 @@
 Thin driver over zonalkit.verify for batch runs; the `zonalkit verify` CLI is
 the interactive front end.  The kelvin and eta suites are expected to exit
 red on their stated-constant cells (see the findings inside the reports);
-everything else must be green.
+everything else must be green, and a cell that raised (an ``error`` cell)
+fails the batch in every suite.
 """
 
 from __future__ import annotations
@@ -40,9 +41,9 @@ def main() -> int:
         counts = report.counts()
         status = "ok" if report.passed else "FAIL"
         print(f"{suite:12s} {status:4s} cells={len(report.cells):4d} "
-              f"pass={counts['pass']:4d} fail={counts['fail']:3d} "
+              f"pass={counts['pass']:4d} fail={counts['fail']:3d} error={counts['error']:3d} "
               f"findings={len(report.findings):3d} {elapsed:7.1f}s -> {path}")
-        if not report.passed and suite not in ("kelvin", "eta"):
+        if counts["error"] or (not report.passed and suite not in ("kelvin", "eta")):
             overall_ok = False
     return 0 if overall_ok else 1
 

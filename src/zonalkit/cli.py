@@ -1,7 +1,8 @@
 """Command-line front end: expand, eval, verify, coeff, table.
 
 Exit codes: 0 success (all cells pass), 1 identity failure, 2 usage or
-parameter-domain error, 3 I/O error.  All behaviour is controlled by flags;
+parameter-domain error, 3 I/O error, 4 a verify cell raised (an ``error``
+cell in the report).  All behaviour is controlled by flags;
 there are no configuration files or environment variables, so an invocation
 is self-describing and reports are reproducible byte for byte for a fixed
 seed (timings are only embedded on request).
@@ -26,6 +27,7 @@ EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_IO = 3
+EXIT_ERROR = 4
 
 
 class UsageError(Exception):
@@ -115,12 +117,14 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     report = run_suite(args.suite, sargs, threads=args.threads)
     counts = report.counts()
     for cell in report.cells:
-        if cell.status != "pass":
+        if cell.status == "error":
+            print(f"[ERROR] {cell.params} {cell.witness['type']}: {cell.witness['message']}")
+        elif cell.status != "pass":
             print(f"[{cell.status.upper()}] {cell.params}")
     for finding in report.findings:
         print(f"[FINDING] {finding}")
     print(f"suite={report.suite} cells={len(report.cells)} "
-          f"pass={counts['pass']} fail={counts['fail']} skipped={counts['skipped']} "
+          f"pass={counts['pass']} fail={counts['fail']} error={counts['error']} "
           f"findings={len(report.findings)} seed={report.seed}")
     if args.json is not None:
         payload = report.to_json(timings=args.timings)
@@ -133,6 +137,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             except OSError as exc:
                 print(f"cannot write report: {exc}", file=sys.stderr)
                 return EXIT_IO
+    if counts["error"]:
+        return EXIT_ERROR
     return EXIT_OK if report.passed else EXIT_FAIL
 
 

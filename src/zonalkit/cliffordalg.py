@@ -124,10 +124,6 @@ class Multivector:
         """Everything but the scalar part (vector plus higher grades)."""
         return Multivector(self.n, {b: c for b, c in self.comps.items() if b})
 
-    def grade(self, g: int) -> "Multivector":
-        return Multivector(self.n, {b: c for b, c in self.comps.items()
-                                    if b.bit_count() == g})
-
     def map_coeffs(self, fn: Callable[[Coeff], Coeff]) -> "Multivector":
         return Multivector(self.n, {b: fn(c) for b, c in self.comps.items()})
 

@@ -4,9 +4,14 @@ Each suite is a list of independent cells.  A cell names its parameters,
 computes both sides of one exact identity (or one numeric check with a
 stated tolerance), and reports pass/fail together with digests of the two
 sides and, on failure, a witness (the nonzero difference or the numeric
-pair).  Cells never share mutable state, so the runner may fan them out
-across a process pool; reports are merged in construction order, which makes
-the JSON output deterministic for a fixed seed.
+pair).  A cell whose runner raises is reported as ``error`` with the
+exception as its witness, and the other cells still run.  Cells never share
+mutable state, so the runner may fan them out across a process pool; reports
+are merged in construction order, which makes the JSON output deterministic
+for a fixed seed.
+
+Every suite is declared once, in ``_SUITES`` at the end of this module: its
+default ranges, its cell builder, its cell runner and its optional findings.
 
 Two families of constants get special treatment.  The printed closed forms
 for the iterated-Laplacian prefactor and for the inversion-route/bridge
@@ -21,9 +26,10 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Callable
 
@@ -34,7 +40,6 @@ from . import radialexpr as rx
 from . import zonalalg as za
 from . import zonalroutes as zr
 from .gegenbauer import (
-    GegenbauerPoly,
     chebyshev_T,
     gegenbauer,
     telescoping_coefficients,
@@ -44,18 +49,12 @@ from .gegenbauer import (
 )
 from .ratnum import binomial
 
-SUITE_NAMES = (
-    "gegenbauer", "ladder", "laplacian", "clifford", "kelvin", "eta",
-    "poisson", "appendixA", "appendixB", "harmonicity", "monogenic",
-    "reproducing",
-)
-
 LAMBDA_SET = (Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(2), Fraction(3))
 
 
 @dataclass
 class SuiteArgs:
-    """Range overrides; None means the acceptance-criteria default."""
+    """Range overrides; None means the suite's default range in ``_SUITES``."""
 
     nmax: int | None = None
     kmax: int | None = None
@@ -83,12 +82,12 @@ class VerificationReport:
 
     @property
     def passed(self) -> bool:
-        return all(c.status != "fail" for c in self.cells)
+        return all(c.status == "pass" for c in self.cells)
 
     def counts(self) -> dict[str, int]:
-        out = {"pass": 0, "fail": 0, "skipped": 0}
+        out = dict.fromkeys(("pass", "fail", "error"), 0)
         for c in self.cells:
-            out[c.status] = out.get(c.status, 0) + 1
+            out[c.status] += 1
         return out
 
     def to_json_dict(self, timings: bool = False) -> dict:
@@ -139,19 +138,21 @@ def _expr_witness(diff: rx.RadialExpr, cap: int = 24) -> dict:
             "truncated": len(terms) > cap}
 
 
-def _expr_cell(params: dict, lhs: rx.RadialExpr, rhs: rx.RadialExpr) -> dict:
+def _cell(params: dict, ok: bool, lhs_digest: str, rhs_digest: str,
+          witness: dict | None) -> Cell:
+    """A pass/fail cell; only a failing cell keeps its witness."""
+    return Cell(params, "pass" if ok else "fail", lhs_digest, rhs_digest,
+                None if ok else witness)
+
+
+def _expr_cell(params: dict, lhs: rx.RadialExpr, rhs: rx.RadialExpr) -> Cell:
     lhs_digest = lhs.digest()
     ok = lhs.equals(rhs)  # an equal rhs takes over lhs's digest
-    return {
-        "params": params,
-        "status": "pass" if ok else "fail",
-        "lhs_digest": lhs_digest,
-        "rhs_digest": rhs.digest(),
-        "witness": None if ok else _expr_witness(lhs - rhs),
-    }
+    return _cell(params, ok, lhs_digest, rhs.digest(),
+                 None if ok else _expr_witness(lhs - rhs))
 
 
-def _invariant_cell(params: dict, lhs: za.ZonalInvariant, rhs: za.ZonalInvariant) -> dict:
+def _invariant_cell(params: dict, lhs: za.ZonalInvariant, rhs: za.ZonalInvariant) -> Cell:
     ok = lhs == rhs
     witness = None
     if not ok:
@@ -161,34 +162,26 @@ def _invariant_cell(params: dict, lhs: za.ZonalInvariant, rhs: za.ZonalInvariant
                               "num": str(c.numerator), "den": str(c.denominator)}
                              for (A, R, S), c in diff.sorted_terms()[:24]],
                    "nonzero_terms": len(diff.terms)}
-    return {"params": params, "status": "pass" if ok else "fail",
-            "lhs_digest": lhs.digest(), "rhs_digest": rhs.digest(), "witness": witness}
+    return _cell(params, ok, lhs.digest(), rhs.digest(), witness)
 
 
-def _vec_cell(params: dict, lhs: tuple, rhs: tuple) -> dict:
-    ok = lhs == rhs
-    return {
-        "params": params,
-        "status": "pass" if ok else "fail",
-        "lhs_digest": _digest_text(repr(lhs)),
-        "rhs_digest": _digest_text(repr(rhs)),
-        "witness": None if ok else {"kind": "coeff_vectors",
-                                    "lhs": [str(v) for v in lhs],
-                                    "rhs": [str(v) for v in rhs]},
-    }
+def _mv_cell(params: dict, lhs: ca.Multivector, rhs: ca.Multivector) -> Cell:
+    def mv_digest(mv: ca.Multivector) -> str:
+        return _digest_text(json.dumps(mv.to_json_dict(), sort_keys=True))
+    return _cell(params, lhs == rhs, mv_digest(lhs), mv_digest(rhs),
+                 {"kind": "multivector_mismatch"})
 
 
-def _float_cell(params: dict, lhs: float, rhs: float, tol: float) -> dict:
+def _vec_cell(params: dict, lhs: tuple, rhs: tuple) -> Cell:
+    return _cell(params, lhs == rhs, _digest_text(repr(lhs)), _digest_text(repr(rhs)),
+                 {"kind": "coeff_vectors",
+                  "lhs": [str(v) for v in lhs], "rhs": [str(v) for v in rhs]})
+
+
+def _float_cell(params: dict, lhs: float, rhs: float, tol: float) -> Cell:
     err = abs(lhs - rhs)
-    ok = err <= tol
-    return {
-        "params": params,
-        "status": "pass" if ok else "fail",
-        "lhs_digest": _digest_float(lhs),
-        "rhs_digest": _digest_float(rhs),
-        "witness": None if ok else {"kind": "float_pair", "lhs": lhs, "rhs": rhs,
-                                    "abs_error": err, "tol": tol},
-    }
+    return _cell(params, err <= tol, _digest_float(lhs), _digest_float(rhs),
+                 {"kind": "float_pair", "lhs": lhs, "rhs": rhs, "abs_error": err, "tol": tol})
 
 
 # ---------------------------------------------------------------------------
@@ -204,11 +197,8 @@ def _coeffs(k: int, lam: Fraction) -> tuple[Fraction, ...]:
     return gegenbauer(k, lam).coeffs
 
 
-def _pad(vec: tuple[Fraction, ...], size: int) -> tuple[Fraction, ...]:
-    return tuple(vec) + (Fraction(0),) * (size - len(vec))
-
-
 def _add(*pairs: tuple[Fraction, tuple[Fraction, ...]]) -> tuple[Fraction, ...]:
+    """sum c * v over the (c, v) pairs, with trailing zeros trimmed."""
     size = max((len(v) for _, v in pairs), default=0)
     out = [Fraction(0)] * size
     for c, v in pairs:
@@ -224,19 +214,12 @@ def _shift(vec: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
     return (Fraction(0),) + tuple(vec) if vec else ()
 
 
-def _trim(vec: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
-    v = list(vec)
-    while v and v[-1] == 0:
-        v.pop()
-    return tuple(v)
-
-
 # ---------------------------------------------------------------------------
 # suite: gegenbauer identities
 # ---------------------------------------------------------------------------
 
 def _cells_gegenbauer(args: SuiteArgs) -> list[dict]:
-    kmax = 20 if args.kmax is None else args.kmax
+    kmax = args.kmax
     cells = []
     for lam in LAMBDA_SET:
         lam_s = str(lam)
@@ -249,12 +232,12 @@ def _cells_gegenbauer(args: SuiteArgs) -> list[dict]:
     return cells
 
 
-def _run_gegenbauer(params: dict) -> dict:
+def _run_gegenbauer(params: dict) -> Cell:
     ident = params["identity"]
     kmax = params["kmax"]
     if ident == "chebygegen":
         for k in range(2, kmax + 1):
-            lhs = _trim(_add((Fraction(2), _coeffs(k, Fraction(0)))))
+            lhs = _add((Fraction(2), _coeffs(k, Fraction(0))))
             rhs = _add((Fraction(1), _coeffs(k, Fraction(1))),
                        (Fraction(-1), _coeffs(k - 2, Fraction(1))))
             if lhs != rhs:
@@ -265,7 +248,7 @@ def _run_gegenbauer(params: dict) -> dict:
         m = params["m"]
         for k in range(0, max(0, kmax - 2 * m) + 1):
             alphas = telescoping_coefficients(m, lam, k)
-            lhs = _trim(_coeffs(k + 2 * m, lam))
+            lhs = _coeffs(k + 2 * m, lam)
             rhs = _add(*[(alphas[j], _coeffs(k + 2 * (m - j), lam + m))
                          for j in range(m + 1)])
             closed = zr.alpha_top(m, lam, k)
@@ -276,10 +259,10 @@ def _run_gegenbauer(params: dict) -> dict:
         return _vec_cell(params, (), ())
     for k in range(1 if ident in ("derivative", "times_t", "degree_mix") else 0, kmax + 1):
         if ident == "derivative":
-            lhs = _trim(GegenbauerPoly(k, lam, _pad(_coeffs(k, lam), k + 1)).derivative_coeffs())
+            lhs = gegenbauer(k, lam).derivative_coeffs()
             rhs = _add((Fraction(2) * lam, _coeffs(k - 1, lam + 1)))
         elif ident == "times_t":
-            lhs = _trim(_shift(_coeffs(k - 1, lam + 1)))
+            lhs = _shift(_coeffs(k - 1, lam + 1))
             rhs = _add((Fraction(k, 2 * (k + lam)), _coeffs(k, lam + 1)),
                        (Fraction(k + 2 * lam, 2 * (k + lam)), _coeffs(k - 2, lam + 1)))
         elif ident == "weighted_drop":
@@ -311,12 +294,10 @@ def _run_gegenbauer(params: dict) -> dict:
 # ---------------------------------------------------------------------------
 
 def _cells_ladder(args: SuiteArgs) -> list[dict]:
-    nmax = 6 if args.nmax is None else args.nmax
-    kmax = 8 if args.kmax is None else args.kmax
-    return [{"n": n, "k": k} for n in range(2, nmax + 1) for k in range(kmax + 1)]
+    return [{"n": n, "k": k} for n in range(2, args.nmax + 1) for k in range(args.kmax + 1)]
 
 
-def _run_ladder(params: dict) -> dict:
+def _run_ladder(params: dict) -> Cell:
     n, k = params["n"], params["k"]
     lhs = zr.ladder_route(n, k)
     rhs = zonal_direct(n, k).scale(zr.ladder_scale(n, k))
@@ -324,32 +305,21 @@ def _run_ladder(params: dict) -> dict:
 
 
 def _cells_harmonicity(args: SuiteArgs) -> list[dict]:
-    nmax = 6 if args.nmax is None else args.nmax
-    kmax = 8 if args.kmax is None else args.kmax
-    return [{"n": n, "k": k} for n in range(1, nmax + 1) for k in range(kmax + 1)]
+    return [{"n": n, "k": k} for n in range(1, args.nmax + 1) for k in range(args.kmax + 1)]
 
 
-def _run_harmonicity(params: dict) -> dict:
+def _run_harmonicity(params: dict) -> Cell:
     n, k = params["n"], params["k"]
     z = zonal_direct(n, k)
     lap_x = z.laplacian("x")
     lap_y = z.laplacian("y")
-    ok = lap_x.is_zero() and lap_y.is_zero()
-    deg_ok = z.homogeneous_degree("x") == k and z.homogeneous_degree("y") == k
-    cell = {
-        "params": params,
-        "status": "pass" if ok and deg_ok else "fail",
-        "lhs_digest": lap_x.digest(),
-        "rhs_digest": lap_y.digest(),
-        "witness": None,
-    }
-    if not ok:
-        cell["witness"] = _expr_witness(lap_x if not lap_x.is_zero() else lap_y)
-    elif not deg_ok:
-        cell["witness"] = {"kind": "homogeneity",
-                           "degree_x": z.homogeneous_degree("x"),
-                           "degree_y": z.homogeneous_degree("y")}
-    return cell
+    degree_x, degree_y = z.homogeneous_degree("x"), z.homogeneous_degree("y")
+    if lap_x.is_zero() and lap_y.is_zero():
+        witness = {"kind": "homogeneity", "degree_x": degree_x, "degree_y": degree_y}
+    else:
+        witness = _expr_witness(lap_x if not lap_x.is_zero() else lap_y)
+    ok = lap_x.is_zero() and lap_y.is_zero() and degree_x == degree_y == k
+    return _cell(params, ok, lap_x.digest(), lap_y.digest(), witness)
 
 
 # ---------------------------------------------------------------------------
@@ -357,8 +327,7 @@ def _run_harmonicity(params: dict) -> dict:
 # ---------------------------------------------------------------------------
 
 def _cells_laplacian(args: SuiteArgs) -> list[dict]:
-    mmax = 3 if args.mmax is None else args.mmax
-    kmax = 6 if args.kmax is None else args.kmax
+    mmax, kmax = args.mmax, args.kmax
     cells = []
     for parity in ("odd", "even"):
         for m in range(1, mmax + 1):
@@ -380,7 +349,7 @@ def _cells_laplacian(args: SuiteArgs) -> list[dict]:
     return cells
 
 
-def _run_laplacian(params: dict) -> dict:
+def _run_laplacian(params: dict) -> Cell:
     parity, m, k = params["parity"], params["m"], params["k"]
     target_n = 2 * m + 2 if parity == "odd" else 2 * m + 1
     if params["check"] == "route":
@@ -406,8 +375,7 @@ def _run_laplacian(params: dict) -> dict:
 
 def _laplacian_findings(args: SuiteArgs) -> list[dict]:
     """Composed-vs-printed closed forms, reported, never silently passed."""
-    mmax = 3 if args.mmax is None else args.mmax
-    kmax = 6 if args.kmax is None else args.kmax
+    mmax, kmax = args.mmax, args.kmax
     findings: list[dict] = []
     for m in range(1, mmax + 1):
         for k in range(kmax + 1):
@@ -457,22 +425,17 @@ def _laplacian_findings(args: SuiteArgs) -> list[dict]:
 # ---------------------------------------------------------------------------
 
 def _cells_clifford(args: SuiteArgs) -> list[dict]:
-    mmax = 2 if args.mmax is None else min(args.mmax, 2)
-    kmax = 6 if args.kmax is None else args.kmax
+    kmax = args.kmax
     cells = [{"check": "plane_identity", "k": k} for k in range(1, kmax + 1)]
     cells += [{"check": "route", "m": m, "k": k}
-              for m in range(1, mmax + 1) for k in range(kmax + 1)]
+              for m in range(1, min(args.mmax, 2) + 1) for k in range(kmax + 1)]
     cells += [{"check": "slice_derivative_value", "k": k} for k in range(0, 9)]
     return cells
 
 
-def _run_clifford(params: dict) -> dict:
-    if params["check"] == "plane_identity":
-        k = params["k"]
-        lhs, rhs = zr.clifford_route(0, k)
-        return _expr_cell(params, lhs, rhs)
-    if params["check"] == "route":
-        lhs, rhs = zr.clifford_route(params["m"], params["k"])
+def _run_clifford(params: dict) -> Cell:
+    if params["check"] in ("plane_identity", "route"):  # the plane identity is m = 0
+        lhs, rhs = zr.clifford_route(params.get("m", 0), params["k"])
         return _expr_cell(params, lhs, rhs)
     if params["check"] == "slice_derivative_value":
         # Lap_4 (x^(k+2))_0 = -2 (k+2)/(k+1) Z_k(x, 1) with the unit pole
@@ -488,65 +451,60 @@ def _run_clifford(params: dict) -> dict:
 # suites: kelvin route and the bridge identity
 # ---------------------------------------------------------------------------
 
+def _kelvin_cases(args: SuiteArgs) -> list[tuple[int, int]]:
+    return [(n, k) for n in (3, 5, 7) if n <= args.nmax for k in range(1, args.kmax + 1)]
+
+
 def _cells_kelvin(args: SuiteArgs) -> list[dict]:
-    kmax = 6 if args.kmax is None else args.kmax
     cells = [{"check": "plane_reference", "n": 1, "k": k} for k in range(1, 11)]
-    for n in (3, 5, 7):
-        if args.nmax is not None and n > args.nmax:
-            continue
-        for k in range(1, kmax + 1):
-            cells.append({"check": "reference_constant", "n": n, "k": k})
-            cells.append({"check": "observed_constant", "n": n, "k": k})
+    for n, k in _kelvin_cases(args):
+        cells.append({"check": "reference_constant", "n": n, "k": k})
+        cells.append({"check": "observed_constant", "n": n, "k": k})
     return cells
 
 
-def _run_kelvin(params: dict) -> dict:
+def _run_kelvin(params: dict) -> Cell:
     n, k = params["n"], params["k"]
     result, reference = zr.kelvin_route(n, k)
     direct = zonal_direct(n, k)
     measured = zr.proportionality_ratio(result, direct)
     if params["check"] in ("plane_reference", "reference_constant"):
-        rhs = direct.scale(reference)
-        cell = _expr_cell({**params, "reference": str(reference),
-                           "measured": str(measured)}, result, rhs)
-        return cell
+        return _expr_cell({**params, "reference": str(reference),
+                           "measured": str(measured)}, result, direct.scale(reference))
     observed = zr.kelvin_constant_observed(n, k)
     return _expr_cell({**params, "observed": str(observed),
                        "measured": str(measured)}, result, direct.scale(observed))
 
 
 def _kelvin_findings(args: SuiteArgs) -> list[dict]:
-    kmax = 6 if args.kmax is None else args.kmax
     findings = []
-    for n in (3, 5, 7):
-        if args.nmax is not None and n > args.nmax:
-            continue
-        for k in range(1, kmax + 1):
-            ref = zr.kelvin_constant_reference(n, k)
-            obs = zr.kelvin_constant_observed(n, k)
-            if ref != obs:
-                findings.append({
-                    "kind": "stated_constant_mismatch",
-                    "identity": "kelvin_route", "n": n, "k": k,
-                    "reference": str(ref), "observed": str(obs),
-                    "ratio_observed_over_reference": str(obs / ref),
-                })
+    for n, k in _kelvin_cases(args):
+        ref = zr.kelvin_constant_reference(n, k)
+        obs = zr.kelvin_constant_observed(n, k)
+        if ref != obs:
+            findings.append({
+                "kind": "stated_constant_mismatch",
+                "identity": "kelvin_route", "n": n, "k": k,
+                "reference": str(ref), "observed": str(obs),
+                "ratio_observed_over_reference": str(obs / ref),
+            })
     return findings
 
 
+def _eta_cases(args: SuiteArgs) -> list[tuple[int, int]]:
+    return [(m, k) for m in range(0, min(args.mmax, 2) + 1) for k in range(1, args.kmax + 1)]
+
+
 def _cells_eta(args: SuiteArgs) -> list[dict]:
-    mmax = 2 if args.mmax is None else min(args.mmax, 2)
-    kmax = 6 if args.kmax is None else args.kmax
     cells = []
-    for m in range(0, mmax + 1):
-        for k in range(1, kmax + 1):
-            cells.append({"check": "reference_constant", "m": m, "k": k})
-            cells.append({"check": "observed_constant", "m": m, "k": k})
-    cells += [{"check": "unit_at_m0", "k": k} for k in range(1, kmax + 1)]
+    for m, k in _eta_cases(args):
+        cells.append({"check": "reference_constant", "m": m, "k": k})
+        cells.append({"check": "observed_constant", "m": m, "k": k})
+    cells += [{"check": "unit_at_m0", "k": k} for k in range(1, args.kmax + 1)]
     return cells
 
 
-def _run_eta(params: dict) -> dict:
+def _run_eta(params: dict) -> Cell:
     if params["check"] == "unit_at_m0":
         k = params["k"]
         val = zr.eta_reference(0, k)
@@ -561,20 +519,17 @@ def _run_eta(params: dict) -> dict:
 
 
 def _eta_findings(args: SuiteArgs) -> list[dict]:
-    mmax = 2 if args.mmax is None else min(args.mmax, 2)
-    kmax = 6 if args.kmax is None else args.kmax
     findings = []
-    for m in range(0, mmax + 1):
-        for k in range(1, kmax + 1):
-            ref = zr.eta_reference(m, k)
-            obs = zr.eta_observed(m, k)
-            if ref != obs:
-                findings.append({
-                    "kind": "stated_constant_mismatch",
-                    "identity": "eta_relation", "m": m, "k": k,
-                    "reference": str(ref), "observed": str(obs),
-                    "ratio_reference_over_observed": str(ref / obs),
-                })
+    for m, k in _eta_cases(args):
+        ref = zr.eta_reference(m, k)
+        obs = zr.eta_observed(m, k)
+        if ref != obs:
+            findings.append({
+                "kind": "stated_constant_mismatch",
+                "identity": "eta_relation", "m": m, "k": k,
+                "reference": str(ref), "observed": str(obs),
+                "ratio_reference_over_observed": str(ref / obs),
+            })
     return findings
 
 
@@ -590,8 +545,7 @@ def _lift(k: int, lam: Fraction, N: int, deg_x: int, deg_y: int) -> za.ZonalInva
 
 
 def _cells_appendix_a(args: SuiteArgs) -> list[dict]:
-    kmax = 8 if args.kmax is None else args.kmax
-    cells = [{"check": "n6_prefactor", "k": k} for k in range(2, kmax + 1)]
+    cells = [{"check": "n6_prefactor", "k": k} for k in range(2, args.kmax + 1)]
     grid = [(4, "1/2", 2, 2), (4, "1", 3, 3), (5, "1/2", 2, 4), (5, "3/2", 3, 3),
             (6, "1", 4, 4), (6, "2", 3, 5), (7, "1", 2, 2), (7, "5/2", 4, 4)]
     cells += [{"check": "single_laplacian", "N": N, "lambda": lam, "k": k, "ell": ell}
@@ -603,7 +557,7 @@ def _cells_appendix_a(args: SuiteArgs) -> list[dict]:
     return cells
 
 
-def _run_appendix_a(params: dict) -> dict:
+def _run_appendix_a(params: dict) -> Cell:
     if params["check"] == "n6_prefactor":
         k = params["k"]
         f = _lift(k, Fraction(1), 6, k, k).to_radialexpr()
@@ -616,9 +570,7 @@ def _run_appendix_a(params: dict) -> dict:
         z = _lift(k, matching, N, k, 0).to_radialexpr()
         off = _lift(k, matching + 1, N, k, 0).to_radialexpr()
         ok = z.laplacian("x").is_zero() and not off.laplacian("x").is_zero()
-        return {"params": params, "status": "pass" if ok else "fail",
-                "lhs_digest": z.digest(), "rhs_digest": off.digest(),
-                "witness": None if ok else {"kind": "harmonicity_criterion"}}
+        return _cell(params, ok, z.digest(), off.digest(), {"kind": "harmonicity_criterion"})
     N = params["N"]
     lam = Fraction(params["lambda"])
     k, ell = params["k"], params["ell"]
@@ -650,7 +602,7 @@ def _run_appendix_a(params: dict) -> dict:
 # ---------------------------------------------------------------------------
 
 def _cells_appendix_b(args: SuiteArgs) -> list[dict]:
-    kmax = 6 if args.kmax is None else args.kmax
+    kmax = args.kmax
     cells = []
     for n in (1, 2, 3):
         for k in range(0, kmax + 1):
@@ -663,7 +615,7 @@ def _cells_appendix_b(args: SuiteArgs) -> list[dict]:
     return cells
 
 
-def _run_appendix_b(params: dict) -> dict:
+def _run_appendix_b(params: dict) -> Cell:
     check = params["check"]
     if check == "hypergeometric_sum":
         k = params["k"]
@@ -689,16 +641,10 @@ def _run_appendix_b(params: dict) -> dict:
         if k == 0:
             got = p.scalar_part()
             ok = (got == Fraction(1)) and p.imaginary_part().is_zero()
-            return {"params": params, "status": "pass" if ok else "fail",
-                    "lhs_digest": _digest_text(str(got)), "rhs_digest": _digest_text("1"),
-                    "witness": None}
+            return _cell(params, ok, _digest_text(str(got)), _digest_text("1"),
+                         {"kind": "multivector_mismatch"})
         sph = ca.xyc_spherical_derivative(k, nvars)
-        recon = ca.scalar_mv(n, real) + xy.imaginary_part().scale(sph)
-        ok = p == recon
-        return {"params": params, "status": "pass" if ok else "fail",
-                "lhs_digest": _digest_text(json.dumps(p.to_json_dict(), sort_keys=True)),
-                "rhs_digest": _digest_text(json.dumps(recon.to_json_dict(), sort_keys=True)),
-                "witness": None if ok else {"kind": "multivector_mismatch"}}
+        return _mv_cell(params, p, ca.scalar_mv(n, real) + xy.imaginary_part().scale(sph))
     nvars = 4
     k = params["k"]
     if check == "spherical_derivative":
@@ -718,11 +664,7 @@ def _run_appendix_b(params: dict) -> dict:
         zk = zonal_direct(3, k).scale(Fraction(1, k + 1))
         qzk1 = zonal_direct_invariant(3, k - 1) * za.monomial(nvars, 0, 2, 2)
         rhs = xy.scale(zk) - ca.scalar_mv(3, qzk1.scale(Fraction(1, k)).to_radialexpr())
-        ok = lhs == rhs
-        return {"params": params, "status": "pass" if ok else "fail",
-                "lhs_digest": _digest_text(json.dumps(lhs.to_json_dict(), sort_keys=True)),
-                "rhs_digest": _digest_text(json.dumps(rhs.to_json_dict(), sort_keys=True)),
-                "witness": None if ok else {"kind": "multivector_mismatch"}}
+        return _mv_cell(params, lhs, rhs)
     raise ValueError(f"unknown check {check!r}")
 
 
@@ -731,23 +673,16 @@ def _run_appendix_b(params: dict) -> dict:
 # ---------------------------------------------------------------------------
 
 def _cells_monogenic(args: SuiteArgs) -> list[dict]:
-    kmax = 8 if args.kmax is None else args.kmax
-    return [{"n": 3, "k": k} for k in range(kmax + 1)]
+    return [{"n": 3, "k": k} for k in range(args.kmax + 1)]
 
 
-def _run_monogenic(params: dict) -> dict:
+def _run_monogenic(params: dict) -> Cell:
     rep = ca.monogenicity_check(params["k"], params["n"])
-    ok = rep.dbar_annihilates
-    return {
-        "params": {**params, "lap_power": rep.lap_power,
-                   "D_annihilates": rep.d_annihilates,
-                   "Dbar_annihilates": rep.dbar_annihilates},
-        "status": "pass" if ok else "fail",
-        "lhs_digest": _digest_text(repr((rep.d_annihilates, rep.dbar_annihilates))),
-        "rhs_digest": _digest_text("Dbar annihilates"),
-        "witness": None if ok else {"kind": "operator_survives",
-                                    "D": rep.d_annihilates, "Dbar": rep.dbar_annihilates},
-    }
+    d, dbar = rep.d_annihilates, rep.dbar_annihilates
+    return _cell({**params, "lap_power": rep.lap_power,
+                  "D_annihilates": d, "Dbar_annihilates": dbar},
+                 dbar, _digest_text(repr((d, dbar))), _digest_text("Dbar annihilates"),
+                 {"kind": "operator_survives", "D": d, "Dbar": dbar})
 
 
 # ---------------------------------------------------------------------------
@@ -755,9 +690,8 @@ def _run_monogenic(params: dict) -> dict:
 # ---------------------------------------------------------------------------
 
 def _cells_poisson(args: SuiteArgs) -> list[dict]:
-    nmax = 4 if args.nmax is None else args.nmax
     cells = []
-    for n in range(2, nmax + 1):
+    for n in range(2, args.nmax + 1):
         for i in range(5):
             cells.append({"check": "series", "n": n, "point": i, "seed": args.seed,
                           "terms": 200, "tol": 1e-10})
@@ -766,7 +700,7 @@ def _cells_poisson(args: SuiteArgs) -> list[dict]:
     return cells
 
 
-def _run_poisson(params: dict) -> dict:
+def _run_poisson(params: dict) -> Cell:
     n = params["n"]
     dim = n + 1
     if params["check"] == "series":
@@ -789,11 +723,9 @@ def _run_poisson(params: dict) -> dict:
         err = abs(lhs - rhs)
         if err > worst:
             worst, worst_pt = err, (r, w)
-    ok = worst <= params["tol"]
-    return {"params": params, "status": "pass" if ok else "fail",
-            "lhs_digest": _digest_float(worst), "rhs_digest": _digest_float(params["tol"]),
-            "witness": None if ok else {"kind": "float_pair", "worst_error": worst,
-                                        "at": list(worst_pt), "tol": params["tol"]}}
+    tol = params["tol"]
+    return _cell(params, worst <= tol, _digest_float(worst), _digest_float(tol),
+                 {"kind": "float_pair", "worst_error": worst, "at": list(worst_pt), "tol": tol})
 
 
 _RATIONAL_UNITS = {
@@ -805,18 +737,18 @@ _RATIONAL_UNITS = {
 
 
 def _cells_reproducing(args: SuiteArgs) -> list[dict]:
-    nmax = 4 if args.nmax is None else args.nmax
-    kmax = 4 if args.kmax is None else args.kmax
-    samples = 1_000_000 if args.samples is None else args.samples
-    if nmax + 1 > max(_RATIONAL_UNITS):
-        raise ValueError(f"reproducing suite: nmax={nmax} is out of range; "
+    if args.nmax + 1 > max(_RATIONAL_UNITS):
+        raise ValueError(f"reproducing suite: nmax={args.nmax} is out of range; "
                          f"rational unit poles exist for n <= {max(_RATIONAL_UNITS) - 1}")
-    return [{"n": n, "k": k, "samples": samples, "seed": args.seed + 100 * n + k,
+    if args.samples < 2:
+        raise ValueError(f"reproducing suite: samples={args.samples} is out of range; "
+                         "the Monte-Carlo standard error needs samples >= 2")
+    return [{"n": n, "k": k, "samples": args.samples, "seed": args.seed + 100 * n + k,
              "rel_tol": 0.01}
-            for n in range(2, nmax + 1) for k in range(kmax + 1)]
+            for n in range(2, args.nmax + 1) for k in range(args.kmax + 1)]
 
 
-def _run_reproducing(params: dict) -> dict:
+def _run_reproducing(params: dict) -> Cell:
     n, k = params["n"], params["k"]
     dim = n + 1
     pole = _RATIONAL_UNITS[dim][0]
@@ -825,67 +757,59 @@ def _run_reproducing(params: dict) -> dict:
         raise AssertionError("test polynomial must be harmonic")
     y = np.array([float(Fraction(v)) for v in pole])
     res = zr.reproducing_mc(n, k, test_poly, y, params["samples"], params["seed"])
-    ok = res.rel_error <= params["rel_tol"]
-    return {
-        "params": {**params, "estimate": res.estimate, "target": res.target,
-                   "stderr": res.stderr, "three_sigma": res.three_sigma,
-                   "rel_error": res.rel_error},
-        "status": "pass" if ok else "fail",
-        "lhs_digest": _digest_float(res.estimate),
-        "rhs_digest": _digest_float(res.target),
-        "witness": None if ok else {"kind": "float_pair", "lhs": res.estimate,
-                                    "rhs": res.target, "rel_error": res.rel_error,
-                                    "three_sigma": res.three_sigma},
-    }
+    return _cell({**params, "estimate": res.estimate, "target": res.target,
+                  "stderr": res.stderr, "three_sigma": res.three_sigma,
+                  "rel_error": res.rel_error},
+                 res.rel_error <= params["rel_tol"],
+                 _digest_float(res.estimate), _digest_float(res.target),
+                 {"kind": "float_pair", "lhs": res.estimate, "rhs": res.target,
+                  "rel_error": res.rel_error, "three_sigma": res.three_sigma})
 
 
 # ---------------------------------------------------------------------------
-# registry and runner
+# the suite table and the runner
 # ---------------------------------------------------------------------------
 
-_BUILDERS: dict[str, Callable[[SuiteArgs], list[dict]]] = {
-    "gegenbauer": _cells_gegenbauer,
-    "ladder": _cells_ladder,
-    "harmonicity": _cells_harmonicity,
-    "laplacian": _cells_laplacian,
-    "clifford": _cells_clifford,
-    "kelvin": _cells_kelvin,
-    "eta": _cells_eta,
-    "appendixA": _cells_appendix_a,
-    "appendixB": _cells_appendix_b,
-    "monogenic": _cells_monogenic,
-    "poisson": _cells_poisson,
-    "reproducing": _cells_reproducing,
+@dataclass(frozen=True)
+class _Suite:
+    """One suite: its default ranges, cell builder, cell runner and findings."""
+
+    defaults: dict[str, int]
+    cells: Callable[[SuiteArgs], list[dict]]
+    run: Callable[[dict], Cell]
+    findings: Callable[[SuiteArgs], list[dict]] | None = None
+
+
+_SUITES: dict[str, _Suite] = {
+    "gegenbauer": _Suite({"kmax": 20}, _cells_gegenbauer, _run_gegenbauer),
+    "ladder": _Suite({"nmax": 6, "kmax": 8}, _cells_ladder, _run_ladder),
+    "laplacian": _Suite({"mmax": 3, "kmax": 6}, _cells_laplacian, _run_laplacian,
+                        _laplacian_findings),
+    "clifford": _Suite({"mmax": 2, "kmax": 6}, _cells_clifford, _run_clifford),
+    "kelvin": _Suite({"nmax": 7, "kmax": 6}, _cells_kelvin, _run_kelvin, _kelvin_findings),
+    "eta": _Suite({"mmax": 2, "kmax": 6}, _cells_eta, _run_eta, _eta_findings),
+    "poisson": _Suite({"nmax": 4}, _cells_poisson, _run_poisson),
+    "appendixA": _Suite({"kmax": 8}, _cells_appendix_a, _run_appendix_a),
+    "appendixB": _Suite({"kmax": 6}, _cells_appendix_b, _run_appendix_b),
+    "harmonicity": _Suite({"nmax": 6, "kmax": 8}, _cells_harmonicity, _run_harmonicity),
+    "monogenic": _Suite({"kmax": 8}, _cells_monogenic, _run_monogenic),
+    "reproducing": _Suite({"nmax": 4, "kmax": 4, "samples": 1_000_000},
+                          _cells_reproducing, _run_reproducing),
 }
 
-_RUNNERS: dict[str, Callable[[dict], dict]] = {
-    "gegenbauer": _run_gegenbauer,
-    "ladder": _run_ladder,
-    "harmonicity": _run_harmonicity,
-    "laplacian": _run_laplacian,
-    "clifford": _run_clifford,
-    "kelvin": _run_kelvin,
-    "eta": _run_eta,
-    "appendixA": _run_appendix_a,
-    "appendixB": _run_appendix_b,
-    "monogenic": _run_monogenic,
-    "poisson": _run_poisson,
-    "reproducing": _run_reproducing,
-}
-
-_FINDINGS: dict[str, Callable[[SuiteArgs], list[dict]]] = {
-    "laplacian": _laplacian_findings,
-    "kelvin": _kelvin_findings,
-    "eta": _eta_findings,
-}
+SUITE_NAMES = tuple(_SUITES)
 
 
-def _execute(item: tuple[str, dict]) -> dict:
+def _execute(item: tuple[str, dict]) -> Cell:
     suite, params = item
     t0 = time.perf_counter()
-    out = _RUNNERS[suite](params)
-    out["elapsed_ms"] = (time.perf_counter() - t0) * 1000.0
-    return out
+    try:
+        cell = _SUITES[suite].run(params)
+    except Exception as exc:  # reported as an error cell; the other cells still run
+        cell = Cell(params, "error", "", "",
+                    {"kind": "exception", "type": type(exc).__name__, "message": str(exc)})
+    cell.elapsed_ms = (time.perf_counter() - t0) * 1000.0
+    return cell
 
 
 def run_suite(suite: str, args: SuiteArgs | None = None, threads: int = 1) -> VerificationReport:
@@ -893,30 +817,30 @@ def run_suite(suite: str, args: SuiteArgs | None = None, threads: int = 1) -> Ve
     args = args or SuiteArgs()
     names = list(SUITE_NAMES) if suite == "all" else [suite]
     for name in names:
-        if name not in _BUILDERS:
+        if name not in _SUITES:
             raise ValueError(f"unknown suite {name!r}")
+    filled: dict[str, SuiteArgs] = {}
     items: list[tuple[str, dict]] = []
     for name in names:
-        cells = _BUILDERS[name](args)
+        spec = _SUITES[name]
+        filled[name] = replace(args, **{key: value for key, value in spec.defaults.items()
+                                        if getattr(args, key) is None})
+        cells = spec.cells(filled[name])
         if not cells:
             raise ValueError(f"suite {name!r} has no cells for nmax={args.nmax}, "
                              f"kmax={args.kmax}, mmax={args.mmax}")
         items.extend((name, params) for params in cells)
-    if threads > 1 and len(items) > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(_execute, items, chunksize=1))
+    workers = min(threads, len(items), os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            cells = list(pool.map(_execute, items, chunksize=1))
     else:
-        results = [_execute(it) for it in items]
-    cells = []
-    for (name, _), res in zip(items, results):
-        params = dict(res["params"])
-        if suite == "all":
-            params = {"suite": name, **params}
-        cells.append(Cell(params=params, status=res["status"],
-                          lhs_digest=res["lhs_digest"], rhs_digest=res["rhs_digest"],
-                          witness=res["witness"], elapsed_ms=res.get("elapsed_ms", 0.0)))
+        cells = [_execute(it) for it in items]
+    if suite == "all":
+        for (name, _), cell in zip(items, cells):
+            cell.params = {"suite": name, **cell.params}
     findings: list[dict] = []
     for name in names:
-        if name in _FINDINGS:
-            findings.extend(_FINDINGS[name](args))
+        if _SUITES[name].findings is not None:
+            findings.extend(_SUITES[name].findings(filled[name]))
     return VerificationReport(suite=suite, seed=args.seed, cells=cells, findings=findings)

@@ -184,12 +184,6 @@ def fixed_y_prefactor(parity: Parity, m: int, k: int) -> Fraction:
     raise ValueError(f"unknown parity {parity!r}")
 
 
-def fixed_y_prefactor_general(m: int, lam) -> Fraction:
-    """Lap_x^m prefactor on |x|^(k+2m) C_(k+2m) without kernel normalisation."""
-    lam = Fraction(lam)
-    return (-1) ** m * Fraction(4) ** m * pochhammer(lam, m) * factorial(m)
-
-
 # ---------------------------------------------------------------------------
 # route specifications
 # ---------------------------------------------------------------------------
@@ -361,14 +355,6 @@ class EtaRelationResult:
     measured: Fraction | None
     reference: Fraction
     observed: Fraction
-
-    @property
-    def holds_reference(self) -> bool:
-        return self.measured == self.reference
-
-    @property
-    def holds_observed(self) -> bool:
-        return self.measured == self.observed
 
 
 def proportionality_ratio(lhs: rx.RadialExpr, rhs: rx.RadialExpr) -> Fraction | None:

@@ -1,6 +1,10 @@
 import csv
+import dataclasses
 import json
 
+import pytest
+
+from zonalkit import verify
 from zonalkit.cli import main
 
 
@@ -99,6 +103,36 @@ def test_verify_empty_suite_exit_2(capsys):
                            "--threads", "1")
     assert code == 2
     assert "no cells" in err
+
+
+@pytest.mark.parametrize("samples", ["0", "1", "-3"])
+def test_verify_too_few_samples_exit_2(capsys, samples):
+    code, _, err = run_cli(capsys, "verify", "--suite", "reproducing", "--nmax", "2",
+                           "--kmax", "0", "--samples", samples, "--threads", "1")
+    assert code == 2
+    assert f"samples={samples}" in err
+
+
+def test_verify_error_cell_exit_4(monkeypatch, capsys):
+    # a runner that raises on one cell: that cell is reported, the others still run
+    spec = verify._SUITES["monogenic"]
+
+    def runner(params):
+        if params["k"] == 1:
+            raise RuntimeError("injected")
+        return spec.run(params)
+
+    monkeypatch.setitem(verify._SUITES, "monogenic", dataclasses.replace(spec, run=runner))
+    code, out, _ = run_cli(capsys, "verify", "--suite", "monogenic", "--kmax", "2",
+                           "--threads", "1", "--json", "-")
+    assert code == 4
+    assert "[ERROR]" in out and "RuntimeError: injected" in out
+    assert "pass=2 fail=0 error=1" in out
+    report = json.loads(out[out.index("\n{\n") + 1:])
+    assert report["passed"] is False
+    assert [c["status"] for c in report["cells"]] == ["pass", "error", "pass"]
+    assert report["cells"][1]["witness"] == {"kind": "exception", "type": "RuntimeError",
+                                             "message": "injected"}
 
 
 def test_verify_json_report_deterministic(tmp_path, capsys):

@@ -37,6 +37,12 @@ def test_quadratic_times_inverse_norm_is_one():
     assert (q * rx.norm_power("x", -2, NX, NY)).equals(rx.constant(1, NX, NY))
 
 
+@given(f=expr_strategy(), group=st.sampled_from(("x", "y")))
+def test_divide_then_multiply_by_quadratic_form_round_trips(f, group):
+    inverse = rx.norm_power(group, -2, NX, NY)
+    assert ((f * inverse) * rx.quadratic_form(group, NX, NY)).equals(f)
+
+
 def test_add_cancellation():
     f = rx.inner_xy(NX) ** 2 + rx.quadratic_form("y", NX, NY).scale(Fraction(3, 7))
     assert (f - f).is_zero()
