@@ -61,6 +61,9 @@ _RAD_MAX = _RAD_MASK - _RAD_BIAS
 
 MAX_DEGREE = _EXP_MASK
 
+# rows per block of float evaluation; bounds the memory of the power tables
+_EVAL_BLOCK = 1 << 15
+
 
 class RadialOverflow(OverflowError):
     """An exponent left the packed-field range (degree > 127 or |radial| > 2047)."""
@@ -511,9 +514,17 @@ class RadialExpr:
             raise ValueError(f"coordinate index {i} out of range for group of size {n}")
         s = shifts[i]
         rad_dec = 2 << rad_shift
+        radial_free = self._radial_free
+        if not radial_free:
+            # the radial branch raises field s by one and lowers p by two;
+            # a radial field below 2 holds p < _RAD_MIN + 2
+            for key in self._terms:
+                field = (key >> rad_shift) & _RAD_MASK
+                if field != _RAD_BIAS and (field < 2 or (key >> s) & _EXP_MASK == _EXP_MASK):
+                    raise RadialOverflow(
+                        f"partial derivative d/d{group}{i} would leave a packed exponent field")
         out: dict[int, int] = {}
         get = out.get
-        radial_free = self._radial_free
         for key, c in self._terms.items():
             e = (key >> s) & _EXP_MASK
             if e:
@@ -537,6 +548,18 @@ class RadialExpr:
         """
         shifts, rad_shift, n = self._group_data(group)
         rad_dec = 2 << rad_shift
+        if not self._radial_free:
+            # the radial branch lowers p by two; a radial field below 2 holds
+            # p < _RAD_MIN + 2, and the branch is emitted when its factor is nonzero
+            for key in self._terms:
+                field = (key >> rad_shift) & _RAD_MASK
+                if field < 2:
+                    p = field - _RAD_BIAS
+                    tot = sum((key >> s) & _EXP_MASK for s in shifts)
+                    if 2 * tot + n + p - 2:
+                        raise RadialOverflow(
+                            f"Laplacian in {group} would lower |{group}|^{p} "
+                            "below the packed radial range")
         out: dict[int, int] = {}
         get = out.get
         if self._radial_free:
@@ -729,10 +752,14 @@ class RadialExpr:
                                            np.asarray([point_y], dtype=float))[0])
 
     def eval_float_batch(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-        """Vectorised float evaluation at rows of X (s, nx) and Y (s, ny).
+        """Vectorised float evaluation at rows of X (s, nx) and Y (1 or s, ny).
 
         Terms are summed in sorted key order, so the value depends on the
-        expression and not on the construction that built it.
+        expression and not on the construction that built it.  Rows are
+        evaluated in blocks: each distinct coordinate power and radial
+        half-power is computed once per block and shared by every term, and
+        each term multiplies its factors in the same order as a term-by-term
+        evaluation would, so the result does not depend on the block size.
         """
         lay = self._lay
         X = np.asarray(X, dtype=float)
@@ -741,27 +768,41 @@ class RadialExpr:
         qy = np.sum(Y * Y, axis=1)
         x_origin = bool(np.any(qx == 0.0))
         y_origin = bool(np.any(qy == 0.0))
-        total = np.zeros(X.shape[0])
         den = float(self._den)
+        # per term: its value c/den and its factors in multiplication order,
+        # each a (column, exponent) pair over the columns x_0.., y_0.., Q_x, Q_y
+        nx, ny = self.nx, self.ny
+        plan = []
         for key, c in sorted(self._terms.items()):
             px = (key & _RAD_MASK) - _RAD_BIAS
             py = ((key >> _RAD_BITS) & _RAD_MASK) - _RAD_BIAS
             if (px < 0 and x_origin) or (py < 0 and y_origin):
                 raise PoleError("pole at the origin")
-            v = np.full(X.shape[0], c / den)
-            for i, s in enumerate(lay.x_shifts):
-                e = (key >> s) & _EXP_MASK
-                if e:
-                    v = v * X[:, i] ** e
-            for j, s in enumerate(lay.y_shifts):
-                e = (key >> s) & _EXP_MASK
-                if e:
-                    v = v * Y[:, j] ** e
+            factors = [(col, e) for col, s in enumerate(lay.x_shifts + lay.y_shifts)
+                       if (e := (key >> s) & _EXP_MASK)]
             if px:
-                v = v * qx ** (px / 2.0)
+                factors.append((nx + ny, px / 2.0))
             if py:
-                v = v * qy ** (py / 2.0)
-            total += v
+                factors.append((nx + ny + 1, py / 2.0))
+            plan.append((c / den, factors))
+        distinct = {f for _, factors in plan for f in factors}
+        rows = X.shape[0]
+        y_rows = Y.shape[0] != 1
+        total = np.zeros(rows)
+        buf = np.empty(min(rows, _EVAL_BLOCK))
+        for lo in range(0, rows, _EVAL_BLOCK):
+            hi = min(lo + _EVAL_BLOCK, rows)
+            Yb, qyb = (Y[lo:hi], qy[lo:hi]) if y_rows else (Y, qy)
+            cols = ([X[lo:hi, i] for i in range(nx)] + [Yb[:, j] for j in range(ny)]
+                    + [qx[lo:hi], qyb])
+            table = {(col, e): cols[col] ** e for col, e in distinct}
+            v = buf[:hi - lo]
+            block_total = total[lo:hi]
+            for value, factors in plan:
+                v.fill(value)
+                for f in factors:
+                    np.multiply(v, table[f], out=v)
+                block_total += v
         return total
 
     # -- comparison / serialisation -----------------------------------------

@@ -1,6 +1,10 @@
 import csv
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -199,3 +203,12 @@ def test_table_io_error_exit_3(capsys):
     code, _, err = run_cli(capsys, "table", "zonal_coeffs", "--n", "1", "--kmax", "1",
                            "--out", "/nonexistent/dir/x.csv")
     assert code == 3
+
+
+def test_module_entry_point_runs():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run([sys.executable, "-m", "zonalkit", "--help"], env=env,
+                          capture_output=True, text=True)
+    assert done.returncode == 0
+    assert done.stdout.startswith("usage: zonalkit")

@@ -142,6 +142,45 @@ def test_zonal_direct_values_match_gegenbauer_sum():
                 assert z.eval_exact(x, y).as_tuple() == (want, 0, 0, 0), (n, k)
 
 
+def _sympy_zonal_coefficients(sympy, n, k):
+    """Coordinate coefficients of the zonal kernel on R^(n+1), expanded by sympy.
+
+    ((k+lam)/lam) C_k^lam(t) (|x||y|)^k with lam = (n-1)/2 and t = <x,y>/(|x||y|);
+    2 T_k for n = 1; 1 for k = 0.  C_k has only powers t^j with k - j even,
+    and t^j (|x||y|)^k = <x,y>^j (Q_x Q_y)^((k-j)/2).
+    """
+    xs = sympy.symbols(f"x0:{n + 1}")
+    ys = sympy.symbols(f"y0:{n + 1}")
+    t = sympy.Symbol("t")
+    if k == 0:
+        kernel = sympy.Integer(1)
+    elif n == 1:
+        kernel = 2 * sympy.chebyshevt(k, t)
+    else:
+        lam = sympy.Rational(n - 1, 2)
+        kernel = (k + lam) / lam * sympy.gegenbauer(k, lam, t)
+    inner = sum(a * b for a, b in zip(xs, ys))
+    qq = sum(a * a for a in xs) * sum(b * b for b in ys)
+    coeffs = sympy.Poly(kernel, t).all_coeffs()[::-1]
+    assert all(c == 0 for j, c in enumerate(coeffs) if (k - j) % 2)
+    expr = sum(c * inner ** j * qq ** ((k - j) // 2) for j, c in enumerate(coeffs))
+    poly = sympy.Poly(sympy.expand(expr), *xs, *ys)
+    return {(mono[:n + 1], mono[n + 1:]): Fraction(int(c.p), int(c.q))
+            for mono, c in poly.as_dict().items()}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("k", [0, 1, 2, 3, 4])
+def test_zonal_direct_matches_sympy_expansion(n, k):
+    sympy = pytest.importorskip("sympy")
+    want = _sympy_zonal_coefficients(sympy, n, k)
+    got = {}
+    for xe, ye, px, py, coef in zonal_direct(n, k).terms():
+        assert (px, py) == (0, 0)
+        got[(xe, ye)] = coef
+    assert got == want
+
+
 def test_telescoping_expansion_and_closed_form():
     for lam in (HALF, Fraction(1), Fraction(2)):
         for m in (1, 2, 3):

@@ -2,6 +2,7 @@ import json
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -253,13 +254,68 @@ def test_eval_exact_matches_eval_float(f):
 
 
 def test_eval_float_batch_matches_pointwise():
-    import numpy as np
     f = zonal_direct(2, 3)
     X = np.array([[0.3, -0.2, 0.5], [1.0, 0.0, 2.0]])
     Y = np.array([[0.1, 0.7, -0.4], [0.5, 0.5, 0.5]])
     batch = f.eval_float_batch(X, Y)
     for i in range(2):
-        assert abs(batch[i] - f.eval_float(X[i], Y[i])) < 1e-12
+        assert batch[i] == f.eval_float(X[i], Y[i])
+
+
+def reference_eval_float_batch(f, X, Y):
+    """Term-by-term float evaluation: every term raises whole columns itself."""
+    lay = f._lay
+    qx = np.sum(X * X, axis=1)
+    qy = np.sum(Y * Y, axis=1)
+    total = np.zeros(X.shape[0])
+    den = float(f._den)
+    for key, c in sorted(f._terms.items()):
+        px = (key & rx._RAD_MASK) - rx._RAD_BIAS
+        py = ((key >> rx._RAD_BITS) & rx._RAD_MASK) - rx._RAD_BIAS
+        v = np.full(X.shape[0], c / den)
+        for i, s in enumerate(lay.x_shifts):
+            e = (key >> s) & rx._EXP_MASK
+            if e:
+                v = v * X[:, i] ** e
+        for j, s in enumerate(lay.y_shifts):
+            e = (key >> s) & rx._EXP_MASK
+            if e:
+                v = v * Y[:, j] ** e
+        if px:
+            v = v * qx ** (px / 2.0)
+        if py:
+            v = v * qy ** (py / 2.0)
+        total += v
+    return total
+
+
+def _laurent_expr():
+    # negative and odd radial powers in both groups, with mixed monomials
+    return rx.from_terms(4, 4, [
+        ((3, 0, 1, 0), (0, 2, 0, 0), -3, 1, Fraction(7, 3)),
+        ((0, 1, 0, 4), (1, 0, 0, 1), 1, -5, Fraction(-2, 9)),
+        ((2, 2, 0, 0), (0, 0, 3, 0), -2, -1, 5),
+        ((0, 0, 0, 0), (1, 1, 1, 0), 3, -4, Fraction(1, 7)),
+    ])
+
+
+@pytest.mark.parametrize("make", [lambda: zonal_direct(3, 3), _laurent_expr],
+                         ids=["zonal_direct(3,3)", "laurent"])
+def test_eval_float_batch_is_bit_identical_across_blocks(make):
+    f = make()
+    rows = 2 * rx._EVAL_BLOCK + 7
+    rng = np.random.default_rng(5)
+    X = rng.standard_normal((rows, 4))
+    for Y in (rng.standard_normal((1, 4)), rng.standard_normal((rows, 4))):
+        assert np.array_equal(f.eval_float_batch(X, Y), reference_eval_float_batch(f, X, Y))
+
+
+def test_eval_float_batch_pole_in_a_later_block():
+    f = _laurent_expr()
+    X = np.ones((2 * rx._EVAL_BLOCK + 7, 4))
+    X[rx._EVAL_BLOCK + 3] = 0.0
+    with pytest.raises(rx.PoleError):
+        f.eval_float_batch(X, np.ones((1, 4)))
 
 
 # -- serialization -----------------------------------------------------------------
@@ -305,3 +361,24 @@ def test_dir_deriv_raises_instead_of_carrying():
     # a field at the cap that the operator does not raise is fine
     got = rx.from_terms(2, 2, [((0, 1), (127, 0), 0, 0, 1)]).dir_deriv()
     assert got.equals(rx.from_terms(2, 2, [((0, 0), (127, 1), 0, 0, 1)]))
+
+
+def test_partial_raises_instead_of_carrying():
+    # x0^127 |x|^-1: the radial branch raises x0 to 128, into the x1 field
+    with pytest.raises(rx.RadialOverflow, match="partial derivative d/dx0"):
+        rx.from_terms(3, 3, [((127, 0, 0), (0, 0, 0), -1, 0, 1)]).partial("x", 0)
+    # |y|^-2047: the radial branch would lower the power to -2049
+    with pytest.raises(rx.RadialOverflow, match="partial derivative d/dy1"):
+        rx.from_terms(3, 3, [((0, 0, 0), (0, 0, 0), 0, -2047, 1)]).partial("y", 1)
+    # a field at the cap with no radial power in its group is fine
+    got = rx.from_terms(3, 3, [((127, 0, 0), (0, 0, 0), 0, -1, 1)]).partial("x", 0)
+    assert got.equals(rx.from_terms(3, 3, [((126, 0, 0), (0, 0, 0), 0, -1, 127)]))
+
+
+def test_laplacian_raises_instead_of_borrowing():
+    # |x|^-2047 |y|: the radial branch would borrow from the |y| field
+    with pytest.raises(rx.RadialOverflow, match="Laplacian in x"):
+        rx.from_terms(3, 3, [((0, 0, 0), (0, 0, 0), -2047, 1, 1)]).laplacian("x")
+    # the other group's Laplacian never lowers |x|
+    got = rx.from_terms(3, 3, [((0, 0, 0), (2, 0, 0), -2047, 0, 1)]).laplacian("y")
+    assert got.equals(rx.from_terms(3, 3, [((0, 0, 0), (0, 0, 0), -2047, 0, 2)]))
