@@ -14,7 +14,7 @@ import argparse
 import csv
 import sys
 from fractions import Fraction
-from math import comb
+from math import comb, isfinite
 
 import numpy as np
 
@@ -220,6 +220,11 @@ def _cmd_table(args: argparse.Namespace) -> int:
                 raise UsageError("poisson_convergence needs --r and --w")
             if args.n is None:
                 raise UsageError("poisson_convergence needs --n (ambient R^(n+1))")
+            # the series converges for r = |x||y| < 1, and w = <x,y>/r is a cosine
+            if not (isfinite(args.r) and 0.0 <= args.r < 1.0):
+                raise UsageError(f"--r must be a finite number with 0 <= r < 1, got {args.r}")
+            if not (isfinite(args.w) and -1.0 <= args.w <= 1.0):
+                raise UsageError(f"--w must be a finite number with -1 <= w <= 1, got {args.w}")
             writer.writerow(["terms", "partial_sum", "closed_form", "abs_error"])
             dim = args.n + 1
             x = np.zeros(dim)

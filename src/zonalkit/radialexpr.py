@@ -39,7 +39,6 @@ below deliberately stay on plain dict/int operations.
 from __future__ import annotations
 
 import hashlib
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -680,31 +679,52 @@ class RadialExpr:
         for s in shifts:
             clear_mask &= ~(_EXP_MASK << s)
         bias_field = _RAD_BIAS << rad_shift
-        acc: dict[int, Fraction] = {}
-        for key, c in self._terms.items():
-            v = Fraction(c, self._den)
-            for coord, s in zip(pt, shifts):
-                e = (key >> s) & _EXP_MASK
-                if e:
-                    v *= coord ** e
-            p = ((key >> rad_shift) & _RAD_MASK) - _RAD_BIAS
+        part_mask = ~clear_mask
+        # the value of each distinct substituted part (the group's monomial
+        # and radial power), from powers computed once each
+        coord_powers: dict[tuple[int, int], Fraction] = {}
+        radial_powers: dict[int, Fraction] = {}
+        values: dict[int, Fraction] = {}
+        for part in dict.fromkeys(key & part_mask for key in self._terms):
+            p = ((part >> rad_shift) & _RAD_MASK) - _RAD_BIAS
             if p:
                 if p < 0 and q == 0:
                     raise PoleError("substitution point at the origin with negative radial power")
-                half, odd = divmod(p, 2)
-                v *= q ** half
-                if odd:
-                    if sq is None:
-                        raise PoleError(
-                            "odd radial power needs a perfect-square |pt|^2; "
-                            f"got {q}"
-                        )
-                    v *= sq
-            k2 = (key & clear_mask) | bias_field
-            acc[k2] = acc.get(k2, Fraction(0)) + v
-        return from_terms_packed(self.nx, self.ny, acc,
-                                 self._degx if group == "y" else 0,
-                                 self._degy if group == "x" else 0)
+                if p % 2 and sq is None:
+                    raise PoleError(
+                        "odd radial power needs a perfect-square |pt|^2; "
+                        f"got {q}"
+                    )
+            v = Fraction(1)
+            for i, s in enumerate(shifts):
+                e = (part >> s) & _EXP_MASK
+                if e:
+                    f = coord_powers.get((i, e))
+                    if f is None:
+                        f = coord_powers[(i, e)] = pt[i] ** e
+                    v *= f
+            if p and v:
+                f = radial_powers.get(p)
+                if f is None:
+                    half, odd = divmod(p, 2)
+                    f = radial_powers[p] = q ** half * sq if odd else q ** half
+                v *= f
+            values[part] = v
+        # integer numerators over one common denominator
+        lcm = 1
+        for v in values.values():
+            lcm = lcm * v.denominator // math.gcd(lcm, v.denominator)
+        nums = {part: v.numerator * (lcm // v.denominator) for part, v in values.items() if v}
+        acc: dict[int, int] = {}
+        get = acc.get
+        for key, c in self._terms.items():
+            a = nums.get(key & part_mask)
+            if a:
+                k2 = (key & clear_mask) | bias_field
+                acc[k2] = get(k2, 0) + c * a
+        return _from_int_terms(self.nx, self.ny, acc, self._den * lcm,
+                               self._degx if group == "y" else 0,
+                               self._degy if group == "x" else 0)
 
     # -- evaluation ---------------------------------------------------------
 
@@ -827,24 +847,94 @@ class RadialExpr:
         self._digest = other._digest = self._digest or other._digest
         return True
 
+    def _rows(self) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]],
+                             Iterator[tuple[int, int, int, int, int, int]]]:
+        """The canonical term order, shared by every serialisation.
+
+        Returns ``(xexps, yexps, rows)``: the distinct x and y exponent
+        tuples in sorted order, and one ``(i, j, px, py, num, den)`` row per
+        term, where the term is ``num/den * x^xexps[i] y^yexps[j] |x|^px
+        |y|^py`` with ``num/den`` in lowest terms.  Rows come sorted by
+        ``(xexp, yexp, px, py)``.  Each term's x and y exponents are one bit
+        slice of its key each, so only the few distinct slices are unpacked.
+        """
+        xbits = _EXP_BITS * self.nx
+        base = 2 * _RAD_BITS
+        xmask = (1 << xbits) - 1
+        yshift = base + xbits
+        terms = self._terms
+
+        def ranks(slices: set[int], n: int) -> tuple[list[tuple[int, ...]], dict[int, int]]:
+            exps = {s: tuple((s >> (_EXP_BITS * i)) & _EXP_MASK for i in range(n))
+                    for s in slices}
+            order = sorted(slices, key=exps.__getitem__)
+            return [exps[s] for s in order], {s: r for r, s in enumerate(order)}
+
+        xexps, xrank = ranks({(key >> base) & xmask for key in terms}, self.nx)
+        yexps, yrank = ranks({key >> yshift for key in terms}, self.ny)
+        # sort key: x rank, y rank, biased px, biased py
+        jbits = max(len(yexps) - 1, 0).bit_length()
+        ishift = base + jbits
+        jmask = (1 << jbits) - 1
+        by_rank = {
+            (xrank[(key >> base) & xmask] << ishift) | (yrank[key >> yshift] << base)
+            | ((key & _RAD_MASK) << _RAD_BITS) | ((key >> _RAD_BITS) & _RAD_MASK): num
+            for key, num in terms.items()
+        }
+        den = self._den
+        gcd = math.gcd
+
+        def rows() -> Iterator[tuple[int, int, int, int, int, int]]:
+            for r in sorted(by_rank):
+                num = by_rank[r]
+                g = gcd(num, den)
+                yield (r >> ishift, (r >> base) & jmask,
+                       ((r >> _RAD_BITS) & _RAD_MASK) - _RAD_BIAS, (r & _RAD_MASK) - _RAD_BIAS,
+                       num // g, den // g)
+
+        return xexps, yexps, rows()
+
     def sorted_terms(self) -> list[tuple[tuple[int, ...], tuple[int, ...], int, int, Fraction]]:
-        return sorted(self.terms(), key=lambda t: (t[0], t[1], t[2], t[3]))
+        """Terms as (xexp, yexp, px, py, coefficient) in canonical order."""
+        xexps, yexps, rows = self._rows()
+        return [(xexps[i], yexps[j], px, py, Fraction(num, den))
+                for i, j, px, py, num, den in rows]
 
     def to_json_dict(self) -> dict:
+        """The canonical serialisation as a dict; see :meth:`to_json`."""
+        xexps, yexps, rows = self._rows()
         return {
             "nx": self.nx,
             "ny": self.ny,
             "terms": [
                 {
-                    "xexp": list(xe), "yexp": list(ye), "px": px, "py": py,
-                    "num": str(coef.numerator), "den": str(coef.denominator),
+                    "xexp": list(xexps[i]), "yexp": list(yexps[j]), "px": px, "py": py,
+                    "num": str(num), "den": str(den),
                 }
-                for xe, ye, px, py, coef in self.sorted_terms()
+                for i, j, px, py, num, den in rows
             ],
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True, separators=(",", ":"))
+        """The canonical serialisation that :meth:`digest` hashes.
+
+        The bytes are those of ``json.dumps(self.to_json_dict(),
+        sort_keys=True, separators=(",", ":"))``: keys in sorted order,
+        no whitespace, one ``{"den","num","px","py","xexp","yexp"}`` object
+        per term with the coefficient in lowest terms as decimal strings
+        (``den`` positive), terms in ``(xexp, yexp, px, py)`` order.  They
+        are written directly from :meth:`_rows`, with each distinct
+        exponent list formatted once.
+        """
+        xexps, yexps, rows = self._rows()
+        xtext = ["[" + ",".join(map(str, e)) + "]" for e in xexps]
+        ytext = ["[" + ",".join(map(str, e)) + "]" for e in yexps]
+        body = ",".join([
+            f'{{"den":"{den}","num":"{num}","px":{px},"py":{py},'
+            f'"xexp":{xtext[i]},"yexp":{ytext[j]}}}'
+            for i, j, px, py, num, den in rows
+        ])
+        return f'{{"nx":{self.nx},"ny":{self.ny},"terms":[{body}]}}'
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "RadialExpr":
@@ -905,7 +995,14 @@ def from_terms_packed(nx: int, ny: int, acc: dict[int, Fraction],
     den = 1
     for coef in acc.values():
         den = den * coef.denominator // math.gcd(den, coef.denominator)
-    terms = {k: int(coef * den) for k, coef in acc.items() if coef}
+    return _from_int_terms(nx, ny, {k: int(coef * den) for k, coef in acc.items()},
+                           den, degx, degy)
+
+
+def _from_int_terms(nx: int, ny: int, terms: dict[int, int], den: int,
+                    degx: int, degy: int) -> RadialExpr:
+    """Build from integer numerators over ``den``; a zero degree bound is recomputed."""
+    terms = {k: v for k, v in terms.items() if v}
     if degx == 0 or degy == 0:
         lay = _layout(nx, ny)
         for key in terms:

@@ -212,3 +212,17 @@ def test_module_entry_point_runs():
                           capture_output=True, text=True)
     assert done.returncode == 0
     assert done.stdout.startswith("usage: zonalkit")
+
+
+@pytest.mark.parametrize("flags", [
+    ("--r", "0.3", "--w", "2"),
+    ("--r", "1", "--w", "1"),
+    ("--r", "2", "--w", "0.5"),
+    ("--r", "-0.5", "--w", "0.5"),
+    ("--r", "0.3", "--w", "nan"),
+], ids=["w=2", "r=1,w=1", "r=2", "r=-0.5", "w=nan"])
+def test_table_poisson_convergence_domain_error_exit_2(capsys, flags):
+    code, out, err = run_cli(capsys, "table", "poisson_convergence", "--n", "2", *flags)
+    assert code == 2
+    assert out == ""
+    assert "--r" in err or "--w" in err

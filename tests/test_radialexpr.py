@@ -8,6 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from zonalkit import radialexpr as rx
 from zonalkit.gegenbauer import zonal_direct
+from zonalkit.ratnum import sqrt_exact
+from zonalkit.zonalroutes import ladder_route
 
 NX = NY = 3  # work in R^3 unless a case needs otherwise
 
@@ -211,6 +213,41 @@ def test_substitute_point_unit_sphere():
     assert got.equals(want)
 
 
+def reference_substitute_point(f, group, point):
+    """Term-by-term substitution: every term's value in Fraction arithmetic."""
+    lay = f._lay
+    shifts = lay.x_shifts if group == "x" else lay.y_shifts
+    pt = [Fraction(v) for v in point]
+    q = sum(v * v for v in pt)
+    items = []
+    for key, c in f._terms.items():
+        xe, ye, px, py = lay.unpack(key)
+        v = Fraction(c, f._den)
+        for coord, s in zip(pt, shifts):
+            v *= coord ** ((key >> s) & rx._EXP_MASK)
+        p = px if group == "x" else py
+        if p % 2:
+            v *= sqrt_exact(q)
+        v *= q ** (p // 2)
+        items.append((xe if group == "y" else (0,) * f.nx, ye if group == "x" else (0,) * f.ny,
+                      px if group == "y" else 0, py if group == "x" else 0, v))
+    return rx.from_terms(f.nx, f.ny, items)
+
+
+@pytest.mark.parametrize("group, point", [
+    ("y", (1, 0, 0)),
+    ("y", (Fraction(2, 7), Fraction(-3, 7), Fraction(6, 7))),
+    ("x", (Fraction(3, 13), 0, Fraction(-4, 13))),
+])
+def test_substitute_point_matches_termwise_reference(group, point):
+    f = zonal_direct(2, 4) + zonal_direct(2, 3).kelvin("x").kelvin("y").scale(Fraction(-5, 3))
+    if group == "x":
+        f = f + rx.norm_power("x", -2, NX, NY) * rx.inner_xy(NX) ** 3
+    got = f.substitute_point(group, point)
+    want = reference_substitute_point(f, group, point)
+    assert got == want
+
+
 def test_substitute_point_rejects_irrational_norm():
     f = rx.norm_power("y", 1, NX, NY)
     with pytest.raises(rx.PoleError):
@@ -329,6 +366,63 @@ def test_json_roundtrip_and_term_order():
     back = rx.RadialExpr.from_json_dict(json.loads(json.dumps(data)))
     assert back.equals(f)
     assert back.digest() == f.digest()
+
+
+def reference_to_json(f):
+    """The canonical serialisation by its definition: Fraction terms through json.dumps."""
+    terms = sorted(f.terms(), key=lambda t: (t[0], t[1], t[2], t[3]))
+    data = {"nx": f.nx, "ny": f.ny, "terms": [
+        {"xexp": list(xe), "yexp": list(ye), "px": px, "py": py,
+         "num": str(c.numerator), "den": str(c.denominator)}
+        for xe, ye, px, py, c in terms]}
+    return json.dumps(data, sort_keys=True, separators=(",", ":"))
+
+
+_SERIALISATION_CASES = {
+    "zero": lambda: rx.RadialExpr.zero(NX, NY),
+    "nx!=ny": lambda: rx.from_terms(2, 4, [
+        ((1, 0), (0, 2, 0, 1), 0, 0, 3),
+        ((0, 3), (1, 0, 0, 0), 1, -1, Fraction(-5, 2)),
+        ((2, 1), (0, 0, 0, 0), -3, 0, Fraction(1, 6)),
+    ]),
+    "laurent": _laurent_expr,
+    "negative numerators": lambda: (rx.inner_xy(NX) ** 2).scale(-7)
+    - rx.quadratic_form("x", NX, NY).scale(Fraction(11, 3)),
+    # one shared denominator 12; the terms reduce to 1/12, 1/6, 1/4, 1/3, 1/2 and 1
+    "shared denominator": lambda: rx.from_terms(NX, NY, [
+        ((i, 0, 0), (0, 0, 1), 0, 0, Fraction(n, 12)) for i, n in enumerate((1, 2, 3, 4, 6, 12))
+    ] + [((0, 1, 0), (0, 0, 0), 0, -3, Fraction(-8, 12))]),
+}
+
+
+@pytest.mark.parametrize("make", list(_SERIALISATION_CASES.values()),
+                         ids=list(_SERIALISATION_CASES))
+def test_to_json_matches_reference_serialisation(make):
+    f = make()
+    assert f.to_json() == reference_to_json(f)
+    assert json.dumps(f.to_json_dict(), sort_keys=True, separators=(",", ":")) \
+        == reference_to_json(f)
+    assert f.sorted_terms() == sorted(f.terms(), key=lambda t: t[:4])
+
+
+def test_shared_denominator_case_reduces_per_term():
+    f = _SERIALISATION_CASES["shared denominator"]()
+    assert f._den == 12
+    assert {t["den"] for t in f.to_json_dict()["terms"]} == {"12", "6", "4", "3", "2", "1"}
+
+
+@settings(max_examples=60, deadline=None)
+@given(f=expr_strategy(max_terms=8, max_exp=3, rad_range=(-5, 5)))
+def test_to_json_matches_reference_serialisation_hypothesis(f):
+    assert f.to_json() == reference_to_json(f)
+
+
+def test_digests_are_pinned():
+    # the serialisation is the digest contract: these values must never move
+    assert zonal_direct(3, 3).digest() \
+        == "e2ff1eb91bcfb14a9b44895d74cc125366d1e3b461e0fe29735dfd391511aecf"
+    assert ladder_route(3, 2).kelvin().digest() \
+        == "aa93cc4a858a79be1ced6d352e6624e0019d74e7588a05eeff0ed165792c5673"
 
 
 def test_equal_sides_share_one_digest():
