@@ -197,7 +197,35 @@ def _cmd_coeff(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _check_table_args(args: argparse.Namespace) -> None:
+    """Reject a table request outside its domain, before any output is opened."""
+    if args.kind == "zonal_coeffs":
+        if args.n is None:
+            raise UsageError("zonal_coeffs needs --n")
+        if args.n < 1:
+            raise UsageError(f"--n must be >= 1 (ambient R^(n+1)), got {args.n}")
+        if args.kmax < 0:
+            raise UsageError(f"zonal_coeffs needs --kmax >= 0, got {args.kmax}")
+    elif args.kind == "poisson_convergence":
+        if args.r is None or args.w is None:
+            raise UsageError("poisson_convergence needs --r and --w")
+        if args.n is None:
+            raise UsageError("poisson_convergence needs --n (ambient R^(n+1))")
+        if args.n < 1:
+            raise UsageError(f"--n must be >= 1 (ambient R^(n+1)), got {args.n}")
+        # the series converges for r = |x||y| < 1, and w = <x,y>/r is a cosine
+        if not (isfinite(args.r) and 0.0 <= args.r < 1.0):
+            raise UsageError(f"--r must be a finite number with 0 <= r < 1, got {args.r}")
+        if not (isfinite(args.w) and -1.0 <= args.w <= 1.0):
+            raise UsageError(f"--w must be a finite number with -1 <= w <= 1, got {args.w}")
+        if args.max_terms < 1:
+            raise UsageError(f"--max-terms must be >= 1, got {args.max_terms}")
+    else:
+        raise UsageError(f"unknown table kind {args.kind!r}")
+
+
 def _cmd_table(args: argparse.Namespace) -> int:
+    _check_table_args(args)
     try:
         fh = open(args.out, "w", newline="", encoding="utf-8") if args.out else None
     except OSError as exc:
@@ -206,8 +234,6 @@ def _cmd_table(args: argparse.Namespace) -> int:
     try:
         writer = csv.writer(fh if fh else sys.stdout)
         if args.kind == "zonal_coeffs":
-            if args.n is None:
-                raise UsageError("zonal_coeffs needs --n")
             writer.writerow(["n", "k", "xexp", "yexp", "px", "py", "coeff"])
             for k in range(args.kmax + 1):
                 z = zonal_direct(args.n, k)
@@ -215,16 +241,7 @@ def _cmd_table(args: argparse.Namespace) -> int:
                     writer.writerow([args.n, k,
                                      " ".join(map(str, xe)), " ".join(map(str, ye)),
                                      px, py, str(coef)])
-        elif args.kind == "poisson_convergence":
-            if args.r is None or args.w is None:
-                raise UsageError("poisson_convergence needs --r and --w")
-            if args.n is None:
-                raise UsageError("poisson_convergence needs --n (ambient R^(n+1))")
-            # the series converges for r = |x||y| < 1, and w = <x,y>/r is a cosine
-            if not (isfinite(args.r) and 0.0 <= args.r < 1.0):
-                raise UsageError(f"--r must be a finite number with 0 <= r < 1, got {args.r}")
-            if not (isfinite(args.w) and -1.0 <= args.w <= 1.0):
-                raise UsageError(f"--w must be a finite number with -1 <= w <= 1, got {args.w}")
+        else:
             writer.writerow(["terms", "partial_sum", "closed_form", "abs_error"])
             dim = args.n + 1
             x = np.zeros(dim)
@@ -238,8 +255,6 @@ def _cmd_table(args: argparse.Namespace) -> int:
                 partial = zr.poisson_series(x, y, terms)
                 writer.writerow([terms, repr(partial), repr(closed),
                                  repr(abs(partial - closed))])
-        else:
-            raise UsageError(f"unknown table kind {args.kind!r}")
     except OSError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
         return EXIT_IO

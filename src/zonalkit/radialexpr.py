@@ -342,10 +342,18 @@ class RadialExpr:
 
     @classmethod
     def _make(cls, nx: int, ny: int, terms: dict[int, int], den: int,
-              degx: int, degy: int, radial_free_hint: bool = False) -> "RadialExpr":
+              degx: int, degy: int, radial_free_hint: bool = False,
+              no_zeros: bool = False) -> "RadialExpr":
+        """Wrap a term dict; ``no_zeros`` says it holds no zero coefficient.
+
+        Without it the dict is copied to drop zeros.  Callers whose terms
+        cannot cancel (a nonzero scale, negation, Kelvin's one-to-one key
+        map) pass ``no_zeros=True`` and skip the copy.
+        """
         self = object.__new__(cls)
         lay = _layout(nx, ny)
-        terms = {k: v for k, v in terms.items() if v}
+        if not no_zeros:
+            terms = {k: v for k, v in terms.items() if v}
         if radial_free_hint:
             radial_free = True
         else:
@@ -439,7 +447,7 @@ class RadialExpr:
     def __neg__(self) -> "RadialExpr":
         out = {k: -v for k, v in self._terms.items()}
         return RadialExpr._make(self.nx, self.ny, out, self._den, self._degx, self._degy,
-                                radial_free_hint=self._radial_free)
+                                radial_free_hint=self._radial_free, no_zeros=True)
 
     def __sub__(self, other) -> "RadialExpr":
         if isinstance(other, (int, Fraction)):
@@ -458,7 +466,7 @@ class RadialExpr:
         num, cd = c.numerator, c.denominator
         out = {k: v * num for k, v in self._terms.items()}
         return RadialExpr._make(self.nx, self.ny, out, self._den * cd, self._degx, self._degy,
-                                radial_free_hint=self._radial_free)
+                                radial_free_hint=self._radial_free, no_zeros=True)
 
     def __mul__(self, other) -> "RadialExpr":
         if isinstance(other, (int, Fraction)):
@@ -641,7 +649,8 @@ class RadialExpr:
             if not (_RAD_MIN <= p2 <= _RAD_MAX):
                 raise RadialOverflow(f"Kelvin image radial power {p2} out of range")
             out[(key & rad_clear) | ((p2 + _RAD_BIAS) << rad_shift)] = c
-        return RadialExpr._make(self.nx, self.ny, out, self._den, self._degx, self._degy)
+        return RadialExpr._make(self.nx, self.ny, out, self._den, self._degx, self._degy,
+                                no_zeros=True)
 
     # -- structure ----------------------------------------------------------
 

@@ -8,17 +8,21 @@ keyed by the integer triple (A, R, S), which is a faithful (and canonical)
 representation since the three generators are algebraically independent for
 group size >= 2.
 
-Every route input is written here first and reaches coordinates through
+Every route input is written here first.  It reaches coordinates through
 :meth:`ZonalInvariant.to_radialexpr`, the one expander from invariants to a
-:class:`~zonalkit.radialexpr.RadialExpr`.  The invariant form also carries
-the deepest iterated-Laplacian cells on its own: a coordinate expansion of
-three double Laplacians in R^9 would need on the order of 10^8 monomials,
-while the invariant form keeps tens of terms.  The closed-form operator
-rules used here are cross-validated monomial by monomial against the
-coordinate engine in the test suite.
+:class:`~zonalkit.radialexpr.RadialExpr`, or through
+:meth:`zonalkit.orbitform.OrbitForm.from_invariant`, which runs the same
+Horner loop (:meth:`ZonalInvariant._horner`) with one coefficient per orbit
+of the pair permutations.  The invariant form also carries the deepest
+iterated-Laplacian cells on its own: a coordinate expansion of three double
+Laplacians in R^9 would need on the order of 10^8 monomials, while the
+invariant form keeps tens of terms.  The closed-form operator rules used
+here are cross-validated monomial by monomial against the coordinate engine
+in the test suite.
 
 Modules depend one way: radialexpr <- zonalalg <- gegenbauer <-
-cliffordalg / zonalroutes <- verify.
+cliffordalg / zonalroutes <- verify, with the orbit form between the
+invariant algebra and the routes: zonalalg <- orbitform <- zonalroutes.
 
 Operator rules on a^A |x|^R |y|^S over R^N x R^N:
 
@@ -139,20 +143,37 @@ class ZonalInvariant:
     # -- conversion / reporting -----------------------------------------------
 
     def to_radialexpr(self) -> rx.RadialExpr:
-        """Expand into coordinates (feasible sizes only).
+        """Expand into coordinates (feasible sizes only), by :meth:`_horner`."""
+        n = self.dim
+        a = rx.inner_xy(n)
+        qx = [rx.constant(1, n, n)]
+        qy = [rx.constant(1, n, n)]
+        parts = []
+        for r0, s0, out in self._horner(
+                rx.RadialExpr.zero(n, n), lambda f: f * a,
+                lambda i, j, c: _power(qx, "x", i).scale(c) * _power(qy, "y", j)):
+            if r0:
+                out = out * rx.norm_power("x", r0, n, n)
+            if s0:
+                out = out * rx.norm_power("y", s0, n, n)
+            parts.append(out)
+        if not parts:
+            return rx.RadialExpr.zero(n, n)
+        return sum(parts[1:], parts[0])
+
+    def _horner(self, zero, times_inner, quadratic) -> list:
+        """The one Horner scheme from invariants to a polynomial representation.
 
         Terms are grouped by the parities of R and S.  Within a group every
         |x|^R |y|^S is |x|^r0 |y|^s0 Q_x^i Q_y^j for the group's radial floor
         (r0, s0), so the group is one polynomial times one radial monomial.
         The polynomial is built by Horner in a: going down in A,
-        out = out * a + sum c Q_x^i Q_y^j, with the Q powers grown one factor
-        at a time, so every product has a small factor or factors in
-        disjoint variables.
+        out = times_inner(out) + sum quadratic(i, j, c), where
+        ``quadratic(i, j, c)`` is c Q_x^i Q_y^j and ``zero`` is the empty
+        sum, so every product has a small factor or factors in disjoint
+        variables.  Returns one ``(r0, s0, polynomial)`` per group; the
+        coordinate expander and the orbit form share this loop.
         """
-        n = self.dim
-        a = rx.inner_xy(n)
-        qx = [rx.constant(1, n, n)]
-        qy = [rx.constant(1, n, n)]
         groups: dict[tuple[int, int], list[tuple[Key, Fraction]]] = {}
         for key, c in self.terms.items():
             groups.setdefault((key[1] & 1, key[2] & 1), []).append((key, c))
@@ -163,20 +184,14 @@ class ZonalInvariant:
             by_a: dict[int, list[tuple[int, int, Fraction]]] = {}
             for (A, R, S), c in members:
                 by_a.setdefault(A, []).append(((R - r0) // 2, (S - s0) // 2, c))
-            out = rx.RadialExpr.zero(n, n)
+            out = zero
             for A in range(max(by_a), -1, -1):
                 if out:
-                    out = out * a
+                    out = times_inner(out)
                 for i, j, c in by_a.get(A, ()):
-                    out = out + (_power(qx, "x", i).scale(c) * _power(qy, "y", j))
-            if r0:
-                out = out * rx.norm_power("x", r0, n, n)
-            if s0:
-                out = out * rx.norm_power("y", s0, n, n)
-            parts.append(out)
-        if not parts:
-            return rx.RadialExpr.zero(n, n)
-        return sum(parts[1:], parts[0])
+                    out = out + quadratic(i, j, c)
+            parts.append((r0, s0, out))
+        return parts
 
     def sorted_terms(self) -> list[tuple[Key, Fraction]]:
         return sorted(self.terms.items())

@@ -5,12 +5,20 @@ ultraspherical expansion ``gegenbauer.zonal_direct``:
 
 * ``ladder_route``  - k-fold application of (Kelvin o <y,grad_x> o Kelvin) to 1;
 * ``laplacian_route`` - (Lap_y Lap_x)^m acting on the plane/space kernel
-  lifted verbatim to the target dimension;
+  lifted verbatim to the target dimension (``laplacian_route_fixed_y``:
+  Lap_x^m only);
 * ``clifford_route`` - the same double Laplacians acting on the real part of
   (x y^c)^(k+2m);
 * ``kelvin_route``  - Lap_x^((n-1)/2) then Kelvin inversion acting on the real
   part of (x y^(-1))^(-k), odd n only (integer Laplacian power);
 * ``eta_relation``  - the bridge identity between the last two.
+
+The radial-free routes (laplacian, fixed_y, clifford and the left-hand side
+of the bridge) run their Laplacians in :mod:`~zonalkit.orbitform`: the seed
+is built with one coefficient per orbit of the pair permutations, each
+``RadialExpr.laplacian`` acts on one representative per orbit, and only the
+result is unfolded to coordinates.  The expressions they are compared with
+(``zonal_direct``) come from the full coordinate expander.
 
 Coefficient conventions.  The iterated-Laplacian prefactor is *defined* as
 the composition alpha * c^2 of the telescoping coefficient with the squared
@@ -31,14 +39,15 @@ import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import methodcaller
 from typing import Literal
 
 import numpy as np
 
 from . import radialexpr as rx
 from . import zonalalg as za
-from .cliffordalg import xyc_power_real
 from .gegenbauer import zonal_direct, zonal_direct_invariant
+from .orbitform import OrbitForm
 from .ratnum import factorial, pochhammer
 
 Parity = Literal["odd", "even"]
@@ -267,15 +276,26 @@ def _laplacian_prefactor(parity: Parity, m: int, k: int) -> Fraction:
     return beta_tilde(m, k) if parity == "odd" else beta_hat(m, k)
 
 
+def _iterated_laplacians(seed: za.ZonalInvariant, m: int, groups: str) -> rx.RadialExpr:
+    """(Lap_groups[-1] ... Lap_groups[0])^m of a polynomial seed, in coordinates.
+
+    The seed is symmetric under permuting the pairs (x_i, y_i), so the
+    Laplacians run in orbit form and only the result is unfolded.
+    """
+    out = OrbitForm.from_invariant(seed)
+    for _ in range(m):
+        for group in groups:
+            out = out.apply(methodcaller("laplacian", group))
+    return out.unfold()
+
+
 def laplacian_route(parity: Parity, m: int, k: int) -> tuple[rx.RadialExpr, Fraction]:
     """(Lap_y Lap_x)^m applied to the low-dimensional kernel lifted verbatim.
 
     Coordinate-level computation; the result should equal prefactor *
     zonal_direct(target n, k) with target n = 2m+2 (odd) or 2m+1 (even).
     """
-    out = _laplacian_seed(parity, m, k).to_radialexpr()
-    for _ in range(m):
-        out = out.laplacian("x").laplacian("y")
+    out = _iterated_laplacians(_laplacian_seed(parity, m, k), m, "xy")
     return out, _laplacian_prefactor(parity, m, k)
 
 
@@ -300,9 +320,7 @@ def laplacian_route_fixed_y(parity: Parity, m: int, k: int) -> tuple[rx.RadialEx
     prefactor * Q_y^m * zonal_direct(target n, k); the Q_y^m factor is the
     |y|-degree correction that disappears on |y| = 1.
     """
-    out = _laplacian_seed(parity, m, k).to_radialexpr()
-    for _ in range(m):
-        out = out.laplacian("x")
+    out = _iterated_laplacians(_laplacian_seed(parity, m, k), m, "x")
     return out, fixed_y_prefactor(parity, m, k)
 
 
@@ -312,12 +330,13 @@ def clifford_route(m: int, k: int) -> tuple[rx.RadialExpr, rx.RadialExpr]:
     Ambient space R^(2m+2); returns (computed, predicted) for equality
     testing.  m = 0 is the plane identity ((x y^c)^k)_0 = Z/2.
     """
-    nvars = 2 * m + 2
-    out = xyc_power_real(k + 2 * m, nvars)
-    for _ in range(m):
-        out = out.laplacian("x").laplacian("y")
     predicted = zonal_direct(2 * m + 1, k).scale(beta_hat(m, k) / 2)
-    return out, predicted
+    return _paravector_laplacians(m, k), predicted
+
+
+def _paravector_laplacians(m: int, k: int) -> rx.RadialExpr:
+    """(Lap_y Lap_x)^m ((x y^c)^(k+2m))_0 over R^(2m+2): clifford and the bridge's lhs."""
+    return _iterated_laplacians(za.xyc_power_real_invariant(k + 2 * m, 2 * m + 2), m, "xy")
 
 
 def kelvin_route(n: int, k: int) -> tuple[rx.RadialExpr, Fraction]:
@@ -376,9 +395,7 @@ def eta_relation(m: int, k: int) -> EtaRelationResult:
     if k < 1:
         raise ValueError("bridge identity needs k >= 1")
     nvars = 2 * m + 2
-    lhs = xyc_power_real(k + 2 * m, nvars)
-    for _ in range(m):
-        lhs = lhs.laplacian("x").laplacian("y")
+    lhs = _paravector_laplacians(m, k)
     f = _inversion_seed(k, nvars)
     for _ in range(m):
         f = f.laplacian("x")

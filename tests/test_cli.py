@@ -173,13 +173,21 @@ def test_table_zonal_coeffs(tmp_path, capsys):
     assert {r[6] for r in k2} == {"2", "8", "-2"}
 
 
-def test_table_header_only_for_empty_range(tmp_path, capsys):
-    out = tmp_path / "empty.csv"
-    code, _, _ = run_cli(capsys, "table", "zonal_coeffs", "--n", "2", "--kmax", "-1",
-                         "--out", str(out))
-    assert code == 0
-    rows = list(csv.reader(out.open()))
-    assert rows == [["n", "k", "xexp", "yexp", "px", "py", "coeff"]]
+@pytest.mark.parametrize("flags", [
+    ("--n", "2"),
+    ("--n", "2", "--kmax", "-1"),
+    ("--n", "2", "--kmax", "-4"),
+    ("--n", "0", "--kmax", "2"),
+    ("--kmax", "2"),
+], ids=["kmax=default", "kmax=-1", "kmax=-4", "n=0", "n=missing"])
+def test_table_zonal_coeffs_domain_error_exit_2(tmp_path, capsys, flags):
+    # checked before the output is opened: no file, no bare header
+    out = tmp_path / "z.csv"
+    code, stdout, err = run_cli(capsys, "table", "zonal_coeffs", *flags, "--out", str(out))
+    assert code == 2
+    assert stdout == ""
+    assert "--kmax" in err or "--n" in err
+    assert not out.exists()
 
 
 def test_table_poisson_convergence(tmp_path, capsys):
@@ -226,3 +234,19 @@ def test_table_poisson_convergence_domain_error_exit_2(capsys, flags):
     assert code == 2
     assert out == ""
     assert "--r" in err or "--w" in err
+
+
+@pytest.mark.parametrize("flags, option", [
+    (("--n", "0"), "--n"),
+    (("--n", "-2"), "--n"),
+    (("--n", "2", "--max-terms", "-3"), "--max-terms"),
+    (("--n", "2", "--max-terms", "0"), "--max-terms"),
+], ids=["n=0", "n=-2", "max-terms=-3", "max-terms=0"])
+def test_table_poisson_convergence_range_error_exit_2(tmp_path, capsys, flags, option):
+    out = tmp_path / "p.csv"
+    code, stdout, err = run_cli(capsys, "table", "poisson_convergence", "--r", "0.3",
+                                "--w", "0.5", *flags, "--out", str(out))
+    assert code == 2
+    assert stdout == ""
+    assert option in err
+    assert not out.exists()

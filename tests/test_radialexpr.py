@@ -476,3 +476,20 @@ def test_laplacian_raises_instead_of_borrowing():
     # the other group's Laplacian never lowers |x|
     got = rx.from_terms(3, 3, [((0, 0, 0), (2, 0, 0), -2047, 0, 1)]).laplacian("y")
     assert got.equals(rx.from_terms(3, 3, [((0, 0, 0), (0, 0, 0), -2047, 0, 2)]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(e=expr_strategy(), c=st.fractions(min_value=-9, max_value=9, max_denominator=5))
+def test_copy_free_constructors_match_the_zero_dropping_path(e, c):
+    # scale by a nonzero, negation and Kelvin cannot make a zero coefficient,
+    # so skipping the zero-dropping copy leaves their outputs unchanged
+    ops = [lambda f: -f, lambda f: f.kelvin("x"), lambda f: f.kelvin("y")]
+    if c:
+        ops.append(lambda f: f.scale(c))
+    fast = [op(e) for op in ops]
+    make = rx.RadialExpr._make.__func__
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(rx.RadialExpr, "_make", classmethod(
+            lambda cls, *args, no_zeros=False, **kw: make(cls, *args, **kw)))
+        slow = [op(e) for op in ops]
+    assert fast == slow

@@ -106,6 +106,20 @@ def test_all_suite_concatenates_with_suite_tags():
         assert digest == "c40198330a1ca24130ed74179f1833e602bbb708410057413361d15919372b27"
 
 
+@pytest.mark.parametrize("suite, args, digest", [
+    ("laplacian", SuiteArgs(mmax=2, kmax=4),
+     "f75b13ceb65d795e23624e934fe2ee77ec82257f814c96f4bbca5e6097dffe75"),
+    ("clifford", SuiteArgs(mmax=2, kmax=4),
+     "b44e7013eb48a65c66af87659869b1acd14b1431e44d94baba118031f1d9c975"),
+    ("eta", SuiteArgs(mmax=2, kmax=3),
+     "5bc39eeff6403dde6539741b4ed3ac206a5592d601df1d46859812beb51ac054"),
+])
+def test_suite_report_bytes_are_pinned(suite, args, digest):
+    # the routes may change engine; the cells, verdicts, digests and findings may not
+    rep = run_suite(suite, args, threads=1)
+    assert hashlib.sha256(rep.to_json().encode()).hexdigest() == digest
+
+
 @pytest.mark.parametrize("threads, cpus, expected", [
     (64, 8, [3]),   # capped by the cell count (monogenic, kmax=2: 3 cells)
     (64, 2, [2]),   # capped by the CPU count
