@@ -1,23 +1,27 @@
 """Symmetric radial-free polynomials with one coefficient per orbit.
 
 The symmetric group S_N acts on R^N x R^N by permuting the pairs
-(x_i, y_i) together.  Every input of the radial-free routes (the lifted
-kernels and the paravector powers) is a polynomial in <x,y>, Q_x and Q_y,
-so it is invariant under this diagonal action, and so is everything the
-equivariant operators Lap_x, Lap_y and multiplication by <x,y>, Q_x or Q_y
-make of it.  Such a polynomial is sum_O c_O m_O over the orbits O of
-monomials x^a y^b, where m_O is the sum of the distinct monomials of O
-(MacMahon's monomial multisymmetric functions).  :class:`OrbitForm` keeps
-the c_O as integer numerators over one denominator, keyed by a
-representative: the packed :mod:`~zonalkit.radialexpr` key of the
-monomial whose (a_i, b_i) pairs are sorted in decreasing order.
+(x_i, y_i) together.  Every route input (the lifted kernels, the paravector
+powers and the constant 1) is a polynomial in <x,y>, Q_x and Q_y, so it is
+invariant under this diagonal action, and so is everything the equivariant
+operators Lap_x, Lap_y, <y,grad_x>, Kelvin inversion and multiplication by
+<x,y>, Q_x, Q_y or |x|^p make of it.  Such a polynomial is sum_O c_O m_O
+over the orbits O of monomials x^a y^b, where m_O is the sum of the
+distinct monomials of O (MacMahon's monomial multisymmetric functions).
+:class:`OrbitForm` keeps the c_O as integer numerators over one
+denominator, keyed by a representative: the packed
+:mod:`~zonalkit.radialexpr` key of the monomial whose (a_i, b_i) pairs are
+sorted in decreasing order.
 
 Operators are not rewritten here.  An equivariant ``op`` acts on the small
 expression g = sum_O (c_O / |Stab r_O|) r_O through the coordinate engine
 unchanged; since f = sum over S_N of the images of g, op(f) is the sum of
 the images of h = op(g), whose orbit coefficients are
 c'_O' = |Stab r'| * (sum of h's coefficients over O').  |Stab r| is the
-product of mult! over the distinct pairs of r.
+product of mult! over the distinct pairs of r.  Only polynomials are kept:
+``op`` may pass through Laurent intermediates (|x|^p with p negative or
+odd) as long as its output is a polynomial, and the fold raises
+``ValueError`` on any output that is not.
 
 The layer reads the packed key layout of :mod:`~zonalkit.radialexpr`
 directly; dependencies run zonalalg <- orbitform <- zonalroutes.
@@ -29,6 +33,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
+from operator import add
 from typing import Callable
 
 from . import radialexpr as rx
@@ -155,7 +160,9 @@ class OrbitForm:
         """The orbit form of op(f) for a linear ``op`` that commutes with S_N.
 
         ``op`` runs on g = sum_O (c_O / |Stab r_O|) r_O, one term per orbit,
-        and its output is folded with the stabiliser weights.
+        and its output is folded with the stabiliser weights.  It may go
+        through Laurent expressions, but its output must be a polynomial:
+        ``ValueError`` otherwise.
         """
         full = math.factorial(self.dim)
         degx = degy = 0
@@ -172,32 +179,28 @@ class OrbitForm:
     def unfold(self) -> rx.RadialExpr:
         """The full coordinate expression: each orbit's distinct monomials.
 
-        The distinct permutations of a representative's pairs are generated
-        directly, one distinct nonzero pair at a time choosing its positions
-        among the free ones; the (0, 0) pairs fill what is left.
+        The distinct permutations of a representative's pairs are its
+        placements: disjoint position sets, one per distinct nonzero pair,
+        of the pair's multiplicity; the (0, 0) pairs fill what is left.  A
+        pair (a, b) on the positions of ``mask`` adds a * X[mask] + b * Y[mask]
+        to the key, where X[mask] and Y[mask] hold a one in each x and y field
+        of those positions.
         """
         lay = self._lay
         n = self.dim
-        xs, ys = lay.x_shifts, lay.y_shifts
+        zero = lay.zero_key
+        X, Y = _field_sums(n)
         terms: dict[int, int] = {}
         degx = degy = 0
         for r, c in self._orbits.items():
             _, dx, dy, counts = _orbit(r, n)
             degx = max(degx, dx)
             degy = max(degy, dy)
-            placed = [(lay.zero_key, tuple(range(n)))]
-            for a, b, m in counts:
-                step = [(a << sx) | (b << sy) for sx, sy in zip(xs, ys)]
-                nxt = []
-                for key, free in placed:
-                    for chosen in combinations(free, m):
-                        k2 = key
-                        for i in chosen:
-                            k2 |= step[i]
-                        nxt.append((k2, tuple(i for i in free if i not in chosen)))
-                placed = nxt
-            for key, _ in placed:
-                terms[key] = c
+            columns = _placements(n, tuple(m for _, _, m in counts))
+            keys = [zero] * len(columns[0]) if columns else [zero]
+            for (a, b, _), masks in zip(counts, columns):
+                keys = list(map(add, keys, [a * X[mask] + b * Y[mask] for mask in masks]))
+            terms.update(dict.fromkeys(keys, c))
         return rx.RadialExpr._make(n, n, terms, self._den, degx, degy,
                                    radial_free_hint=True, no_zeros=True)
 
@@ -234,3 +237,32 @@ def _orbit(r: int, dim: int) -> tuple[int, int, int, tuple[tuple[int, int, int],
     return (stab, sum(a * m for (a, _), m in counts.items()),
             sum(b * m for (_, b), m in counts.items()),
             tuple((a, b, m) for (a, b), m in counts.items()))
+
+
+@lru_cache(maxsize=None)
+def _field_sums(dim: int) -> tuple[list[int], list[int]]:
+    """``(X, Y)``: for each position mask, a one in each x (y) field it holds."""
+    lay = rx._layout(dim, dim)
+    X, Y = [0], [0]
+    for sx, sy in zip(lay.x_shifts, lay.y_shifts):
+        X += [v + (1 << sx) for v in X]
+        Y += [v + (1 << sy) for v in Y]
+    return X, Y
+
+
+@lru_cache(maxsize=1 << 10)
+def _placements(dim: int, mults: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """Every choice of disjoint position masks of sizes ``mults`` among ``dim``.
+
+    One column per multiplicity: the i-th choice is the i-th mask of each.
+    """
+    placed = [((), (1 << dim) - 1)]
+    for m in mults:
+        nxt = []
+        for masks, free in placed:
+            positions = [1 << i for i in range(dim) if free >> i & 1]
+            for chosen in combinations(positions, m):
+                mask = sum(chosen)
+                nxt.append((masks + (mask,), free ^ mask))
+        placed = nxt
+    return tuple(zip(*(masks for masks, _ in placed)))

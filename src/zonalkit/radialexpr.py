@@ -385,14 +385,6 @@ class RadialExpr:
     def __len__(self) -> int:
         return len(self._terms)
 
-    @property
-    def is_polynomial(self) -> bool:
-        lo = _RAD_BIAS
-        return all(
-            (k & _RAD_MASK) == lo and ((k >> _RAD_BITS) & _RAD_MASK) == lo
-            for k in self._terms
-        )
-
     def terms(self) -> Iterator[tuple[tuple[int, ...], tuple[int, ...], int, int, Fraction]]:
         """Iterate canonical terms as (xexp, yexp, px, py, coefficient)."""
         lay = self._lay

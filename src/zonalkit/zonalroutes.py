@@ -13,12 +13,17 @@ ultraspherical expansion ``gegenbauer.zonal_direct``:
   part of (x y^(-1))^(-k), odd n only (integer Laplacian power);
 * ``eta_relation``  - the bridge identity between the last two.
 
-The radial-free routes (laplacian, fixed_y, clifford and the left-hand side
-of the bridge) run their Laplacians in :mod:`~zonalkit.orbitform`: the seed
-is built with one coefficient per orbit of the pair permutations, each
-``RadialExpr.laplacian`` acts on one representative per orbit, and only the
-result is unfolded to coordinates.  The expressions they are compared with
-(``zonal_direct``) come from the full coordinate expander.
+The routes above run in :mod:`~zonalkit.orbitform` (the m = 3 Laplacian
+cells also have ``laplacian_route_invariant``): each input is a polynomial
+symmetric under the pair permutations, kept with one coefficient per orbit,
+each operator (the unchanged coordinate-level ``RadialExpr`` Laplacian,
+Kelvin inversion and ``dir_deriv``) acts on one representative per orbit,
+and only the result is unfolded to coordinates.  An operator may pass
+through Laurent intermediates as long as its output is a polynomial: the
+ladder applies Kelvin o <y,grad_x> o Kelvin as one step, and the inversion
+route applies |x|^(-2k), the Laplacians and Kelvin as one composed
+operator.  The expressions they are compared with (``zonal_direct``) come
+from the full coordinate expander.
 
 Coefficient conventions.  The iterated-Laplacian prefactor is *defined* as
 the composition alpha * c^2 of the telescoping coefficient with the squared
@@ -184,13 +189,15 @@ def ladder_scale(n: int, k: int) -> Fraction:
 
 
 def fixed_y_prefactor(parity: Parity, m: int, k: int) -> Fraction:
-    """Single-sided (Lap_x only) prefactor for the iterated-Laplacian routes."""
+    """Single-sided (Lap_x only) prefactor for the iterated-Laplacian routes; 1 at m = 0."""
+    if parity not in ("odd", "even"):
+        raise ValueError(f"unknown parity {parity!r}")
+    if m == 0:
+        return Fraction(1)
     if parity == "odd":
         return (-1) ** m * Fraction(2 * k + 4 * m + 1, 2 * k + 2 * m + 1) * factorial(2 * m + 1)
-    if parity == "even":
-        return ((-1) ** m * Fraction(4) ** m * Fraction(k + 2 * m, k + m)
-                * factorial(m) ** 2)
-    raise ValueError(f"unknown parity {parity!r}")
+    return ((-1) ** m * Fraction(4) ** m * Fraction(k + 2 * m, k + m)
+            * factorial(m) ** 2)
 
 
 # ---------------------------------------------------------------------------
@@ -249,10 +256,11 @@ def ladder_route(n: int, k: int) -> rx.RadialExpr:
     if n < 2:
         raise ValueError("ladder route needs n >= 2")
     nvars = n + 1
-    f = rx.constant(1, nvars, nvars)
+    # K o D o K maps polynomials to polynomials, so each step folds
+    f = OrbitForm.fold(rx.constant(1, nvars, nvars))
     for _ in range(k):
-        f = f.kelvin().dir_deriv().kelvin()
-    return f
+        f = f.apply(lambda g: g.kelvin().dir_deriv().kelvin())
+    return f.unfold()
 
 
 def _laplacian_seed(parity: Parity, m: int, k: int) -> za.ZonalInvariant:
@@ -350,17 +358,28 @@ def kelvin_route(n: int, k: int) -> tuple[rx.RadialExpr, Fraction]:
         raise ValueError("even n needs a fractional Laplacian power; out of scope")
     if k < 1:
         raise ValueError("inversion route needs k >= 1")
-    m = (n - 1) // 2
-    f = _inversion_seed(k, n + 1)
-    for _ in range(m):
-        f = f.laplacian("x")
-    return f.kelvin("x"), kelvin_constant_reference(n, k)
+    return _inversion_route((n - 1) // 2, k), kelvin_constant_reference(n, k)
 
 
-def _inversion_seed(k: int, nvars: int) -> rx.RadialExpr:
-    """((x y^(-1))^(-k))_0 = ((x y^c)^k)_0 |x|^(-2k), after the |y|^(2k) rescaling."""
-    seed = za.xyc_power_real_invariant(k, nvars) * za.monomial(nvars, 0, -2 * k, 0)
-    return seed.to_radialexpr()
+def _inversion_route(m: int, k: int) -> rx.RadialExpr:
+    """Kelvin[Lap_x^m ((x y^(-1))^(-k))_0] over R^(2m+2), in orbit form.
+
+    ((x y^(-1))^(-k))_0 = ((x y^c)^k)_0 |x|^(-2k) after the |y|^(2k)
+    rescaling.  The polynomial ((x y^c)^k)_0, homogeneous of degree k in x,
+    is folded, and |x|^(-2k), the m Laplacians and Kelvin run as one
+    operator.  It sends each monomial of the seed to terms x^a |x|^(k-|a|)
+    with |a| <= k and |a| = k (mod 2), so every fold sees a polynomial.
+    """
+    nvars = 2 * m + 2
+    weight = rx.norm_power("x", -2 * k, nvars, nvars)
+
+    def invert(g: rx.RadialExpr) -> rx.RadialExpr:
+        g = g * weight
+        for _ in range(m):
+            g = g.laplacian("x")
+        return g.kelvin("x")
+
+    return OrbitForm.from_invariant(za.xyc_power_real_invariant(k, nvars)).apply(invert).unfold()
 
 
 @dataclass(frozen=True)
@@ -394,12 +413,8 @@ def eta_relation(m: int, k: int) -> EtaRelationResult:
     """
     if k < 1:
         raise ValueError("bridge identity needs k >= 1")
-    nvars = 2 * m + 2
     lhs = _paravector_laplacians(m, k)
-    f = _inversion_seed(k, nvars)
-    for _ in range(m):
-        f = f.laplacian("x")
-    rhs_raw = f.kelvin("x")
+    rhs_raw = _inversion_route(m, k)
     measured = proportionality_ratio(lhs, rhs_raw)
     return EtaRelationResult(m, k, lhs, rhs_raw, measured,
                              eta_reference(m, k), eta_observed(m, k))

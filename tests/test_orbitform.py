@@ -22,6 +22,24 @@ def full_laplacians(seed: za.ZonalInvariant, m: int, groups: str) -> rx.RadialEx
     return out
 
 
+def full_ladder(n: int, k: int) -> rx.RadialExpr:
+    """The full-coordinate ladder: Kelvin o <y,grad_x> o Kelvin, k times, on 1."""
+    f = rx.constant(1, n + 1, n + 1)
+    for _ in range(k):
+        f = f.kelvin().dir_deriv().kelvin()
+    return f
+
+
+def full_inversion(m: int, k: int) -> rx.RadialExpr:
+    """The full-coordinate inversion route: Kelvin[Lap_x^m ((x y^(-1))^(-k))_0]."""
+    nvars = 2 * m + 2
+    seed = za.xyc_power_real_invariant(k, nvars) * za.monomial(nvars, 0, -2 * k, 0)
+    f = seed.to_radialexpr()
+    for _ in range(m):
+        f = f.laplacian("x")
+    return f.kelvin("x")
+
+
 def reference_unfold(dim: int, orbits: dict[tuple, Fraction]) -> rx.RadialExpr:
     """Every distinct permutation of each representative, by brute force."""
     items = []
@@ -97,14 +115,32 @@ def test_orbit_routes_match_full_coordinates():
                 seed = zr._laplacian_seed(parity, m, k)
                 out, _ = zr.laplacian_route(parity, m, k)
                 assert out == full_laplacians(seed, m, "xy"), (parity, m, k)
-                if m:  # at m = 0 fixed_y runs the route's own m = 0 computation
-                    out, _ = zr.laplacian_route_fixed_y(parity, m, k)
-                    assert out == full_laplacians(seed, m, "x"), (parity, m, k)
+                out, _ = zr.laplacian_route_fixed_y(parity, m, k)
+                assert out == full_laplacians(seed, m, "x"), (parity, m, k)
     for m in (0, 1, 2):
         for k in range(4):
             seed = za.xyc_power_real_invariant(k + 2 * m, 2 * m + 2)
             lhs, _ = zr.clifford_route(m, k)
             assert lhs == full_laplacians(seed, m, "xy"), (m, k)
+
+
+def test_laurent_routes_match_full_coordinates():
+    for n in range(2, 6):
+        for k in range(5):
+            assert zr.ladder_route(n, k) == full_ladder(n, k), (n, k)
+    for n in (1, 3, 5):
+        for k in range(1, 4):
+            out, _ = zr.kelvin_route(n, k)
+            assert out == full_inversion((n - 1) // 2, k), (n, k)
+    for m in (0, 1, 2):
+        for k in range(1, 4):
+            assert zr.eta_relation(m, k).rhs_raw == full_inversion(m, k), (m, k)
+
+
+def test_apply_rejects_a_laurent_output():
+    f = OrbitForm.from_invariant(za.xyc_power_real_invariant(2, 3))
+    with pytest.raises(ValueError):
+        f.apply(lambda g: g.kelvin())
 
 
 @pytest.mark.parametrize("parity, target", [("odd", 8), ("even", 7)])

@@ -113,6 +113,10 @@ def test_all_suite_concatenates_with_suite_tags():
      "b44e7013eb48a65c66af87659869b1acd14b1431e44d94baba118031f1d9c975"),
     ("eta", SuiteArgs(mmax=2, kmax=3),
      "5bc39eeff6403dde6539741b4ed3ac206a5592d601df1d46859812beb51ac054"),
+    ("ladder", SuiteArgs(nmax=6, kmax=6),
+     "5f72ae11d6f47d31dcf5934d794f63b64025b6cd7c051e0f1beebed3568a5000"),
+    ("kelvin", SuiteArgs(kmax=4),
+     "16223941a1f0d9999f3a136de6da2a6761a08590fec7aed0cdd5632d203a8b7a"),
 ])
 def test_suite_report_bytes_are_pinned(suite, args, digest):
     # the routes may change engine; the cells, verdicts, digests and findings may not

@@ -138,6 +138,14 @@ def test_fixed_y_route_exact_with_degree_correction():
             assert out.equals(rhs), (parity, k)
 
 
+def test_fixed_y_route_m0_is_the_kernel():
+    for parity, target in (("odd", 2), ("even", 1)):
+        for k in range(4):
+            out, pref = zr.laplacian_route_fixed_y(parity, 0, k)
+            assert pref == 1
+            assert out.equals(zonal_direct(target, k).scale(pref)), (parity, k)
+
+
 def test_clifford_route_small():
     for m in (0, 1):
         for k in range(1, 4):
