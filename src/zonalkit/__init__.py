@@ -22,13 +22,13 @@ from .radialexpr import (
     norm_power,
     quadratic_form,
 )
-from .ratnum import Rational, binomial, factorial, gamma_ratio, pochhammer
+from .ratnum import binomial, factorial, pochhammer
 from .verify import SuiteArgs, VerificationReport, run_suite
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Rational", "pochhammer", "gamma_ratio", "binomial", "factorial",
+    "pochhammer", "binomial", "factorial",
     "RadialExpr", "ExtendedValue", "PoleError", "RadialOverflow",
     "constant", "coordinate", "inner_xy", "norm_power", "quadratic_form",
     "from_terms",

@@ -42,40 +42,46 @@ def _estimate_zonal_terms(nvars: int, deg: int) -> int:
     return total
 
 
+# route name -> builder(n, k, m); each route checks the domain particular to it
+_ROUTES = {
+    "direct": lambda n, k, m: zonal_direct(n, k),
+    "ladder": lambda n, k, m: zr.ladder_route(n, k),
+    "laplacian_odd": lambda n, k, m: zr.laplacian_route("odd", m, k),
+    "laplacian_even": lambda n, k, m: zr.laplacian_route("even", m, k),
+    "clifford": lambda n, k, m: zr.clifford_route(m, k),
+    "kelvin": lambda n, k, m: zr.kelvin_route(n, k),
+}
+
+# routes whose ambient R^(n+1) is fixed by m, as n = 2m + offset; they
+# act on a kernel of degree k+2m
+_FORCED_N_OFFSET = {"laplacian_odd": 2, "laplacian_even": 1, "clifford": 1}
+
+
 def _route_expr(route: str, n: int | None, k: int, m: int, max_terms: int) -> rx.RadialExpr:
     """Build the expanded expression for one route cell, with a size guard."""
-    if route in ("laplacian_odd", "laplacian_even", "clifford"):
-        expected = 2 * m + 2 if route == "laplacian_odd" else 2 * m + 1
+    if k < 0:
+        raise UsageError(f"degree k must be nonnegative, got {k}")
+    if m < 0:
+        raise UsageError(f"Laplacian count m must be nonnegative, got {m}")
+    deg = k
+    offset = _FORCED_N_OFFSET.get(route)
+    if offset is not None:
         if n is None:
-            n = expected
+            n = 2 * m + offset
+        elif n != 2 * m + offset:
+            raise UsageError(f"{route} route requires n = 2m+{offset}, got n={n}, m={m}")
+        deg = k + 2 * m
     if n is None:
         raise UsageError("--n is required for this route")
-    spec = zr.RouteSpec(route, n, k, m)
-    try:
-        spec.validate()
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-    nvars = n + 1
-    deg = k + 2 * m if route in ("laplacian_odd", "laplacian_even", "clifford") else k
-    estimate = _estimate_zonal_terms(nvars, deg)
+    if n < 1:
+        raise UsageError(f"--n must be >= 1 (ambient R^(n+1)), got {n}")
+    estimate = _estimate_zonal_terms(n + 1, deg)
     if estimate > max_terms:
         raise UsageError(
             f"expansion would reach ~{estimate} terms (cap {max_terms}); "
             "reduce k or m, or raise --max-terms"
         )
-    if route == "direct":
-        return zonal_direct(n, k)
-    if route == "ladder":
-        return zr.ladder_route(n, k)
-    if route == "laplacian_odd":
-        return zr.laplacian_route("odd", m, k)[0]
-    if route == "laplacian_even":
-        return zr.laplacian_route("even", m, k)[0]
-    if route == "clifford":
-        return zr.clifford_route(m, k)[0]
-    if route == "kelvin":
-        return zr.kelvin_route(n, k)[0]
-    raise UsageError(f"unknown route {route!r}")
+    return _ROUTES[route](n, k, m)
 
 
 def _parse_point(text: str, nvars: int, label: str) -> list[Fraction]:
@@ -142,13 +148,20 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_OK if report.passed else EXIT_FAIL
 
 
+def _parse_lambda(text: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise UsageError(f"--lambda must be a rational such as 1/2, got {text!r}") from exc
+
+
 def _coeff_value(args: argparse.Namespace) -> tuple[Fraction, list[str]]:
     which = args.which
     notes: list[str] = []
     if which == "alpha":
         if args.m is None or args.k is None or args.lam is None:
             raise UsageError("alpha needs --m, --k and --lambda")
-        return zr.alpha_top(args.m, Fraction(args.lam), args.k), notes
+        return zr.alpha_top(args.m, _parse_lambda(args.lam), args.k), notes
     if which == "c":
         if None in (args.N, args.j, args.ell, args.k):
             raise UsageError("c needs --N, --j, --ell and --k")
@@ -156,7 +169,7 @@ def _coeff_value(args: argparse.Namespace) -> tuple[Fraction, list[str]]:
     if which == "beta":
         if args.m is None or args.k is None or args.lam is None:
             raise UsageError("beta needs --m, --k and --lambda")
-        value = zr.beta(args.m, Fraction(args.lam), args.k)
+        value = zr.beta(args.m, _parse_lambda(args.lam), args.k)
         notes.append("computed as alpha * c^2 (the composition, not the printed closed form)")
         notes.append("index convention: k is the output degree (the input kernel has "
                      f"degree k+2m = {args.k + 2 * args.m})")
@@ -272,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_route_flags(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--route", required=True, choices=zr.ROUTE_NAMES)
+        p.add_argument("--route", required=True, choices=tuple(_ROUTES))
         p.add_argument("--n", type=int, default=None, help="ambient space R^(n+1)")
         p.add_argument("--k", type=int, required=True, help="kernel degree")
         p.add_argument("--m", type=int, default=0, help="Laplacian count where applicable")

@@ -26,7 +26,7 @@ from . import radialexpr as rx
 from . import zonalalg as za
 
 Coeff = Union[Fraction, rx.RadialExpr]
-CROperator = Literal["Dirac", "D", "Dbar"]
+CROperator = Literal["D", "Dbar"]
 
 
 def _is_zero(c: Coeff) -> bool:
@@ -198,13 +198,11 @@ def dirac(f: Multivector) -> Multivector:
 
 
 def cr_operators(f: Multivector, which: CROperator) -> Multivector:
-    """Dirac, D = d/dx_0 - dirac, or Dbar = d/dx_0 + dirac, applied to f.
+    """D = d/dx_0 - dirac or Dbar = d/dx_0 + dirac, applied to f.
 
     The left-multiplication convention makes D Dbar = -Laplacian on scalar
     fields, which the tests pin down.
     """
-    if which == "Dirac":
-        return dirac(f)
     d0 = _partial_field(f, 0)
     if which == "D":
         return d0 - dirac(f)

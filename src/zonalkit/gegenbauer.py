@@ -41,9 +41,6 @@ class GegenbauerPoly:
             return (Fraction(0),)
         return tuple((j + 1) * self.coeffs[j + 1] for j in range(self.degree))
 
-    def leading(self) -> Fraction:
-        return self.coeffs[-1]
-
 
 def gegenbauer(k: int, lam) -> GegenbauerPoly:
     """C_k^lam from the explicit sum; lam > -1/2 and lam != 0 (use chebyshev_T)."""
@@ -78,34 +75,6 @@ def chebyshev_T(k: int) -> GegenbauerPoly:
             nxt[j] -= c
         prev, cur = cur, nxt
     return GegenbauerPoly(k, Fraction(0), tuple(cur))
-
-
-def eval_float(poly: GegenbauerPoly, t: float) -> float:
-    """Float evaluation; three-term recurrence on [-1, 1], Horner outside.
-
-    The recurrence k C_k = 2(k+lam-1) t C_{k-1} - (k+2lam-2) C_{k-2} is the
-    numerically stable path for arguments in the orthogonality interval.
-    """
-    k = poly.degree
-    if abs(t) <= 1.0:
-        lam = float(poly.order)
-        if poly.order == 0:
-            prev, cur = 1.0, t
-            if k == 0:
-                return 1.0
-            for _ in range(2, k + 1):
-                prev, cur = cur, 2.0 * t * cur - prev
-            return cur if k >= 1 else prev
-        prev, cur = 1.0, 2.0 * lam * t
-        if k == 0:
-            return 1.0
-        for d in range(2, k + 1):
-            prev, cur = cur, (2.0 * (d + lam - 1.0) * t * cur - (d + 2.0 * lam - 2.0) * prev) / d
-        return cur
-    acc = 0.0
-    for c in reversed(poly.coeffs):
-        acc = acc * t + float(c)
-    return acc
 
 
 # -- kernels in the invariants <x,y>, |x|, |y| --------------------------------

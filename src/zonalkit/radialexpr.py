@@ -39,6 +39,7 @@ below deliberately stay on plain dict/int operations.
 from __future__ import annotations
 
 import hashlib
+import heapq
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -170,28 +171,37 @@ def _mul_quadratic(terms: dict[int, int], shifts: tuple[int, ...], j: int) -> di
 
 
 def _divide_quadratic(terms: dict[int, int], shifts: tuple[int, ...]) -> dict[int, int] | None:
-    """Exact division of a class dict by sum_i v_i^2; None when not divisible.
+    """Exact division of a nonempty class dict by sum_i v_i^2; None when not divisible.
 
     The integer key order is a monomial order with leading term v_last^2, and
     the divisor is monic there, so greedy reduction decides divisibility.
+    Each step cancels the largest remainder key and adds only smaller keys,
+    so a max-heap yields the keys in order; a key that cancels stays in the
+    remainder at 0 and is skipped when popped.
     """
     lead = shifts[-1]
+    if ((max(terms) >> lead) & _EXP_MASK) < 2:
+        return None  # most indivisible inputs fail here, before the heap is built
     rem = dict(terms)
+    heap = [-k for k in rem]
+    heapq.heapify(heap)
     quot: dict[int, int] = {}
-    while rem:
-        k = max(rem)
-        c = rem[k]
+    while heap:
+        k = -heapq.heappop(heap)
+        c = rem.pop(k)
+        if not c:
+            continue
         if ((k >> lead) & _EXP_MASK) < 2:
             return None
         qk = k - (2 << lead)
-        quot[qk] = quot.get(qk, 0) + c
-        for s in shifts:
+        quot[qk] = c
+        for s in shifts[:-1]:
             kk = qk + (2 << s)
-            nv = rem.get(kk, 0) - c
-            if nv:
-                rem[kk] = nv
+            if kk in rem:
+                rem[kk] -= c
             else:
-                rem.pop(kk, None)
+                rem[kk] = -c
+                heapq.heappush(heap, -kk)
     return quot
 
 
@@ -488,14 +498,6 @@ class RadialExpr:
 
     __rmul__ = __mul__
 
-    def __pow__(self, k: int) -> "RadialExpr":
-        if k < 0:
-            raise ValueError("negative powers are not defined on RadialExpr")
-        out = constant(1, self.nx, self.ny)
-        for _ in range(k):
-            out = out * self
-        return out
-
     # -- calculus -----------------------------------------------------------
 
     def _group_data(self, group: VarGroup):
@@ -768,10 +770,6 @@ class RadialExpr:
         a, b, c2, d = _collapse(sectors[0], sectors[1], sectors[2], sectors[3], qx, qy)
         return ExtendedValue(a, b, c2, d, qx, qy)
 
-    def eval_float(self, point_x: Sequence[float], point_y: Sequence[float]) -> float:
-        return float(self.eval_float_batch(np.asarray([point_x], dtype=float),
-                                           np.asarray([point_y], dtype=float))[0])
-
     def eval_float_batch(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
         """Vectorised float evaluation at rows of X (s, nx) and Y (1 or s, ny).
 
@@ -937,15 +935,6 @@ class RadialExpr:
         ])
         return f'{{"nx":{self.nx},"ny":{self.ny},"terms":[{body}]}}'
 
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "RadialExpr":
-        items = [
-            (tuple(t["xexp"]), tuple(t["yexp"]), t["px"], t["py"],
-             Fraction(int(t["num"]), int(t["den"])))
-            for t in data["terms"]
-        ]
-        return from_terms(data["nx"], data["ny"], items)
-
     def digest(self) -> str:
         if self._digest is None:
             self._digest = hashlib.sha256(self.to_json().encode()).hexdigest()
@@ -988,11 +977,6 @@ def from_terms(nx: int, ny: int,
         acc[key] = acc.get(key, Fraction(0)) + Fraction(coef)
         degx = max(degx, sum(xe) + max(px, 0))
         degy = max(degy, sum(ye) + max(py, 0))
-    return from_terms_packed(nx, ny, acc, degx, degy)
-
-
-def from_terms_packed(nx: int, ny: int, acc: dict[int, Fraction],
-                      degx: int = 0, degy: int = 0) -> RadialExpr:
     den = 1
     for coef in acc.values():
         den = den * coef.denominator // math.gcd(den, coef.denominator)

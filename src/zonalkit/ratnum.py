@@ -3,8 +3,8 @@
 Every scalar constant in this package is an exact rational.  We use the
 stdlib ``fractions.Fraction`` as the rational type (arbitrary precision,
 always in lowest terms, positive denominator) and build the shifted-Gamma
-machinery on top of it: rising factorials, Gamma ratios with integer shift,
-binomials and factorials.  Gamma is never evaluated at a point; every
+machinery on top of it: rising factorials (the Gamma ratios with integer
+shift), binomials and factorials.  Gamma is never evaluated at a point; every
 Gamma-bearing coefficient is expressed as a ratio with integer shift so the
 whole computation stays in the rationals.
 """
@@ -14,8 +14,6 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from typing import Union
-
-Rational = Fraction
 
 RationalLike = Union[Fraction, int]
 
@@ -29,24 +27,6 @@ def pochhammer(a: RationalLike, j: int) -> Fraction:
     for i in range(j):
         out *= a + i
     return out
-
-
-def gamma_ratio(a: RationalLike, b: RationalLike) -> Fraction:
-    """Gamma(a)/Gamma(b) for a - b a nonnegative integer, as pochhammer(b, a-b).
-
-    Callers must arrange the ratio so the shift is a nonnegative integer;
-    anything else is rejected rather than approximated.  b may not sit on a
-    pole of Gamma (a nonpositive integer), where the product would silently
-    be 0 or the ratio undefined; that is rejected too.
-    """
-    a = Fraction(a)
-    b = Fraction(b)
-    shift = a - b
-    if shift.denominator != 1 or shift < 0:
-        raise ValueError(f"gamma_ratio requires a - b to be a nonnegative integer, got {shift}")
-    if b.denominator == 1 and b <= 0:
-        raise ValueError(f"gamma_ratio: b = {b} is a pole of Gamma")
-    return pochhammer(b, int(shift))
 
 
 def factorial(n: int) -> Fraction:

@@ -352,24 +352,25 @@ def _cells_laplacian(args: SuiteArgs) -> list[dict]:
 def _run_laplacian(params: dict) -> Cell:
     parity, m, k = params["parity"], params["m"], params["k"]
     target_n = 2 * m + 2 if parity == "odd" else 2 * m + 1
+    # the two-variable prefactor
+    pref = zr.beta_tilde(m, k) if parity == "odd" else zr.beta_hat(m, k)
     if params["check"] == "route":
-        pref = zr.beta_tilde(m, k) if parity == "odd" else zr.beta_hat(m, k)
         if params["engine"] == "invariant":
-            lhs, _ = zr.laplacian_route_invariant(parity, m, k)
+            lhs = zr.laplacian_route_invariant(parity, m, k)
             rhs = zonal_direct_invariant(target_n, k).scale(pref)
             return _invariant_cell(params, lhs, rhs)
-        lhs, _ = zr.laplacian_route(parity, m, k)
+        lhs = zr.laplacian_route(parity, m, k)
         rhs = zonal_direct(target_n, k).scale(pref)
         return _expr_cell(params, lhs, rhs)
     if params["check"] == "fixed_y":
-        out, pref = zr.laplacian_route_fixed_y(parity, m, k)
+        out = zr.laplacian_route_fixed_y(parity, m, k)
         rhs = zonal_direct_invariant(target_n, k) * za.monomial(target_n + 1, 0, 0, 2 * m)
-        return _expr_cell(params, out, rhs.scale(pref).to_radialexpr())
+        rhs = rhs.scale(zr.fixed_y_prefactor(parity, m, k))
+        return _expr_cell(params, out, rhs.to_radialexpr())
     if params["check"] == "prefactor_consistency":
         # single-sided prefactor times the |y|-side eigenvalue = two-variable prefactor
         lhs = zr.fixed_y_prefactor(parity, m, k) * zr.lap_c(target_n + 1, m, m, k)
-        rhs = zr.beta_tilde(m, k) if parity == "odd" else zr.beta_hat(m, k)
-        return _vec_cell(params, (lhs,), (rhs,))
+        return _vec_cell(params, (lhs,), (pref,))
     raise ValueError(f"unknown check {params['check']!r}")
 
 
@@ -435,8 +436,9 @@ def _cells_clifford(args: SuiteArgs) -> list[dict]:
 
 def _run_clifford(params: dict) -> Cell:
     if params["check"] in ("plane_identity", "route"):  # the plane identity is m = 0
-        lhs, rhs = zr.clifford_route(params.get("m", 0), params["k"])
-        return _expr_cell(params, lhs, rhs)
+        m, k = params.get("m", 0), params["k"]
+        rhs = zonal_direct(2 * m + 1, k).scale(zr.beta_hat(m, k) / 2)
+        return _expr_cell(params, zr.clifford_route(m, k), rhs)
     if params["check"] == "slice_derivative_value":
         # Lap_4 (x^(k+2))_0 = -2 (k+2)/(k+1) Z_k(x, 1) with the unit pole
         k = params["k"]
@@ -465,10 +467,11 @@ def _cells_kelvin(args: SuiteArgs) -> list[dict]:
 
 def _run_kelvin(params: dict) -> Cell:
     n, k = params["n"], params["k"]
-    result, reference = zr.kelvin_route(n, k)
+    result = zr.kelvin_route(n, k)
     direct = zonal_direct(n, k)
     measured = zr.proportionality_ratio(result, direct)
     if params["check"] in ("plane_reference", "reference_constant"):
+        reference = zr.kelvin_constant_reference(n, k)
         return _expr_cell({**params, "reference": str(reference),
                            "measured": str(measured)}, result, direct.scale(reference))
     observed = zr.kelvin_constant_observed(n, k)
@@ -511,11 +514,11 @@ def _run_eta(params: dict) -> Cell:
         return _vec_cell(params, (val,), (Fraction(1),))
     m, k = params["m"], params["k"]
     res = zr.eta_relation(m, k)
-    const = res.reference if params["check"] == "reference_constant" else res.observed
-    rhs = res.rhs_raw.scale(const)
+    reference, observed = zr.eta_reference(m, k), zr.eta_observed(m, k)
+    const = reference if params["check"] == "reference_constant" else observed
     return _expr_cell({**params, "measured": str(res.measured),
-                       "reference": str(res.reference), "observed": str(res.observed)},
-                      res.lhs, rhs)
+                       "reference": str(reference), "observed": str(observed)},
+                      res.lhs, res.rhs_raw.scale(const))
 
 
 def _eta_findings(args: SuiteArgs) -> list[dict]:

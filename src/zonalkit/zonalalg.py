@@ -133,13 +133,6 @@ class ZonalInvariant:
                 out[k] = out.get(k, Fraction(0)) + c * R
         return ZonalInvariant(self.dim, out)
 
-    def kelvin_x(self) -> "ZonalInvariant":
-        N = self.dim
-        out: dict[Key, Fraction] = {}
-        for (A, R, S), c in self.terms.items():
-            out[(A, 2 - N - 2 * A - R, S)] = c
-        return ZonalInvariant(N, out)
-
     # -- conversion / reporting -----------------------------------------------
 
     def to_radialexpr(self) -> rx.RadialExpr:

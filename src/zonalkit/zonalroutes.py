@@ -13,6 +13,13 @@ ultraspherical expansion ``gegenbauer.zonal_direct``:
   part of (x y^(-1))^(-k), odd n only (integer Laplacian power);
 * ``eta_relation``  - the bridge identity between the last two.
 
+Each route returns its expression alone.  The constant relating it to the
+direct kernel is one of the coefficient functions below: ``ladder_scale``,
+``beta_tilde`` (odd) or ``beta_hat`` (even), ``fixed_y_prefactor``,
+``beta_hat``/2 for the Clifford route, ``kelvin_constant_*`` and ``eta_*``.
+A route raises ``ValueError`` outside the domain particular to it (the
+ladder needs n >= 2, the inversion route odd n and k >= 1).
+
 The routes above run in :mod:`~zonalkit.orbitform` (the m = 3 Laplacian
 cells also have ``laplacian_route_invariant``): each input is a polynomial
 symmetric under the pair permutations, kept with one coefficient per orbit,
@@ -77,7 +84,10 @@ def alpha_hat_top(m: int, k: int) -> Fraction:
 
 def lap_c(N, j: int, ell: int, k: int) -> Fraction:
     """Eigenvalue of Lap^j on |x|^(2 ell) H_k in R^N: 0 for j > ell, else
-    4^j ell!/(ell-j)! Gamma(k+ell+N/2)/Gamma(k+ell-j+N/2)."""
+    4^j ell!/(ell-j)! Gamma(k+ell+N/2)/Gamma(k+ell-j+N/2); j, ell >= 0 only,
+    as ell < 0 breaks the rule (on R^3, Lap x_0 |x|^-2 = -2 x_0 |x|^-4)."""
+    if j < 0 or ell < 0:
+        raise ValueError(f"lap_c needs j >= 0 and ell >= 0, got j={j}, ell={ell}")
     if j > ell:
         return Fraction(0)
     half = Fraction(N, 2)
@@ -201,49 +211,6 @@ def fixed_y_prefactor(parity: Parity, m: int, k: int) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# route specifications
-# ---------------------------------------------------------------------------
-
-ROUTE_NAMES = ("direct", "ladder", "laplacian_odd", "laplacian_even", "clifford", "kelvin")
-
-
-@dataclass(frozen=True)
-class RouteSpec:
-    """A single construction cell: which route, ambient R^(n+1), degree, order.
-
-    ``m`` is the Laplacian count where applicable; the laplacian/clifford
-    routes pin n to the target-dimension bookkeeping (odd: n = 2m+2, even and
-    clifford: n = 2m+1) and the inversion route needs odd n.
-    """
-
-    route: str
-    n: int
-    k: int
-    m: int = 0
-
-    def validate(self) -> None:
-        if self.route not in ROUTE_NAMES:
-            raise ValueError(f"unknown route {self.route!r}")
-        if self.k < 0:
-            raise ValueError("degree k must be nonnegative")
-        if self.route == "direct" and self.n < 1:
-            raise ValueError("direct route needs n >= 1")
-        if self.route == "ladder" and self.n < 2:
-            raise ValueError("ladder route needs n >= 2")
-        if self.route == "laplacian_odd" and self.n != 2 * self.m + 2:
-            raise ValueError("odd-target Laplacian route requires n = 2m+2")
-        if self.route == "laplacian_even" and self.n != 2 * self.m + 1:
-            raise ValueError("even-target Laplacian route requires n = 2m+1")
-        if self.route == "clifford" and self.n != 2 * self.m + 1:
-            raise ValueError("clifford route requires n = 2m+1 (ambient R^(2m+2))")
-        if self.route == "kelvin":
-            if self.n % 2 != 1:
-                raise ValueError("inversion route needs odd n (integer Laplacian power)")
-            if self.k < 1:
-                raise ValueError("inversion route needs k >= 1")
-
-
-# ---------------------------------------------------------------------------
 # routes
 # ---------------------------------------------------------------------------
 
@@ -278,12 +245,6 @@ def _laplacian_seed(parity: Parity, m: int, k: int) -> za.ZonalInvariant:
     return za.ZonalInvariant(dim, zonal_direct_invariant(low_n, k + 2 * m).terms)
 
 
-def _laplacian_prefactor(parity: Parity, m: int, k: int) -> Fraction:
-    if m == 0:
-        return Fraction(1)
-    return beta_tilde(m, k) if parity == "odd" else beta_hat(m, k)
-
-
 def _iterated_laplacians(seed: za.ZonalInvariant, m: int, groups: str) -> rx.RadialExpr:
     """(Lap_groups[-1] ... Lap_groups[0])^m of a polynomial seed, in coordinates.
 
@@ -297,17 +258,17 @@ def _iterated_laplacians(seed: za.ZonalInvariant, m: int, groups: str) -> rx.Rad
     return out.unfold()
 
 
-def laplacian_route(parity: Parity, m: int, k: int) -> tuple[rx.RadialExpr, Fraction]:
+def laplacian_route(parity: Parity, m: int, k: int) -> rx.RadialExpr:
     """(Lap_y Lap_x)^m applied to the low-dimensional kernel lifted verbatim.
 
-    Coordinate-level computation; the result should equal prefactor *
-    zonal_direct(target n, k) with target n = 2m+2 (odd) or 2m+1 (even).
+    Coordinate-level computation; the result should equal beta_tilde(m, k)
+    (odd) or beta_hat(m, k) (even) times zonal_direct(target n, k), with
+    target n = 2m+2 (odd) or 2m+1 (even).
     """
-    out = _iterated_laplacians(_laplacian_seed(parity, m, k), m, "xy")
-    return out, _laplacian_prefactor(parity, m, k)
+    return _iterated_laplacians(_laplacian_seed(parity, m, k), m, "xy")
 
 
-def laplacian_route_invariant(parity: Parity, m: int, k: int) -> tuple[za.ZonalInvariant, Fraction]:
+def laplacian_route_invariant(parity: Parity, m: int, k: int) -> za.ZonalInvariant:
     """laplacian_route in the compact invariant algebra.
 
     A coordinate expansion of the m = 3 odd cells (degree k+6 kernels over
@@ -318,28 +279,26 @@ def laplacian_route_invariant(parity: Parity, m: int, k: int) -> tuple[za.ZonalI
     out = _laplacian_seed(parity, m, k)
     for _ in range(m):
         out = out.lap_x().lap_y()
-    return out, _laplacian_prefactor(parity, m, k)
+    return out
 
 
-def laplacian_route_fixed_y(parity: Parity, m: int, k: int) -> tuple[rx.RadialExpr, Fraction]:
+def laplacian_route_fixed_y(parity: Parity, m: int, k: int) -> rx.RadialExpr:
     """Lap_x^m only, for y pinned to the unit sphere.
 
     Exact two-variable form of the single-sided identity: the result equals
-    prefactor * Q_y^m * zonal_direct(target n, k); the Q_y^m factor is the
-    |y|-degree correction that disappears on |y| = 1.
+    fixed_y_prefactor(parity, m, k) * Q_y^m * zonal_direct(target n, k); the
+    Q_y^m factor is the |y|-degree correction that disappears on |y| = 1.
     """
-    out = _iterated_laplacians(_laplacian_seed(parity, m, k), m, "x")
-    return out, fixed_y_prefactor(parity, m, k)
+    return _iterated_laplacians(_laplacian_seed(parity, m, k), m, "x")
 
 
-def clifford_route(m: int, k: int) -> tuple[rx.RadialExpr, rx.RadialExpr]:
-    """(Lap_y Lap_x)^m [((x y^c)^(k+2m))_0] and its prediction (beta_hat/2) Z.
+def clifford_route(m: int, k: int) -> rx.RadialExpr:
+    """(Lap_y Lap_x)^m [((x y^c)^(k+2m))_0] over R^(2m+2).
 
-    Ambient space R^(2m+2); returns (computed, predicted) for equality
-    testing.  m = 0 is the plane identity ((x y^c)^k)_0 = Z/2.
+    The result should equal (beta_hat(m, k)/2) * zonal_direct(2m+1, k);
+    m = 0 is the plane identity ((x y^c)^k)_0 = Z/2.
     """
-    predicted = zonal_direct(2 * m + 1, k).scale(beta_hat(m, k) / 2)
-    return _paravector_laplacians(m, k), predicted
+    return _paravector_laplacians(m, k)
 
 
 def _paravector_laplacians(m: int, k: int) -> rx.RadialExpr:
@@ -347,18 +306,19 @@ def _paravector_laplacians(m: int, k: int) -> rx.RadialExpr:
     return _iterated_laplacians(za.xyc_power_real_invariant(k + 2 * m, 2 * m + 2), m, "xy")
 
 
-def kelvin_route(n: int, k: int) -> tuple[rx.RadialExpr, Fraction]:
-    """Kelvin[Lap_x^((n-1)/2) ((x y^(-1))^(-k))_0] with the stated constant.
+def kelvin_route(n: int, k: int) -> rx.RadialExpr:
+    """Kelvin[Lap_x^((n-1)/2) ((x y^(-1))^(-k))_0] over R^(n+1), odd n.
 
     ((x y^(-1))^(-k))_0 = ((x y^c)^k)_0 |x|^(-2k) after the |y|^(2k)
-    rescaling.  Returns (result, reference constant); the suites additionally
-    compare against kelvin_constant_observed and report both.
+    rescaling.  The result is a multiple of zonal_direct(n, k); the suites
+    compare it with both kelvin_constant_reference and
+    kelvin_constant_observed and report both.
     """
     if n % 2 != 1:
-        raise ValueError("even n needs a fractional Laplacian power; out of scope")
+        raise ValueError("inversion route needs odd n (integer Laplacian power)")
     if k < 1:
         raise ValueError("inversion route needs k >= 1")
-    return _inversion_route((n - 1) // 2, k), kelvin_constant_reference(n, k)
+    return _inversion_route((n - 1) // 2, k)
 
 
 def _inversion_route(m: int, k: int) -> rx.RadialExpr:
@@ -391,8 +351,6 @@ class EtaRelationResult:
     lhs: rx.RadialExpr
     rhs_raw: rx.RadialExpr
     measured: Fraction | None
-    reference: Fraction
-    observed: Fraction
 
 
 def proportionality_ratio(lhs: rx.RadialExpr, rhs: rx.RadialExpr) -> Fraction | None:
@@ -407,17 +365,15 @@ def proportionality_ratio(lhs: rx.RadialExpr, rhs: rx.RadialExpr) -> Fraction | 
 def eta_relation(m: int, k: int) -> EtaRelationResult:
     """Compare (Lap_y Lap_x)^m ((x y^c)^(k+2m))_0 with Kelvin[Lap^m ((x y^-1)^-k)_0].
 
-    The measured proportionality constant is reported against both closed
-    forms; agreement with one and not the other is the structured finding,
-    never a silent fix.
+    The suites report the measured proportionality constant against both
+    closed forms, eta_reference and eta_observed; agreement with one and not
+    the other is the structured finding, never a silent fix.
     """
     if k < 1:
         raise ValueError("bridge identity needs k >= 1")
     lhs = _paravector_laplacians(m, k)
     rhs_raw = _inversion_route(m, k)
-    measured = proportionality_ratio(lhs, rhs_raw)
-    return EtaRelationResult(m, k, lhs, rhs_raw, measured,
-                             eta_reference(m, k), eta_observed(m, k))
+    return EtaRelationResult(m, k, lhs, rhs_raw, proportionality_ratio(lhs, rhs_raw))
 
 
 # ---------------------------------------------------------------------------

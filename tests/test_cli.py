@@ -51,6 +51,22 @@ def test_expand_invalid_parameters_exit_2(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("flags, message", [
+    (("laplacian_odd", "--n", "5", "--m", "1", "--k", "2"), "n = 2m+2"),
+    (("kelvin", "--n", "4", "--k", "2"), "needs odd n"),
+    (("kelvin", "--n", "3", "--k", "0"), "k >= 1"),
+    (("ladder", "--n", "1", "--k", "2"), "n >= 2"),
+    (("clifford", "--m", "-1", "--k", "2"), "m must be nonnegative"),
+    (("laplacian_odd", "--m", "-1", "--k", "2"), "m must be nonnegative"),
+], ids=["laplacian_odd_n", "kelvin_even_n", "kelvin_k0", "ladder_n1", "clifford_m_negative",
+        "laplacian_m_negative"])
+def test_route_domain_error_exit_2(capsys, flags, message):
+    code, out, err = run_cli(capsys, "expand", "--route", *flags)
+    assert code == 2
+    assert out == ""
+    assert message in err
+
+
 def test_expand_term_budget_guard(capsys):
     code, _, err = run_cli(capsys, "expand", "--route", "laplacian_odd", "--k", "6",
                            "--m", "3", "--max-terms", "1000")
@@ -81,6 +97,14 @@ def test_coeff_domain_error_exit_2(capsys):
     assert code == 2
     code, _, err = run_cli(capsys, "coeff", "alpha", "--m", "1")
     assert code == 2
+    # Lap x0 |x|^-2 = -2 x0 |x|^-4 on R^3: a negative ell is outside lap_c's domain, not 0
+    code, out, err = run_cli(capsys, "coeff", "c", "--N", "3", "--j", "1", "--ell", "-1",
+                             "--k", "1")
+    assert code == 2 and out == "" and "ell" in err
+    for which in ("alpha", "beta"):
+        code, out, err = run_cli(capsys, "coeff", which, "--m", "1", "--k", "2",
+                                 "--lambda", "1/0")
+        assert code == 2 and out == "" and "--lambda" in err
 
 
 def test_verify_small_suite_exit_codes(capsys):

@@ -6,7 +6,6 @@ import pytest
 from zonalkit import radialexpr as rx
 from zonalkit.gegenbauer import (
     chebyshev_T,
-    eval_float,
     gegenbauer,
     telescoping_coefficients,
     zonal_direct,
@@ -40,7 +39,7 @@ def test_parity_and_leading_coefficient():
             for j, c in enumerate(p.coeffs):
                 if (k - j) % 2 == 1:
                     assert c == 0
-            assert p.leading() == Fraction(2) ** k * pochhammer(lam, k) / factorial(k)
+            assert p.coeffs[-1] == Fraction(2) ** k * pochhammer(lam, k) / factorial(k)
 
 
 def test_chebyshev_values():
@@ -60,22 +59,14 @@ def test_chebyshev_from_order_one_difference():
         assert lhs == rhs
 
 
-def test_eval_float_at_one_and_zero():
-    # C_k^lam(1) = poch(2 lam, k)/k!
+def test_values_at_one_and_zero():
+    # C_k^lam(1) = poch(2 lam, k)/k!, exactly: the value at 1 is the coefficient sum
     for k in (0, 1, 2, 5):
         for lam in (HALF, Fraction(1), Fraction(2)):
-            want = float(pochhammer(2 * lam, k) / factorial(k))
-            assert abs(eval_float(gegenbauer(k, lam), 1.0) - want) < 1e-12
-    assert abs(eval_float(gegenbauer(2, Fraction(1)), 1.0) - 3.0) < 1e-14
-    assert abs(eval_float(gegenbauer(2, HALF), 0.0) + 0.5) < 1e-14
-    assert eval_float(chebyshev_T(7), 1.0) == pytest.approx(1.0, abs=1e-13)
-
-
-def test_eval_float_outside_unit_interval():
-    p = gegenbauer(4, Fraction(3, 2))
-    t = 1.75
-    direct = sum(float(c) * t ** j for j, c in enumerate(p.coeffs))
-    assert abs(eval_float(p, t) - direct) < 1e-10
+            assert sum(gegenbauer(k, lam).coeffs) == pochhammer(2 * lam, k) / factorial(k)
+    assert sum(gegenbauer(2, Fraction(1)).coeffs) == 3
+    assert gegenbauer(2, HALF).coeffs[0] == Fraction(-1, 2)
+    assert sum(chebyshev_T(7).coeffs) == 1
 
 
 def test_zonal_direct_examples():

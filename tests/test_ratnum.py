@@ -2,9 +2,9 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import given, strategies as st
 
-from zonalkit.ratnum import binomial, factorial, gamma_ratio, pochhammer, sqrt_exact
+from zonalkit.ratnum import binomial, factorial, pochhammer, sqrt_exact
 
 rationals = st.fractions(min_value=-(10**6), max_value=10**6, max_denominator=10**4)
 
@@ -24,35 +24,6 @@ def test_pochhammer_rejects_negative_count():
 @given(a=rationals, j=st.integers(0, 8), m=st.integers(0, 8))
 def test_pochhammer_splits(a, j, m):
     assert pochhammer(a, j + m) == pochhammer(a, j) * pochhammer(a + j, m)
-
-
-def test_gamma_ratio_examples():
-    assert gamma_ratio(Fraction(7, 3), Fraction(7, 3)) == 1
-    k = 2
-    assert gamma_ratio(k + 3, k + 1) == (k + 1) * (k + 2)
-    assert gamma_ratio(Fraction(5, 2), Fraction(1, 2)) == Fraction(3, 4)
-
-
-def test_gamma_ratio_rejects_non_integer_shift():
-    with pytest.raises(ValueError):
-        gamma_ratio(Fraction(3, 2), Fraction(1))
-    with pytest.raises(ValueError):
-        gamma_ratio(Fraction(1), Fraction(3))
-
-
-def test_gamma_ratio_rejects_pole():
-    for a, b in ((1, -2), (0, 0), (Fraction(-1), Fraction(-3))):
-        with pytest.raises(ValueError):
-            gamma_ratio(a, b)
-
-
-@given(b=rationals, i=st.integers(0, 6), j=st.integers(0, 6))
-def test_gamma_ratio_transitive(b, i, j):
-    assume(not (b.denominator == 1 and b <= 0))  # b on a Gamma pole is rejected
-    a = b + i + j
-    c = b
-    mid = b + j
-    assert gamma_ratio(a, mid) * gamma_ratio(mid, c) == gamma_ratio(a, c)
 
 
 def test_binomial_conventions():

@@ -117,6 +117,12 @@ def test_all_suite_concatenates_with_suite_tags():
      "5f72ae11d6f47d31dcf5934d794f63b64025b6cd7c051e0f1beebed3568a5000"),
     ("kelvin", SuiteArgs(kmax=4),
      "16223941a1f0d9999f3a136de6da2a6761a08590fec7aed0cdd5632d203a8b7a"),
+    # the Laurent canonicaliser's suite, at its defaults
+    ("appendixA", SuiteArgs(),
+     "f80ec8ebdf77c84d83f3e10932d86f3b96841c0203d11608b174c0fd703d0c5c"),
+    # m = 3 runs in the invariant engine
+    ("laplacian", SuiteArgs(mmax=3, kmax=4),
+     "1bfe8f777dd41f552285893be1e755486a153812e115208a208719bd4488c70c"),
 ])
 def test_suite_report_bytes_are_pinned(suite, args, digest):
     # the routes may change engine; the cells, verdicts, digests and findings may not

@@ -22,7 +22,6 @@ def test_operator_rules_match_coordinate_engine(dim, mono):
     assert m.lap_x().to_radialexpr().equals(mr.laplacian("x"))
     assert m.lap_y().to_radialexpr().equals(mr.laplacian("y"))
     assert m.dir_deriv().to_radialexpr().equals(mr.dir_deriv())
-    assert m.kelvin_x().to_radialexpr().equals(mr.kelvin("x"))
 
 
 def test_ring_operations_match_coordinate_engine():
@@ -44,8 +43,10 @@ def naive_expansion(inv: za.ZonalInvariant) -> rx.RadialExpr:
     n = inv.dim
     out = rx.RadialExpr.zero(n, n)
     for (A, R, S), c in inv.terms.items():
-        out = out + c * rx.inner_xy(n) ** A * rx.norm_power("x", R, n, n) \
-            * rx.norm_power("y", S, n, n)
+        term = rx.norm_power("x", R, n, n) * rx.norm_power("y", S, n, n)
+        for _ in range(A):
+            term = term * rx.inner_xy(n)
+        out = out + c * term
     return out
 
 

@@ -20,6 +20,16 @@ def test_lap_c_values():
     assert zr.lap_c(4, 1, 1, 1) == 4 * (1 + 2)  # 4 poch(k+2,1) = 4(k+2), k=1
 
 
+def test_lap_c_rejects_negative_indices():
+    # Lap x0 |x|^-2 = -2 x0 |x|^-4 on R^3: ell = -1 is not annihilated, so no 0 is returned
+    f = rx.coordinate("x", 0, 3, 3) * rx.norm_power("x", -2, 3, 3)
+    assert f.laplacian("x").equals((f * rx.norm_power("x", -2, 3, 3)).scale(-2))
+    with pytest.raises(ValueError):
+        zr.lap_c(3, 1, -1, 1)
+    with pytest.raises(ValueError):
+        zr.lap_c(3, -1, 1, 1)
+
+
 def test_beta_composition_values():
     # the appendix specialisation: output degree k gives -16(k+3) at (m,lam)=(1,1),
     # i.e. -16(K+1) for input degree K = k+2
@@ -68,18 +78,6 @@ def test_fixed_y_prefactors():
     assert zr.fixed_y_prefactor("even", 1, 2) == Fraction(-16, 3)
 
 
-def test_route_spec_validation():
-    zr.RouteSpec("laplacian_odd", 4, 2, 1).validate()
-    with pytest.raises(ValueError):
-        zr.RouteSpec("laplacian_odd", 5, 2, 1).validate()
-    with pytest.raises(ValueError):
-        zr.RouteSpec("kelvin", 4, 2).validate()
-    with pytest.raises(ValueError):
-        zr.RouteSpec("kelvin", 3, 0).validate()
-    with pytest.raises(ValueError):
-        zr.RouteSpec("ladder", 1, 2).validate()
-
-
 # -- routes ------------------------------------------------------------------------
 
 def test_ladder_route_base_cases():
@@ -105,25 +103,23 @@ def test_ladder_requires_nontrivial_dimension():
 def test_laplacian_route_small():
     for parity, target in (("odd", 4), ("even", 3)):
         for k in range(4):
-            out, pref = zr.laplacian_route(parity, 1, k)
+            pref = zr.beta_tilde(1, k) if parity == "odd" else zr.beta_hat(1, k)
+            out = zr.laplacian_route(parity, 1, k)
             assert out.equals(zonal_direct(target, k).scale(pref)), (parity, k)
 
 
 def test_laplacian_route_m0_identity():
-    out, pref = zr.laplacian_route("even", 0, 3)
-    assert pref == 1
-    assert out.equals(zonal_direct(1, 3))
-    out, pref = zr.laplacian_route("odd", 0, 0)
-    assert out.equals(rx.constant(1, 3, 3))
+    assert zr.beta_hat(0, 3) == zr.beta_tilde(0, 3) == 1
+    assert zr.laplacian_route("even", 0, 3).equals(zonal_direct(1, 3))
+    assert zr.laplacian_route("odd", 0, 0).equals(rx.constant(1, 3, 3))
 
 
 def test_laplacian_invariant_agrees_with_coordinates():
     for parity in ("odd", "even"):
         for m in (1, 2):
             for k in (0, 1, 2):
-                ci, pi = zr.laplacian_route_invariant(parity, m, k)
-                cc, pc = zr.laplacian_route(parity, m, k)
-                assert pi == pc
+                ci = zr.laplacian_route_invariant(parity, m, k)
+                cc = zr.laplacian_route(parity, m, k)
                 assert ci.to_radialexpr().equals(cc), (parity, m, k)
 
 
@@ -131,41 +127,37 @@ def test_fixed_y_route_exact_with_degree_correction():
     for parity, target in (("odd", 4), ("even", 3)):
         m = 1
         for k in (0, 1, 2, 3):
-            out, pref = zr.laplacian_route_fixed_y(parity, m, k)
+            out = zr.laplacian_route_fixed_y(parity, m, k)
             nv = target + 1
             rhs = (zonal_direct(target, k)
-                   * (rx.quadratic_form("y", nv, nv) ** m)).scale(pref)
+                   * rx.quadratic_form("y", nv, nv)).scale(zr.fixed_y_prefactor(parity, m, k))
             assert out.equals(rhs), (parity, k)
 
 
 def test_fixed_y_route_m0_is_the_kernel():
     for parity, target in (("odd", 2), ("even", 1)):
         for k in range(4):
-            out, pref = zr.laplacian_route_fixed_y(parity, 0, k)
-            assert pref == 1
-            assert out.equals(zonal_direct(target, k).scale(pref)), (parity, k)
+            assert zr.fixed_y_prefactor(parity, 0, k) == 1
+            out = zr.laplacian_route_fixed_y(parity, 0, k)
+            assert out.equals(zonal_direct(target, k)), (parity, k)
 
 
 def test_clifford_route_small():
-    for m in (0, 1):
-        for k in range(1, 4):
-            lhs, rhs = zr.clifford_route(m, k)
-            assert lhs.equals(rhs), (m, k)
-    lhs, rhs = zr.clifford_route(1, 0)
-    assert lhs.equals(rhs)
+    for m, k in [(0, 1), (0, 2), (0, 3), (1, 0), (1, 1), (1, 2), (1, 3)]:
+        rhs = zonal_direct(2 * m + 1, k).scale(zr.beta_hat(m, k) / 2)
+        assert zr.clifford_route(m, k).equals(rhs), (m, k)
 
 
 def test_kelvin_route_measured_constants():
     for n in (1, 3, 5):
         for k in (1, 2, 3):
-            result, reference = zr.kelvin_route(n, k)
-            measured = zr.proportionality_ratio(result, zonal_direct(n, k))
+            measured = zr.proportionality_ratio(zr.kelvin_route(n, k), zonal_direct(n, k))
             assert measured == zr.kelvin_constant_observed(n, k), (n, k)
-            assert (measured == reference) == (n == 1), (n, k)
+            assert (measured == zr.kelvin_constant_reference(n, k)) == (n == 1), (n, k)
 
 
 def test_kelvin_route_rejects_even_dimension():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="needs odd n"):
         zr.kelvin_route(4, 2)
     with pytest.raises(ValueError):
         zr.kelvin_route(3, 0)
@@ -176,8 +168,8 @@ def test_eta_relation_results():
         for k in (1, 2):
             res = zr.eta_relation(m, k)
             assert res.measured is not None
-            assert res.measured == res.observed
-            assert (res.measured == res.reference) == (m == 0), (m, k)
+            assert res.measured == zr.eta_observed(m, k)
+            assert (res.measured == zr.eta_reference(m, k)) == (m == 0), (m, k)
 
 
 def test_proportionality_ratio():
