@@ -5,10 +5,12 @@ computes both sides of one exact identity (or one numeric check with a
 stated tolerance), and reports pass/fail together with digests of the two
 sides and, on failure, a witness (the nonzero difference or the numeric
 pair).  A cell whose runner raises is reported as ``error`` with the
-exception as its witness, and the other cells still run.  Cells never share
-mutable state, so the runner may fan them out across a process pool; reports
-are merged in construction order, which makes the JSON output deterministic
-for a fixed seed.
+exception as its witness, and the other cells still run.  Cells share no
+mutable state: within one run the two cells of a kelvin or eta pair share one
+immutable route result (``zonalroutes.paired_cells``), and every other cell
+computes its own.  So the runner may fan the cells out across a process pool,
+splitting a pair or not; reports are merged in construction order, which
+makes the JSON output deterministic for a fixed seed.
 
 Every suite is declared once, in ``_SUITES`` at the end of this module: its
 default ranges, its cell builder, its cell runner and its optional findings.
@@ -31,6 +33,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from itertools import islice
 from typing import Callable
 
 import numpy as np
@@ -128,14 +131,15 @@ def _digest_float(x: float) -> str:
 
 
 def _expr_witness(diff: rx.RadialExpr, cap: int = 24) -> dict:
-    terms = diff.sorted_terms()
+    """The first ``cap`` terms of a nonzero difference, in canonical order."""
+    xexps, yexps, rows = diff._rows()
     shown = [
-        {"xexp": list(xe), "yexp": list(ye), "px": px, "py": py,
-         "num": str(c.numerator), "den": str(c.denominator)}
-        for xe, ye, px, py, c in terms[:cap]
+        {"xexp": list(xexps[i]), "yexp": list(yexps[j]), "px": px, "py": py,
+         "num": str(num), "den": str(den)}
+        for i, j, px, py, num, den in islice(rows, cap)
     ]
-    return {"kind": "expr_diff", "nonzero_terms": len(terms), "terms": shown,
-            "truncated": len(terms) > cap}
+    return {"kind": "expr_diff", "nonzero_terms": len(diff), "terms": shown,
+            "truncated": len(diff) > cap}
 
 
 def _cell(params: dict, ok: bool, lhs_digest: str, rhs_digest: str,
@@ -443,7 +447,7 @@ def _run_clifford(params: dict) -> Cell:
         # Lap_4 (x^(k+2))_0 = -2 (k+2)/(k+1) Z_k(x, 1) with the unit pole
         k = params["k"]
         one = (1, 0, 0, 0)
-        lhs = ca.xyc_power_real(k + 2, 4).substitute_point("y", one).laplacian("x")
+        lhs = za.xyc_power_real_invariant(k + 2, 4).to_radialexpr(y=one).laplacian("x")
         rhs = zonal_direct(3, k).substitute_point("y", one).scale(Fraction(-2 * (k + 2), k + 1))
         return _expr_cell(params, lhs, rhs)
     raise ValueError(f"unknown check {params['check']!r}")
@@ -834,11 +838,12 @@ def run_suite(suite: str, args: SuiteArgs | None = None, threads: int = 1) -> Ve
                              f"kmax={args.kmax}, mmax={args.mmax}")
         items.extend((name, params) for params in cells)
     workers = min(threads, len(items), os.cpu_count() or 1)
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            cells = list(pool.map(_execute, items, chunksize=1))
-    else:
-        cells = [_execute(it) for it in items]
+    with zr.paired_cells():
+        if workers > 1:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                cells = list(pool.map(_execute, items, chunksize=1))
+        else:
+            cells = [_execute(it) for it in items]
     if suite == "all":
         for (name, _), cell in zip(items, cells):
             cell.params = {"suite": name, **cell.params}

@@ -37,9 +37,10 @@ from __future__ import annotations
 import hashlib
 import json
 from fractions import Fraction
+from typing import Sequence
 
 from . import radialexpr as rx
-from .ratnum import binomial
+from .ratnum import binomial, sqrt_exact
 
 Key = tuple[int, int, int]
 
@@ -135,20 +136,47 @@ class ZonalInvariant:
 
     # -- conversion / reporting -----------------------------------------------
 
-    def to_radialexpr(self) -> rx.RadialExpr:
-        """Expand into coordinates (feasible sizes only), by :meth:`_horner`."""
+    def to_radialexpr(self, y: Sequence | None = None) -> rx.RadialExpr:
+        """Expand into coordinates (feasible sizes only), by :meth:`_horner`.
+
+        With a rational point ``y`` = p the y group is fixed at p during the
+        expansion: <x,y> becomes the linear form <x,p>, Q_y the number |p|^2
+        and the y radial floor |y|^s0 the number |p|^s0, so no y monomial is
+        ever built.  The result equals
+        ``to_radialexpr().substitute_point("y", y)`` term for term, and it
+        raises :class:`~zonalkit.radialexpr.PoleError` where that does.
+        """
         n = self.dim
-        a = rx.inner_xy(n)
         qx = [rx.constant(1, n, n)]
-        qy = [rx.constant(1, n, n)]
+        if y is None:
+            a = rx.inner_xy(n)
+            qy = [rx.constant(1, n, n)]
+
+            def quadratic(i: int, j: int, c: Fraction) -> rx.RadialExpr:
+                return _power(qx, "x", i).scale(c) * _power(qy, "y", j)
+
+            def y_floor(out: rx.RadialExpr, s0: int) -> rx.RadialExpr:
+                return out * rx.norm_power("y", s0, n, n)
+        else:
+            if len(y) != n:
+                raise ValueError(f"point has {len(y)} coordinates, group needs {n}")
+            pt = [Fraction(v) for v in y]
+            zeros = (0,) * n
+            a = rx.from_terms(n, n, [(tuple(int(i == j) for j in range(n)), zeros, 0, 0, v)
+                                     for i, v in enumerate(pt) if v])
+            q = sum(v * v for v in pt)
+
+            def quadratic(i: int, j: int, c: Fraction) -> rx.RadialExpr:
+                return _power(qx, "x", i).scale(c * q ** j)
+
+            def y_floor(out: rx.RadialExpr, s0: int) -> rx.RadialExpr:
+                return out.scale(_norm_value(q, s0))
         parts = []
-        for r0, s0, out in self._horner(
-                rx.RadialExpr.zero(n, n), lambda f: f * a,
-                lambda i, j, c: _power(qx, "x", i).scale(c) * _power(qy, "y", j)):
+        for r0, s0, out in self._horner(rx.RadialExpr.zero(n, n), lambda f: f * a, quadratic):
             if r0:
                 out = out * rx.norm_power("x", r0, n, n)
             if s0:
-                out = out * rx.norm_power("y", s0, n, n)
+                out = y_floor(out, s0)
             parts.append(out)
         if not parts:
             return rx.RadialExpr.zero(n, n)
@@ -225,6 +253,19 @@ def _radial_floor(powers) -> int:
     """
     low = min(powers)
     return low if low < 0 else low & 1
+
+
+def _norm_value(q: Fraction, s: int) -> Fraction:
+    """|p|^s for a rational point p with |p|^2 = q, s != 0."""
+    if s < 0 and q == 0:
+        raise rx.PoleError("substitution point at the origin with negative radial power")
+    half, odd = divmod(s, 2)
+    if not odd:
+        return q ** half
+    sq = sqrt_exact(q)
+    if sq is None:
+        raise rx.PoleError(f"odd radial power needs a perfect-square |pt|^2; got {q}")
+    return q ** half * sq
 
 
 def _power(table: list[rx.RadialExpr], group: rx.VarGroup, i: int) -> rx.RadialExpr:

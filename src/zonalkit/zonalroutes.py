@@ -32,6 +32,17 @@ route applies |x|^(-2k), the Laplacians and Kelvin as one composed
 operator.  The expressions they are compared with (``zonal_direct``) come
 from the full coordinate expander.
 
+Paired cells.  The ``kelvin`` and ``eta`` suites check each case twice, once
+against the stated constant and once against the observed one, in adjacent
+cells.  The two route cores behind them, ``_inversion_route`` (``kelvin_route``
+and the eta right-hand side) and ``_paravector_laplacians`` (``clifford_route``
+and the eta left-hand side), are :class:`_LastResult` memos: while
+:func:`paired_cells` is open they keep their most recent result, one entry
+each, so the second cell of a pair takes the first one's expression.  The
+context is empty when it opens and when it closes; outside it every call
+computes afresh.  The public routes stay plain functions, and
+``zonal_direct`` is never memoised.
+
 Coefficient conventions.  The iterated-Laplacian prefactor is *defined* as
 the composition alpha * c^2 of the telescoping coefficient with the squared
 radial-Laplacian eigenvalue, which is the form the two underlying lemmas
@@ -49,10 +60,11 @@ from __future__ import annotations
 
 import math
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import methodcaller
-from typing import Literal
+from typing import Callable, Iterator, Literal
 
 import numpy as np
 
@@ -69,8 +81,17 @@ Parity = Literal["odd", "even"]
 # coefficient set
 # ---------------------------------------------------------------------------
 
+def _check_counts(m: int, k: int) -> None:
+    """The coefficients below need a Laplacian count m >= 0 and a degree k >= 0."""
+    if m < 0:
+        raise ValueError(f"Laplacian count m must be nonnegative, got m={m}")
+    if k < 0:
+        raise ValueError(f"degree k must be nonnegative, got k={k}")
+
+
 def alpha_top(m: int, lam, k: int) -> Fraction:
     """Top telescoping coefficient: (-1)^m poch(lam, m) / poch(lam+k+m+1, m)."""
+    _check_counts(m, k)
     lam = Fraction(lam)
     return (-1) ** m * pochhammer(lam, m) / pochhammer(lam + k + m + 1, m)
 
@@ -79,15 +100,17 @@ def alpha_hat_top(m: int, k: int) -> Fraction:
     """Chebyshev analogue of alpha_top, for m >= 1."""
     if m < 1:
         raise ValueError("the Chebyshev telescoping coefficient needs m >= 1")
+    _check_counts(m, k)
     return (-1) ** m * factorial(m - 1) / pochhammer(Fraction(k + m + 1), m - 1)
 
 
 def lap_c(N, j: int, ell: int, k: int) -> Fraction:
     """Eigenvalue of Lap^j on |x|^(2 ell) H_k in R^N: 0 for j > ell, else
     4^j ell!/(ell-j)! Gamma(k+ell+N/2)/Gamma(k+ell-j+N/2); j, ell >= 0 only,
-    as ell < 0 breaks the rule (on R^3, Lap x_0 |x|^-2 = -2 x_0 |x|^-4)."""
-    if j < 0 or ell < 0:
-        raise ValueError(f"lap_c needs j >= 0 and ell >= 0, got j={j}, ell={ell}")
+    as ell < 0 breaks the rule (on R^3, Lap x_0 |x|^-2 = -2 x_0 |x|^-4), and
+    k >= 0, the degree of H_k."""
+    if j < 0 or ell < 0 or k < 0:
+        raise ValueError(f"lap_c needs j, ell and k >= 0, got j={j}, ell={ell}, k={k}")
     if j > ell:
         return Fraction(0)
     half = Fraction(N, 2)
@@ -141,6 +164,7 @@ def beta_tilde_printed(m: int, k: int) -> Fraction:
 
 def beta_hat(m: int, k: int) -> Fraction:
     """Even-target prefactor; the printed closed form, which the composition confirms."""
+    _check_counts(m, k)
     if m == 0:
         return Fraction(1)
     return ((-1) ** m * Fraction(4) ** (2 * m) * (k + 2 * m)
@@ -202,6 +226,7 @@ def fixed_y_prefactor(parity: Parity, m: int, k: int) -> Fraction:
     """Single-sided (Lap_x only) prefactor for the iterated-Laplacian routes; 1 at m = 0."""
     if parity not in ("odd", "even"):
         raise ValueError(f"unknown parity {parity!r}")
+    _check_counts(m, k)
     if m == 0:
         return Fraction(1)
     if parity == "odd":
@@ -292,6 +317,53 @@ def laplacian_route_fixed_y(parity: Parity, m: int, k: int) -> rx.RadialExpr:
     return _iterated_laplacians(_laplacian_seed(parity, m, k), m, "x")
 
 
+class _LastResult:
+    """A route core that keeps its most recent result while a run is open.
+
+    One entry, ``(args, result)``; a call with other arguments drops it
+    before computing, so at most one result is held beyond its cell.  The
+    result is an immutable ``RadialExpr``, so the cells that share it
+    cannot disturb one another.
+    """
+
+    def __init__(self, fn: Callable[[int, int], rx.RadialExpr]):
+        self.fn = fn
+        self.entry: tuple[tuple[int, int], rx.RadialExpr] | None = None
+
+    def __call__(self, m: int, k: int) -> rx.RadialExpr:
+        if not _memo_open:
+            return self.fn(m, k)
+        entry = self.entry
+        if entry is not None and entry[0] == (m, k):
+            return entry[1]
+        self.entry = None
+        result = self.fn(m, k)
+        self.entry = ((m, k), result)
+        return result
+
+
+_memo_open = False
+
+
+@contextmanager
+def paired_cells() -> Iterator[None]:
+    """Let adjacent cells with the same route arguments share one result.
+
+    The memos start and end empty.  Pool workers forked inside the context
+    inherit it open; with another start method they compute every cell.
+    """
+    global _memo_open
+    for memo in _MEMOS:
+        memo.entry = None
+    _memo_open = True
+    try:
+        yield
+    finally:
+        _memo_open = False
+        for memo in _MEMOS:
+            memo.entry = None
+
+
 def clifford_route(m: int, k: int) -> rx.RadialExpr:
     """(Lap_y Lap_x)^m [((x y^c)^(k+2m))_0] over R^(2m+2).
 
@@ -301,6 +373,7 @@ def clifford_route(m: int, k: int) -> rx.RadialExpr:
     return _paravector_laplacians(m, k)
 
 
+@_LastResult
 def _paravector_laplacians(m: int, k: int) -> rx.RadialExpr:
     """(Lap_y Lap_x)^m ((x y^c)^(k+2m))_0 over R^(2m+2): clifford and the bridge's lhs."""
     return _iterated_laplacians(za.xyc_power_real_invariant(k + 2 * m, 2 * m + 2), m, "xy")
@@ -321,6 +394,7 @@ def kelvin_route(n: int, k: int) -> rx.RadialExpr:
     return _inversion_route((n - 1) // 2, k)
 
 
+@_LastResult
 def _inversion_route(m: int, k: int) -> rx.RadialExpr:
     """Kelvin[Lap_x^m ((x y^(-1))^(-k))_0] over R^(2m+2), in orbit form.
 
@@ -340,6 +414,9 @@ def _inversion_route(m: int, k: int) -> rx.RadialExpr:
         return g.kelvin("x")
 
     return OrbitForm.from_invariant(za.xyc_power_real_invariant(k, nvars)).apply(invert).unfold()
+
+
+_MEMOS = (_paravector_laplacians, _inversion_route)
 
 
 @dataclass(frozen=True)

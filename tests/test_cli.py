@@ -107,6 +107,19 @@ def test_coeff_domain_error_exit_2(capsys):
         assert code == 2 and out == "" and "--lambda" in err
 
 
+@pytest.mark.parametrize("flags", [
+    ("betaHat", "--m", "1", "--k", "-1"),
+    ("alpha", "--m", "1", "--k", "-3", "--lambda", "1"),
+    ("betaTilde", "--m", "1", "--k", "-1"),
+    ("c", "--N", "3", "--j", "1", "--ell", "1", "--k", "-1"),
+], ids=["betaHat", "alpha", "betaTilde", "c"])
+def test_coeff_negative_degree_exit_2(capsys, flags):
+    code, out, err = run_cli(capsys, "coeff", *flags)
+    assert code == 2
+    assert out == ""
+    assert "k=-" in err
+
+
 def test_verify_small_suite_exit_codes(capsys):
     code, out, _ = run_cli(capsys, "verify", "--suite", "monogenic", "--kmax", "3",
                            "--threads", "1")

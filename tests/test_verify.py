@@ -4,6 +4,7 @@ import json
 import pytest
 
 from zonalkit import verify
+from zonalkit import zonalroutes as zr
 from zonalkit.verify import SUITE_NAMES, SuiteArgs, run_suite
 
 SMALL = SuiteArgs(nmax=3, kmax=3, mmax=1, samples=20_000, seed=42)
@@ -74,6 +75,29 @@ def test_report_json_deterministic_and_thread_invariant():
     data = json.loads(a)
     assert set(data) == {"suite", "seed", "passed", "cells", "findings"}
     assert "elapsed_ms" not in data["cells"][0]
+    # two workers may split a (reference, observed) pair that shares one route result
+    for suite, args in (("kelvin", SuiteArgs(nmax=5, kmax=3)), ("eta", SuiteArgs(mmax=2, kmax=2))):
+        assert (run_suite(suite, args, threads=1).to_json()
+                == run_suite(suite, args, threads=2).to_json()), suite
+
+
+def test_route_memo_is_scoped_to_one_run(monkeypatch):
+    misses = []
+    compute = zr._inversion_route.fn
+    monkeypatch.setattr(zr._inversion_route, "fn",
+                        lambda m, k: misses.append((m, k)) or compute(m, k))
+    args = SuiteArgs(nmax=3, kmax=2)
+    first = run_suite("kelvin", args).to_json()
+    # 10 plane cells (m = 0) and the pairs at n = 3: each (m, k) computed once
+    assert len(misses) == 12 and len(set(misses)) == 12
+    assert all(memo.entry is None for memo in zr._MEMOS)
+    assert run_suite("kelvin", args).to_json() == first
+    assert len(misses) == 24  # a second run computes everything again
+    # outside a run nothing is kept
+    zr.kelvin_route(3, 1)
+    zr.kelvin_route(3, 1)
+    assert len(misses) == 26
+    assert all(memo.entry is None for memo in zr._MEMOS)
 
 
 def test_report_json_timings_flag():

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from zonalkit import radialexpr as rx
@@ -71,6 +72,63 @@ def test_expander_matches_naive_products_on_route_seeds():
         for k in range(5):
             inv = zonal_direct_invariant(n, k)
             assert inv.to_radialexpr().equals(naive_expansion(inv)), (n, k)
+
+
+def _poles(dim: int) -> list[tuple]:
+    """The unit pole, a rational unit point and a non-unit point of rational norm."""
+    pad = (0,) * (dim - 2)
+    return [(1, 0) + pad, (Fraction(3, 5), Fraction(4, 5)) + pad, (3, 4) + pad]
+
+
+@pytest.mark.parametrize("K", range(11))
+def test_pole_expansion_of_paravector_powers(K):
+    inv = za.xyc_power_real_invariant(K, 4)
+    full = inv.to_radialexpr()
+    for p in _poles(4):
+        at_pole = inv.to_radialexpr(y=p)
+        assert at_pole == full.substitute_point("y", p), p
+        assert at_pole.digest() == full.substitute_point("y", p).digest()
+
+
+def test_pole_expansion_of_direct_kernels():
+    for n in (1, 2, 3, 4):
+        for k in range(6):
+            inv = zonal_direct_invariant(n, k)
+            full = inv.to_radialexpr()
+            for p in _poles(n + 1):
+                assert inv.to_radialexpr(y=p) == full.substitute_point("y", p), (n, k, p)
+
+
+@settings(max_examples=60, deadline=None)
+@given(dim=st.integers(2, 4),
+       terms=st.lists(st.tuples(st.integers(0, 4), st.integers(-5, 5), st.integers(-5, 5),
+                                st.fractions(min_value=-20, max_value=20, max_denominator=4)),
+                      min_size=0, max_size=5),
+       which=st.integers(0, 4))
+def test_pole_expansion_matches_substitution(dim, terms, which):
+    # odd and negative radial floors included; (1, 1, ...) has no rational norm
+    inv = za.ZonalInvariant(dim)
+    for A, R, S, c in terms:
+        inv = inv + za.monomial(dim, A, R, S, c)
+    p = (_poles(dim) + [(0,) * dim, (1, 1) + (0,) * (dim - 2)])[which]
+    try:
+        expected = inv.to_radialexpr().substitute_point("y", p)
+    except rx.PoleError:
+        with pytest.raises(rx.PoleError):
+            inv.to_radialexpr(y=p)
+        return
+    assert inv.to_radialexpr(y=p) == expected
+
+
+def test_pole_expansion_negative_floor_at_origin_raises():
+    inv = za.xyc_power_real_invariant(-2, 4)  # |y|^-4 floor
+    origin = (0, 0, 0, 0)
+    with pytest.raises(rx.PoleError):
+        inv.to_radialexpr().substitute_point("y", origin)
+    with pytest.raises(rx.PoleError):
+        inv.to_radialexpr(y=origin)
+    with pytest.raises(ValueError, match="coordinates"):
+        inv.to_radialexpr(y=(1, 0, 0))
 
 
 def test_invariant_harmonicity():

@@ -30,6 +30,18 @@ def test_lap_c_rejects_negative_indices():
         zr.lap_c(3, -1, 1, 1)
 
 
+def test_coefficients_reject_a_negative_degree_or_count():
+    # beta_hat(1, -1) divided by k+m = 0; beta_hat(0, k) and lap_c returned values
+    for coefficient in (lambda: zr.beta_hat(1, -1), lambda: zr.beta_hat(0, -2),
+                        lambda: zr.beta_tilde(1, -1), lambda: zr.alpha_top(1, 1, -3),
+                        lambda: zr.alpha_hat_top(1, -1), lambda: zr.lap_c(3, 1, 1, -1),
+                        lambda: zr.fixed_y_prefactor("odd", 1, -1)):
+        with pytest.raises(ValueError, match="k"):
+            coefficient()
+    with pytest.raises(ValueError, match="count m"):
+        zr.beta_hat(-1, 2)
+
+
 def test_beta_composition_values():
     # the appendix specialisation: output degree k gives -16(k+3) at (m,lam)=(1,1),
     # i.e. -16(K+1) for input degree K = k+2
