@@ -33,8 +33,12 @@ def main() -> int:
     overall_ok = True
     for suite in args.suites:
         t0 = time.perf_counter()
-        report = run_suite(suite, SuiteArgs(seed=args.seed, samples=args.samples),
-                           threads=args.threads)
+        try:
+            report = run_suite(suite, SuiteArgs(seed=args.seed, samples=args.samples),
+                               threads=args.threads)
+        except ValueError as exc:  # a bad parameter: exit 2 with the message
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
         elapsed = time.perf_counter() - t0
         path = out_dir / f"{suite}.json"
         path.write_text(report.to_json())

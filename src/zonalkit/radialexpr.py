@@ -70,7 +70,7 @@ class RadialOverflow(OverflowError):
 
 
 class PoleError(ZeroDivisionError):
-    """Evaluation at a point where a negative radial power blows up."""
+    """A radial power with no exact value: negative at the origin, or odd of an irrational norm."""
 
 
 class _Layout:
@@ -458,9 +458,6 @@ class RadialExpr:
             return NotImplemented
         return self + (-other)
 
-    def __rsub__(self, other) -> "RadialExpr":
-        return (-self) + other
-
     def scale(self, c) -> "RadialExpr":
         c = Fraction(c)
         if c == 0:
@@ -664,70 +661,6 @@ class RadialExpr:
             elif deg != d:
                 return None
         return deg
-
-    def substitute_point(self, group: VarGroup, point: Sequence) -> "RadialExpr":
-        """Substitute exact rational values for one coordinate group.
-
-        Odd radial powers require the quadratic form at the point to be a
-        perfect rational square (e.g. any point with |pt| = 1).
-        """
-        shifts, rad_shift, n = self._group_data(group)
-        if len(point) != n:
-            raise ValueError(f"point has {len(point)} coordinates, group needs {n}")
-        pt = [Fraction(v) for v in point]
-        q = sum(v * v for v in pt)
-        sq = sqrt_exact(q)
-        rad_clear = self._lay.px_clear if group == "x" else self._lay.py_clear
-        clear_mask = rad_clear
-        for s in shifts:
-            clear_mask &= ~(_EXP_MASK << s)
-        bias_field = _RAD_BIAS << rad_shift
-        part_mask = ~clear_mask
-        # the value of each distinct substituted part (the group's monomial
-        # and radial power), from powers computed once each
-        coord_powers: dict[tuple[int, int], Fraction] = {}
-        radial_powers: dict[int, Fraction] = {}
-        values: dict[int, Fraction] = {}
-        for part in dict.fromkeys(key & part_mask for key in self._terms):
-            p = ((part >> rad_shift) & _RAD_MASK) - _RAD_BIAS
-            if p:
-                if p < 0 and q == 0:
-                    raise PoleError("substitution point at the origin with negative radial power")
-                if p % 2 and sq is None:
-                    raise PoleError(
-                        "odd radial power needs a perfect-square |pt|^2; "
-                        f"got {q}"
-                    )
-            v = Fraction(1)
-            for i, s in enumerate(shifts):
-                e = (part >> s) & _EXP_MASK
-                if e:
-                    f = coord_powers.get((i, e))
-                    if f is None:
-                        f = coord_powers[(i, e)] = pt[i] ** e
-                    v *= f
-            if p and v:
-                f = radial_powers.get(p)
-                if f is None:
-                    half, odd = divmod(p, 2)
-                    f = radial_powers[p] = q ** half * sq if odd else q ** half
-                v *= f
-            values[part] = v
-        # integer numerators over one common denominator
-        lcm = 1
-        for v in values.values():
-            lcm = lcm * v.denominator // math.gcd(lcm, v.denominator)
-        nums = {part: v.numerator * (lcm // v.denominator) for part, v in values.items() if v}
-        acc: dict[int, int] = {}
-        get = acc.get
-        for key, c in self._terms.items():
-            a = nums.get(key & part_mask)
-            if a:
-                k2 = (key & clear_mask) | bias_field
-                acc[k2] = get(k2, 0) + c * a
-        return _from_int_terms(self.nx, self.ny, acc, self._den * lcm,
-                               self._degx if group == "y" else 0,
-                               self._degy if group == "x" else 0)
 
     # -- evaluation ---------------------------------------------------------
 

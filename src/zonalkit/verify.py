@@ -448,7 +448,7 @@ def _run_clifford(params: dict) -> Cell:
         k = params["k"]
         one = (1, 0, 0, 0)
         lhs = za.xyc_power_real_invariant(k + 2, 4).to_radialexpr(y=one).laplacian("x")
-        rhs = zonal_direct(3, k).substitute_point("y", one).scale(Fraction(-2 * (k + 2), k + 1))
+        rhs = zonal_direct_invariant(3, k).to_radialexpr(y=one).scale(Fraction(-2 * (k + 2), k + 1))
         return _expr_cell(params, lhs, rhs)
     raise ValueError(f"unknown check {params['check']!r}")
 
@@ -759,7 +759,7 @@ def _run_reproducing(params: dict) -> Cell:
     n, k = params["n"], params["k"]
     dim = n + 1
     pole = _RATIONAL_UNITS[dim][0]
-    test_poly = zonal_direct(n, k).substitute_point("y", pole)
+    test_poly = zonal_direct_invariant(n, k).to_radialexpr(y=pole)
     if not test_poly.laplacian("x").is_zero():
         raise AssertionError("test polynomial must be harmonic")
     y = np.array([float(Fraction(v)) for v in pole])
@@ -826,6 +826,10 @@ def run_suite(suite: str, args: SuiteArgs | None = None, threads: int = 1) -> Ve
     for name in names:
         if name not in _SUITES:
             raise ValueError(f"unknown suite {name!r}")
+    for key in ("nmax", "kmax", "mmax", "seed"):
+        value = getattr(args, key)
+        if value is not None and value < 0:
+            raise ValueError(f"{key}={value} is out of range; ranges and seeds must be >= 0")
     filled: dict[str, SuiteArgs] = {}
     items: list[tuple[str, dict]] = []
     for name in names:

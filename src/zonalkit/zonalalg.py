@@ -28,8 +28,6 @@ Operator rules on a^A |x|^R |y|^S over R^N x R^N:
 
     Lap_x  ->  A(A-1) (A-2, R, S+2)  +  R(2A + N + R - 2) (A, R-2, S)
     Lap_y  ->  A(A-1) (A-2, R+2, S)  +  S(2A + N + S - 2) (A, R, S-2)
-    <y,grad_x>  ->  A (A-1, R, S+2)  +  R (A+1, R-2, S)
-    Kelvin_x    ->  (A, 2-N-2A-R, S)
 """
 
 from __future__ import annotations
@@ -123,17 +121,6 @@ class ZonalInvariant:
                 out[k] = out.get(k, Fraction(0)) + c * f
         return ZonalInvariant(N, out)
 
-    def dir_deriv(self) -> "ZonalInvariant":
-        out: dict[Key, Fraction] = {}
-        for (A, R, S), c in self.terms.items():
-            if A:
-                k = (A - 1, R, S + 2)
-                out[k] = out.get(k, Fraction(0)) + c * A
-            if R:
-                k = (A + 1, R - 2, S)
-                out[k] = out.get(k, Fraction(0)) + c * R
-        return ZonalInvariant(self.dim, out)
-
     # -- conversion / reporting -----------------------------------------------
 
     def to_radialexpr(self, y: Sequence | None = None) -> rx.RadialExpr:
@@ -142,9 +129,11 @@ class ZonalInvariant:
         With a rational point ``y`` = p the y group is fixed at p during the
         expansion: <x,y> becomes the linear form <x,p>, Q_y the number |p|^2
         and the y radial floor |y|^s0 the number |p|^s0, so no y monomial is
-        ever built.  The result equals
-        ``to_radialexpr().substitute_point("y", y)`` term for term, and it
-        raises :class:`~zonalkit.radialexpr.PoleError` where that does.
+        ever built.  The result equals the term-by-term substitution of p into
+        ``to_radialexpr()``: the same terms over the same denominator.  It
+        raises :class:`~zonalkit.radialexpr.PoleError` where |p|^s0 has no
+        exact value: s0 < 0 at p = 0, or s0 odd with |p|^2 not a rational
+        square.
         """
         n = self.dim
         qx = [rx.constant(1, n, n)]

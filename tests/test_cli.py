@@ -130,6 +130,11 @@ def test_verify_small_suite_exit_codes(capsys):
                            "--threads", "1")
     assert code == 1
     assert "FAIL" in out
+    # kmax = 0 is a valid range: only the ten plane cells run
+    code, out, _ = run_cli(capsys, "verify", "--suite", "kelvin", "--kmax", "0",
+                           "--threads", "1")
+    assert code == 0
+    assert "cells=10 pass=10" in out
 
 
 def test_verify_nmax_beyond_pole_table_exit_2(capsys):
@@ -140,10 +145,28 @@ def test_verify_nmax_beyond_pole_table_exit_2(capsys):
 
 
 def test_verify_empty_suite_exit_2(capsys):
-    code, _, err = run_cli(capsys, "verify", "--suite", "ladder", "--kmax", "-1",
+    # ladder starts at n = 2, so nmax = 1 leaves it without cells
+    code, _, err = run_cli(capsys, "verify", "--suite", "ladder", "--nmax", "1",
                            "--threads", "1")
     assert code == 2
     assert "no cells" in err
+
+
+@pytest.mark.parametrize("suite, flag, value", [
+    ("gegenbauer", "--kmax", "-5"),
+    ("appendixA", "--kmax", "-2"),
+    ("clifford", "--kmax", "-1"),
+    ("ladder", "--nmax", "-1"),
+    ("laplacian", "--mmax", "-1"),
+    ("poisson", "--seed", "-1"),
+    ("all", "--kmax", "-1"),
+])
+def test_verify_negative_range_or_seed_exit_2(capsys, suite, flag, value):
+    code, out, err = run_cli(capsys, "verify", "--suite", suite, flag, value,
+                             "--threads", "1")
+    assert code == 2
+    assert f"{flag[2:]}={value}" in err
+    assert out == ""
 
 
 @pytest.mark.parametrize("samples", ["0", "1", "-3"])
@@ -257,6 +280,16 @@ def test_module_entry_point_runs():
                           capture_output=True, text=True)
     assert done.returncode == 0
     assert done.stdout.startswith("usage: zonalkit")
+
+
+def test_batch_driver_bad_parameter_exit_2(tmp_path):
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    done = subprocess.run([sys.executable, str(root / "scripts" / "run_verification.py"),
+                           "--out-dir", str(tmp_path), "--seed", "-1", "--suites", "poisson"],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 2
+    assert "seed=-1" in done.stderr
 
 
 @pytest.mark.parametrize("flags", [

