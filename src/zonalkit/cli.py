@@ -120,6 +120,12 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         raise UsageError("--threads must be at least 1")
     sargs = SuiteArgs(nmax=args.nmax, kmax=args.kmax, mmax=args.mmax,
                       samples=args.samples, seed=args.seed)
+    if args.json not in (None, "-"):
+        try:  # fail before the run, not after it; append mode keeps an old report
+            open(args.json, "a", encoding="utf-8").close()
+        except OSError as exc:
+            print(f"cannot write report: {exc}", file=sys.stderr)
+            return EXIT_IO
     report = run_suite(args.suite, sargs, threads=args.threads)
     counts = report.counts()
     for cell in report.cells:

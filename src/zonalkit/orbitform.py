@@ -182,14 +182,11 @@ class OrbitForm:
         The distinct permutations of a representative's pairs are its
         placements: disjoint position sets, one per distinct nonzero pair,
         of the pair's multiplicity; the (0, 0) pairs fill what is left.  A
-        pair (a, b) on the positions of ``mask`` adds a * X[mask] + b * Y[mask]
-        to the key, where X[mask] and Y[mask] hold a one in each x and y field
-        of those positions.
+        pair (a, b) on a position set with field sums (xs, ys) adds
+        a * xs + b * ys to the key.
         """
-        lay = self._lay
         n = self.dim
-        zero = lay.zero_key
-        X, Y = _field_sums(n)
+        zero = self._lay.zero_key
         terms: dict[int, int] = {}
         degx = degy = 0
         for r, c in self._orbits.items():
@@ -198,8 +195,8 @@ class OrbitForm:
             degy = max(degy, dy)
             columns = _placements(n, tuple(m for _, _, m in counts))
             keys = [zero] * len(columns[0]) if columns else [zero]
-            for (a, b, _), masks in zip(counts, columns):
-                keys = list(map(add, keys, [a * X[mask] + b * Y[mask] for mask in masks]))
+            for (a, b, _), sums in zip(counts, columns):
+                keys = list(map(add, keys, [a * xs + b * ys for xs, ys in sums]))
             terms.update(dict.fromkeys(keys, c))
         return rx.RadialExpr._make(n, n, terms, self._den, degx, degy,
                                    radial_free_hint=True, no_zeros=True)
@@ -239,22 +236,13 @@ def _orbit(r: int, dim: int) -> tuple[int, int, int, tuple[tuple[int, int, int],
             tuple((a, b, m) for (a, b), m in counts.items()))
 
 
-@lru_cache(maxsize=None)
-def _field_sums(dim: int) -> tuple[list[int], list[int]]:
-    """``(X, Y)``: for each position mask, a one in each x (y) field it holds."""
-    lay = rx._layout(dim, dim)
-    X, Y = [0], [0]
-    for sx, sy in zip(lay.x_shifts, lay.y_shifts):
-        X += [v + (1 << sx) for v in X]
-        Y += [v + (1 << sy) for v in Y]
-    return X, Y
-
-
 @lru_cache(maxsize=1 << 10)
-def _placements(dim: int, mults: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-    """Every choice of disjoint position masks of sizes ``mults`` among ``dim``.
+def _placements(dim: int, mults: tuple[int, ...]) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """Every choice of disjoint position sets of sizes ``mults`` among ``dim``.
 
-    One column per multiplicity: the i-th choice is the i-th mask of each.
+    One column per multiplicity: the i-th choice is the i-th entry of each.
+    An entry holds its set's field sums ``(xs, ys)``: a one in each x and
+    each y field of the set's positions.
     """
     placed = [((), (1 << dim) - 1)]
     for m in mults:
@@ -265,4 +253,11 @@ def _placements(dim: int, mults: tuple[int, ...]) -> tuple[tuple[int, ...], ...]
                 mask = sum(chosen)
                 nxt.append((masks + (mask,), free ^ mask))
         placed = nxt
-    return tuple(zip(*(masks for masks, _ in placed)))
+    columns = tuple(zip(*(masks for masks, _ in placed)))
+    lay = rx._layout(dim, dim)
+    fields = list(enumerate(zip(lay.x_shifts, lay.y_shifts)))
+    # one (xs, ys) per distinct position set, shared by every entry that holds it
+    sums = {mask: (sum(1 << sx for i, (sx, _) in fields if mask >> i & 1),
+                   sum(1 << sy for i, (_, sy) in fields if mask >> i & 1))
+            for mask in set().union(*columns)}
+    return tuple(tuple(map(sums.__getitem__, column)) for column in columns)

@@ -913,21 +913,8 @@ def from_terms(nx: int, ny: int,
     den = 1
     for coef in acc.values():
         den = den * coef.denominator // math.gcd(den, coef.denominator)
-    return _from_int_terms(nx, ny, {k: int(coef * den) for k, coef in acc.items()},
-                           den, degx, degy)
-
-
-def _from_int_terms(nx: int, ny: int, terms: dict[int, int], den: int,
-                    degx: int, degy: int) -> RadialExpr:
-    """Build from integer numerators over ``den``; a zero degree bound is recomputed."""
-    terms = {k: v for k, v in terms.items() if v}
-    if degx == 0 or degy == 0:
-        lay = _layout(nx, ny)
-        for key in terms:
-            xe, ye, px, py = lay.unpack(key)
-            degx = max(degx, sum(xe) + max(px, 0))
-            degy = max(degy, sum(ye) + max(py, 0))
-    return RadialExpr._make(nx, ny, terms, den, degx, degy)
+    return RadialExpr._make(nx, ny, {k: int(coef * den) for k, coef in acc.items()},
+                            den, degx, degy)
 
 
 def constant(c, nx: int, ny: int) -> RadialExpr:

@@ -5,12 +5,13 @@ computes both sides of one exact identity (or one numeric check with a
 stated tolerance), and reports pass/fail together with digests of the two
 sides and, on failure, a witness (the nonzero difference or the numeric
 pair).  A cell whose runner raises is reported as ``error`` with the
-exception as its witness, and the other cells still run.  Cells share no
-mutable state: within one run the two cells of a kelvin or eta pair share one
-immutable route result (``zonalroutes.paired_cells``), and every other cell
-computes its own.  So the runner may fan the cells out across a process pool,
-splitting a pair or not; reports are merged in construction order, which
-makes the JSON output deterministic for a fixed seed.
+exception as its witness, and the other cells still run; if a pool worker
+dies, every cell left without a result is an ``error`` cell.  Cells share no
+mutable state: the two cells of a kelvin or eta pair may share one immutable
+route result (the one-entry route caches of ``zonalroutes``), and every
+other cell computes its own.  So the runner may fan the cells out across a
+process pool, splitting a pair or not; reports are merged in construction
+order, which makes the JSON output deterministic for a fixed seed.
 
 Every suite is declared once, in ``_SUITES`` at the end of this module: its
 default ranges, its cell builder, its cell runner and its optional findings.
@@ -31,6 +32,7 @@ import json
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import islice
@@ -736,10 +738,10 @@ def _run_poisson(params: dict) -> Cell:
 
 
 _RATIONAL_UNITS = {
-    # small exactly-unit vectors per dimension, used as kernel poles
-    3: ((Fraction(3, 5), Fraction(4, 5), 0), (1, 0, 0)),
-    4: ((Fraction(3, 5), 0, Fraction(4, 5), 0), (0, 1, 0, 0)),
-    5: ((Fraction(12, 13), Fraction(3, 13), 0, Fraction(4, 13), 0), (0, 0, 1, 0, 0)),
+    # a small exactly-unit vector per dimension, used as the kernel pole
+    3: (Fraction(3, 5), Fraction(4, 5), 0),
+    4: (Fraction(3, 5), 0, Fraction(4, 5), 0),
+    5: (Fraction(12, 13), Fraction(3, 13), 0, Fraction(4, 13), 0),
 }
 
 
@@ -758,7 +760,7 @@ def _cells_reproducing(args: SuiteArgs) -> list[dict]:
 def _run_reproducing(params: dict) -> Cell:
     n, k = params["n"], params["k"]
     dim = n + 1
-    pole = _RATIONAL_UNITS[dim][0]
+    pole = _RATIONAL_UNITS[dim]
     test_poly = zonal_direct_invariant(n, k).to_radialexpr(y=pole)
     if not test_poly.laplacian("x").is_zero():
         raise AssertionError("test polynomial must be harmonic")
@@ -807,14 +809,18 @@ _SUITES: dict[str, _Suite] = {
 SUITE_NAMES = tuple(_SUITES)
 
 
+def _error_cell(params: dict, exc: BaseException) -> Cell:
+    return Cell(params, "error", "", "",
+                {"kind": "exception", "type": type(exc).__name__, "message": str(exc)})
+
+
 def _execute(item: tuple[str, dict]) -> Cell:
     suite, params = item
     t0 = time.perf_counter()
     try:
         cell = _SUITES[suite].run(params)
     except Exception as exc:  # reported as an error cell; the other cells still run
-        cell = Cell(params, "error", "", "",
-                    {"kind": "exception", "type": type(exc).__name__, "message": str(exc)})
+        cell = _error_cell(params, exc)
     cell.elapsed_ms = (time.perf_counter() - t0) * 1000.0
     return cell
 
@@ -842,12 +848,17 @@ def run_suite(suite: str, args: SuiteArgs | None = None, threads: int = 1) -> Ve
                              f"kmax={args.kmax}, mmax={args.mmax}")
         items.extend((name, params) for params in cells)
     workers = min(threads, len(items), os.cpu_count() or 1)
-    with zr.paired_cells():
-        if workers > 1:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                cells = list(pool.map(_execute, items, chunksize=1))
-        else:
-            cells = [_execute(it) for it in items]
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            futures = [pool.submit(_execute, it) for it in items]
+        cells = []
+        for (_, params), future in zip(items, futures):
+            try:
+                cells.append(future.result())
+            except BrokenProcessPool as exc:  # a worker died: no result for this cell
+                cells.append(_error_cell(params, exc))
+    else:
+        cells = [_execute(it) for it in items]
     if suite == "all":
         for (name, _), cell in zip(items, cells):
             cell.params = {"suite": name, **cell.params}

@@ -36,12 +36,12 @@ Paired cells.  The ``kelvin`` and ``eta`` suites check each case twice, once
 against the stated constant and once against the observed one, in adjacent
 cells.  The two route cores behind them, ``_inversion_route`` (``kelvin_route``
 and the eta right-hand side) and ``_paravector_laplacians`` (``clifford_route``
-and the eta left-hand side), are :class:`_LastResult` memos: while
-:func:`paired_cells` is open they keep their most recent result, one entry
-each, so the second cell of a pair takes the first one's expression.  The
-context is empty when it opens and when it closes; outside it every call
-computes afresh.  The public routes stay plain functions, and
-``zonal_direct`` is never memoised.
+and the eta left-hand side), are ``lru_cache(maxsize=1)`` caches: each keeps
+its most recent result, so the second cell of a pair takes the first one's
+expression, and a call with other arguments replaces it.  The caches are
+not scoped to a run, and each holds at most one result, an immutable
+``RadialExpr`` that the cells sharing it cannot disturb.  The public routes
+stay plain functions, and ``zonal_direct`` is never memoised.
 
 Coefficient conventions.  The iterated-Laplacian prefactor is *defined* as
 the composition alpha * c^2 of the telescoping coefficient with the squared
@@ -60,11 +60,11 @@ from __future__ import annotations
 
 import math
 import warnings
-from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from operator import methodcaller
-from typing import Callable, Iterator, Literal
+from typing import Literal
 
 import numpy as np
 
@@ -317,53 +317,6 @@ def laplacian_route_fixed_y(parity: Parity, m: int, k: int) -> rx.RadialExpr:
     return _iterated_laplacians(_laplacian_seed(parity, m, k), m, "x")
 
 
-class _LastResult:
-    """A route core that keeps its most recent result while a run is open.
-
-    One entry, ``(args, result)``; a call with other arguments drops it
-    before computing, so at most one result is held beyond its cell.  The
-    result is an immutable ``RadialExpr``, so the cells that share it
-    cannot disturb one another.
-    """
-
-    def __init__(self, fn: Callable[[int, int], rx.RadialExpr]):
-        self.fn = fn
-        self.entry: tuple[tuple[int, int], rx.RadialExpr] | None = None
-
-    def __call__(self, m: int, k: int) -> rx.RadialExpr:
-        if not _memo_open:
-            return self.fn(m, k)
-        entry = self.entry
-        if entry is not None and entry[0] == (m, k):
-            return entry[1]
-        self.entry = None
-        result = self.fn(m, k)
-        self.entry = ((m, k), result)
-        return result
-
-
-_memo_open = False
-
-
-@contextmanager
-def paired_cells() -> Iterator[None]:
-    """Let adjacent cells with the same route arguments share one result.
-
-    The memos start and end empty.  Pool workers forked inside the context
-    inherit it open; with another start method they compute every cell.
-    """
-    global _memo_open
-    for memo in _MEMOS:
-        memo.entry = None
-    _memo_open = True
-    try:
-        yield
-    finally:
-        _memo_open = False
-        for memo in _MEMOS:
-            memo.entry = None
-
-
 def clifford_route(m: int, k: int) -> rx.RadialExpr:
     """(Lap_y Lap_x)^m [((x y^c)^(k+2m))_0] over R^(2m+2).
 
@@ -373,7 +326,7 @@ def clifford_route(m: int, k: int) -> rx.RadialExpr:
     return _paravector_laplacians(m, k)
 
 
-@_LastResult
+@lru_cache(maxsize=1)
 def _paravector_laplacians(m: int, k: int) -> rx.RadialExpr:
     """(Lap_y Lap_x)^m ((x y^c)^(k+2m))_0 over R^(2m+2): clifford and the bridge's lhs."""
     return _iterated_laplacians(za.xyc_power_real_invariant(k + 2 * m, 2 * m + 2), m, "xy")
@@ -394,7 +347,7 @@ def kelvin_route(n: int, k: int) -> rx.RadialExpr:
     return _inversion_route((n - 1) // 2, k)
 
 
-@_LastResult
+@lru_cache(maxsize=1)
 def _inversion_route(m: int, k: int) -> rx.RadialExpr:
     """Kelvin[Lap_x^m ((x y^(-1))^(-k))_0] over R^(2m+2), in orbit form.
 
@@ -414,9 +367,6 @@ def _inversion_route(m: int, k: int) -> rx.RadialExpr:
         return g.kelvin("x")
 
     return OrbitForm.from_invariant(za.xyc_power_real_invariant(k, nvars)).apply(invert).unfold()
-
-
-_MEMOS = (_paravector_laplacians, _inversion_route)
 
 
 @dataclass(frozen=True)

@@ -2,13 +2,14 @@ import csv
 import dataclasses
 import json
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from zonalkit import verify
+from zonalkit import cli, verify
 from zonalkit.cli import main
 
 
@@ -199,6 +200,31 @@ def test_verify_error_cell_exit_4(monkeypatch, capsys):
                                              "message": "injected"}
 
 
+def test_verify_dead_worker_gives_error_cells_exit_4(monkeypatch, capsys):
+    # one cell ends its worker process; the broken pool must not end the run
+    spec = verify._SUITES["monogenic"]
+    parent = os.getpid()
+
+    def runner(params):
+        if params["k"] == 1 and os.getpid() != parent:
+            os._exit(1)
+        return spec.run(params)
+
+    monkeypatch.setitem(verify._SUITES, "monogenic", dataclasses.replace(spec, run=runner))
+    monkeypatch.setattr(verify.os, "cpu_count", lambda: 2)  # a pool of two workers
+    code, out, _ = run_cli(capsys, "verify", "--suite", "monogenic", "--kmax", "3",
+                           "--threads", "2", "--json", "-")
+    assert code == 4
+    assert "BrokenProcessPool" in out
+    report = json.loads(out[out.index("\n{\n") + 1:])
+    cells = report["cells"]
+    assert [c["params"]["k"] for c in cells] == [0, 1, 2, 3]
+    assert {c["status"] for c in cells} <= {"pass", "error"}
+    assert cells[1]["status"] == "error"
+    assert cells[1]["witness"]["kind"] == "exception"
+    assert cells[1]["witness"]["type"] == "BrokenProcessPool"
+
+
 def test_verify_json_report_deterministic(tmp_path, capsys):
     p1 = tmp_path / "a.json"
     p2 = tmp_path / "b.json"
@@ -212,10 +238,47 @@ def test_verify_json_report_deterministic(tmp_path, capsys):
     assert data["seed"] == 7
 
 
-def test_verify_json_write_error_exit_3(capsys):
-    code, _, err = run_cli(capsys, "verify", "--suite", "monogenic", "--kmax", "1",
-                           "--threads", "1", "--json", "/nonexistent/dir/report.json")
+def test_verify_json_write_error_exit_3(monkeypatch, tmp_path, capsys):
+    # the path is checked before any cell runs
+    def run_suite(*args, **kwargs):
+        raise AssertionError("the run started")
+
+    monkeypatch.setattr(cli, "run_suite", run_suite)
+    code, out, err = run_cli(capsys, "verify", "--suite", "gegenbauer", "--threads", "1",
+                             "--json", "/nonexistent/dir/report.json")
     assert code == 3
+    assert "cannot write report" in err
+    assert out == ""
+    # a bad parameter still exits 2, and an old report is left as it was
+    monkeypatch.undo()
+    old = tmp_path / "old.json"
+    old.write_text("old report")
+    code, _, err = run_cli(capsys, "verify", "--suite", "gegenbauer", "--kmax", "-1",
+                           "--threads", "1", "--json", str(old))
+    assert code == 2
+    assert "kmax=-1" in err
+    assert old.read_text() == "old report"
+
+
+def test_expand_ladder_high_dimension_in_bounded_memory():
+    # n = 30 needs 31 terms; a cost exponential in n fails fast under the limit
+    def limit_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+    src = Path(__file__).resolve().parents[1] / "src"
+    # one BLAS thread: numpy's per-thread buffers would count against the address space
+    env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1")
+    script = ("import resource, subprocess, sys\n"
+              "done = subprocess.run(sys.argv[1:])\n"
+              "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss, file=sys.stderr)\n"
+              "sys.exit(done.returncode)\n")
+    done = subprocess.run([sys.executable, "-c", script, sys.executable, "-m", "zonalkit",
+                           "expand", "--route", "ladder", "--n", "30", "--k", "1"],
+                          env=env, capture_output=True, text=True, timeout=120,
+                          preexec_fn=limit_address_space)
+    assert done.returncode == 0, done.stderr
+    assert len(done.stdout.strip().split(" + ")) == 31
+    assert int(done.stderr.split()[-1]) < 100 * 1024  # peak RSS in KiB
 
 
 def test_table_zonal_coeffs(tmp_path, capsys):

@@ -1,5 +1,6 @@
 import hashlib
 import json
+from concurrent.futures import Future
 
 import pytest
 
@@ -81,23 +82,21 @@ def test_report_json_deterministic_and_thread_invariant():
                 == run_suite(suite, args, threads=2).to_json()), suite
 
 
-def test_route_memo_is_scoped_to_one_run(monkeypatch):
-    misses = []
-    compute = zr._inversion_route.fn
-    monkeypatch.setattr(zr._inversion_route, "fn",
-                        lambda m, k: misses.append((m, k)) or compute(m, k))
-    args = SuiteArgs(nmax=3, kmax=2)
-    first = run_suite("kelvin", args).to_json()
-    # 10 plane cells (m = 0) and the pairs at n = 3: each (m, k) computed once
-    assert len(misses) == 12 and len(set(misses)) == 12
-    assert all(memo.entry is None for memo in zr._MEMOS)
-    assert run_suite("kelvin", args).to_json() == first
-    assert len(misses) == 24  # a second run computes everything again
-    # outside a run nothing is kept
-    zr.kelvin_route(3, 1)
-    zr.kelvin_route(3, 1)
-    assert len(misses) == 26
-    assert all(memo.entry is None for memo in zr._MEMOS)
+@pytest.mark.parametrize("suite, args, caches", [
+    # 10 plane cells (m = 0) and the pairs at n = 3 (m = 1, k = 1, 2)
+    ("kelvin", SuiteArgs(nmax=3, kmax=2), {"_inversion_route": (12, 2)}),
+    # six (m, k) pairs; each cell of a pair asks both cores
+    ("eta", SuiteArgs(mmax=2, kmax=2),
+     {"_inversion_route": (6, 6), "_paravector_laplacians": (6, 6)}),
+], ids=["kelvin", "eta"])
+def test_route_caches_share_each_pair(suite, args, caches):
+    for name in caches:
+        getattr(zr, name).cache_clear()
+    first = run_suite(suite, args).to_json()
+    for name, (misses, hits) in caches.items():
+        info = getattr(zr, name).cache_info()
+        assert (info.misses, info.hits, info.currsize) == (misses, hits, 1), name
+    assert run_suite(suite, args).to_json() == first
 
 
 def test_report_json_timings_flag():
@@ -179,8 +178,10 @@ def test_worker_count_is_capped(monkeypatch, threads, cpus, expected):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, items, chunksize=1):
-            return map(fn, items)
+        def submit(self, fn, item):
+            future = Future()
+            future.set_result(fn(item))
+            return future
 
     monkeypatch.setattr(verify, "ProcessPoolExecutor", InlinePool)
     monkeypatch.setattr(verify.os, "cpu_count", lambda: cpus)

@@ -105,6 +105,11 @@ def test_ladder_route_matches_scaled_kernel():
             lhs = zr.ladder_route(n, k)
             rhs = zonal_direct(n, k).scale(zr.ladder_scale(n, k))
             assert lhs.equals(rhs), (n, k)
+    # unfold's cost follows its output, not 2^dim: n = 40 has 41 terms
+    for n in range(2, 41):
+        lhs = zr.ladder_route(n, 1)
+        assert lhs == zonal_direct(n, 1).scale(zr.ladder_scale(n, 1)), n
+        assert len(lhs) == n + 1
 
 
 def test_ladder_requires_nontrivial_dimension():
