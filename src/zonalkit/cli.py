@@ -21,7 +21,7 @@ import numpy as np
 from . import radialexpr as rx
 from . import zonalroutes as zr
 from .gegenbauer import zonal_direct
-from .verify import SUITE_NAMES, SuiteArgs, run_suite
+from .verify import SUITE_NAMES, SuiteArgs, plan_suite, run_suite
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -120,6 +120,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         raise UsageError("--threads must be at least 1")
     sargs = SuiteArgs(nmax=args.nmax, kmax=args.kmax, mmax=args.mmax,
                       samples=args.samples, seed=args.seed)
+    plan_suite(args.suite, sargs)  # a bad range exits 2 before the report path is touched
     if args.json not in (None, "-"):
         try:  # fail before the run, not after it; append mode keeps an old report
             open(args.json, "a", encoding="utf-8").close()

@@ -651,16 +651,13 @@ class RadialExpr:
         The zero expression has no distinguished degree and returns None.
         """
         shifts, rad_shift, _ = self._group_data(group)
-        deg: int | None = None
-        for key in self._terms:
-            d = ((key >> rad_shift) & _RAD_MASK) - _RAD_BIAS
-            for s in shifts:
-                d += (key >> s) & _EXP_MASK
-            if deg is None:
-                deg = d
-            elif deg != d:
-                return None
-        return deg
+        # a term's degree is read from one bit slice of its key: the group's
+        # monomial and radial fields, so each distinct slice is decoded once
+        mask = sum(_EXP_MASK << s for s in shifts) | (_RAD_MASK << rad_shift)
+        degrees = {((key >> rad_shift) & _RAD_MASK) - _RAD_BIAS
+                   + sum((key >> s) & _EXP_MASK for s in shifts)
+                   for key in {key & mask for key in self._terms}}
+        return degrees.pop() if len(degrees) == 1 else None
 
     # -- evaluation ---------------------------------------------------------
 
@@ -712,50 +709,9 @@ class RadialExpr:
         half-power is computed once per block and shared by every term, and
         each term multiplies its factors in the same order as a term-by-term
         evaluation would, so the result does not depend on the block size.
+        This is the one-expression call of :func:`eval_float_shared`.
         """
-        lay = self._lay
-        X = np.asarray(X, dtype=float)
-        Y = np.asarray(Y, dtype=float)
-        qx = np.sum(X * X, axis=1)
-        qy = np.sum(Y * Y, axis=1)
-        x_origin = bool(np.any(qx == 0.0))
-        y_origin = bool(np.any(qy == 0.0))
-        den = float(self._den)
-        # per term: its value c/den and its factors in multiplication order,
-        # each a (column, exponent) pair over the columns x_0.., y_0.., Q_x, Q_y
-        nx, ny = self.nx, self.ny
-        plan = []
-        for key, c in sorted(self._terms.items()):
-            px = (key & _RAD_MASK) - _RAD_BIAS
-            py = ((key >> _RAD_BITS) & _RAD_MASK) - _RAD_BIAS
-            if (px < 0 and x_origin) or (py < 0 and y_origin):
-                raise PoleError("pole at the origin")
-            factors = [(col, e) for col, s in enumerate(lay.x_shifts + lay.y_shifts)
-                       if (e := (key >> s) & _EXP_MASK)]
-            if px:
-                factors.append((nx + ny, px / 2.0))
-            if py:
-                factors.append((nx + ny + 1, py / 2.0))
-            plan.append((c / den, factors))
-        distinct = {f for _, factors in plan for f in factors}
-        rows = X.shape[0]
-        y_rows = Y.shape[0] != 1
-        total = np.zeros(rows)
-        buf = np.empty(min(rows, _EVAL_BLOCK))
-        for lo in range(0, rows, _EVAL_BLOCK):
-            hi = min(lo + _EVAL_BLOCK, rows)
-            Yb, qyb = (Y[lo:hi], qy[lo:hi]) if y_rows else (Y, qy)
-            cols = ([X[lo:hi, i] for i in range(nx)] + [Yb[:, j] for j in range(ny)]
-                    + [qx[lo:hi], qyb])
-            table = {(col, e): cols[col] ** e for col, e in distinct}
-            v = buf[:hi - lo]
-            block_total = total[lo:hi]
-            for value, factors in plan:
-                v.fill(value)
-                for f in factors:
-                    np.multiply(v, table[f], out=v)
-                block_total += v
-        return total
+        return eval_float_shared(X, [(self, Y)])[0]
 
     # -- comparison / serialisation -----------------------------------------
 
@@ -895,6 +851,116 @@ class RadialExpr:
 
     def __repr__(self) -> str:
         return f"<RadialExpr nx={self.nx} ny={self.ny} terms={len(self._terms)}>"
+
+
+# -- float evaluation ---------------------------------------------------------
+
+def _log2_cap(u: float, h: float) -> float:
+    """log2 of max(1, u**h) for u >= 0; inf when u is inf or NaN."""
+    if u == 0.0:
+        return 0.0
+    if not 0.0 < u < math.inf:
+        return math.inf
+    return max(0.0, h * math.log2(u))
+
+
+def eval_float_shared(X: np.ndarray,
+                      jobs: Sequence[tuple[RadialExpr, np.ndarray]]) -> list[np.ndarray]:
+    """Float values of several expressions at the same rows of X.
+
+    ``jobs`` holds ``(expr, Y)`` pairs, Y of 1 or s rows; the result for each
+    is the value :meth:`RadialExpr.eval_float_batch` documents, bit for bit.
+    Each block of rows builds one table of the distinct powers of the x
+    columns and of Q_x, shared by every job.  Q_x (Q_y) is computed only
+    when some term has a radial power in that group, and checked for zeros
+    only when some power is negative: a pole in any row raises
+    :class:`PoleError` before any block is evaluated.
+
+    A term with an exact 0.0 factor from a one-row Y (a zero pole
+    coordinate) is skipped.  A block total starts at +0.0 and so is never
+    -0.0, and adding +0.0 or -0.0 to it leaves its bits unchanged, so the
+    skip is exact when the term is a signed zero and not NaN.  It is taken
+    only when a bound on every partial product of the term, from its
+    coefficient, the largest |x_i| and the extreme Q_x over all rows and its
+    one-row factors, is below 2^1000: no factor or partial product can then
+    be inf or NaN, so no inf * 0 is hidden.
+    """
+    X = np.asarray(X, dtype=float)
+    rows = X.shape[0]
+    qx_col = X.shape[1]
+    # the columns a factor (column, exponent) can name: x_0.., Q_x, then each
+    # job's y_0.. and Q_y; Q columns stay None until some term needs them
+    sources: list = [X[:, i] for i in range(qx_col)] + [None]
+    one_row = [False] * (qx_col + 1)
+    plans = []
+    x_powers = set()
+    for expr, Y in jobs:
+        Y = np.asarray(Y, dtype=float)
+        lay = expr._lay
+        y_col = len(sources)
+        qy_col = y_col + expr.ny
+        sources += [Y[:, j] for j in range(expr.ny)] + [None]
+        one_row += [Y.shape[0] == 1] * (expr.ny + 1)
+        den = float(expr._den)
+        # per term: its value c/den and its factors in multiplication order
+        plan = []
+        y_powers = set()
+        for key, c in sorted(expr._terms.items()):
+            px = (key & _RAD_MASK) - _RAD_BIAS
+            py = ((key >> _RAD_BITS) & _RAD_MASK) - _RAD_BIAS
+            factors = [(col, e) for col, s in enumerate(lay.x_shifts)
+                       if (e := (key >> s) & _EXP_MASK)]
+            factors += [(y_col + j, e) for j, s in enumerate(lay.y_shifts)
+                        if (e := (key >> s) & _EXP_MASK)]
+            if px:
+                factors.append((qx_col, px / 2.0))
+                x_powers.add(px)
+            if py:
+                factors.append((qy_col, py / 2.0))
+                y_powers.add(py)
+            plan.append((c / den, factors))
+        if y_powers:
+            sources[qy_col] = qy = np.sum(Y * Y, axis=1)
+            if min(y_powers) < 0 and np.any(qy == 0.0):
+                raise PoleError("pole at the origin")
+        plans.append(plan)
+    if x_powers:
+        sources[qx_col] = qx = np.sum(X * X, axis=1)
+        if min(x_powers) < 0 and np.any(qx == 0.0):
+            raise PoleError("pole at the origin")
+    # one-row factors are the same in every block
+    const = {f: sources[f[0]] ** f[1] for plan in plans for _, factors in plan
+             for f in factors if one_row[f[0]]}
+    if rows and any(v[0] == 0.0 for v in const.values()):
+        caps = {f: _log2_cap(abs(float(v[0])), 1.0) for f, v in const.items()}
+        xmax = max(float(X.max()), -float(X.min()))
+        qx = sources[qx_col]
+        for col, e in {f for plan in plans for _, factors in plan for f in factors
+                       if f not in const}:
+            u = xmax if col < qx_col else float(qx.max() if e > 0 else qx.min())
+            caps[(col, e)] = _log2_cap(u, e)
+
+        def signed_zero(value: float, factors: list) -> bool:
+            return (any(const[f][0] == 0.0 for f in factors if f in const)
+                    and _log2_cap(abs(value), 1.0) + sum(caps[f] for f in factors) < 1000)
+
+        plans = [[term for term in plan if not signed_zero(*term)] for plan in plans]
+    distinct = {f for plan in plans for _, factors in plan for f in factors if f not in const}
+    totals = [np.zeros(rows) for _ in plans]
+    buf = np.empty(min(rows, _EVAL_BLOCK))
+    for lo in range(0, rows, _EVAL_BLOCK):
+        hi = min(lo + _EVAL_BLOCK, rows)
+        table = {f: sources[f[0]][lo:hi] ** f[1] for f in distinct}
+        table.update(const)
+        v = buf[:hi - lo]
+        for total, plan in zip(totals, plans):
+            block_total = total[lo:hi]
+            for value, factors in plan:
+                v.fill(value)
+                for f in factors:
+                    np.multiply(v, table[f], out=v)
+                block_total += v
+    return totals
 
 
 # -- module-level constructors ----------------------------------------------

@@ -825,8 +825,18 @@ def _execute(item: tuple[str, dict]) -> Cell:
     return cell
 
 
-def run_suite(suite: str, args: SuiteArgs | None = None, threads: int = 1) -> VerificationReport:
-    """Run one named suite (or 'all') and return the merged report."""
+def _filled(name: str, args: SuiteArgs) -> SuiteArgs:
+    """``args`` with each range it leaves as None set to suite ``name``'s default."""
+    return replace(args, **{key: value for key, value in _SUITES[name].defaults.items()
+                            if getattr(args, key) is None})
+
+
+def plan_suite(suite: str, args: SuiteArgs | None = None) -> list[tuple[str, dict]]:
+    """The ``(suite name, cell params)`` items a run of one suite (or 'all') evaluates.
+
+    Raises ValueError for an unknown suite or an out-of-range argument; no
+    cell runs here, so a caller can reject bad ranges before it acts on them.
+    """
     args = args or SuiteArgs()
     names = list(SUITE_NAMES) if suite == "all" else [suite]
     for name in names:
@@ -836,17 +846,20 @@ def run_suite(suite: str, args: SuiteArgs | None = None, threads: int = 1) -> Ve
         value = getattr(args, key)
         if value is not None and value < 0:
             raise ValueError(f"{key}={value} is out of range; ranges and seeds must be >= 0")
-    filled: dict[str, SuiteArgs] = {}
     items: list[tuple[str, dict]] = []
     for name in names:
-        spec = _SUITES[name]
-        filled[name] = replace(args, **{key: value for key, value in spec.defaults.items()
-                                        if getattr(args, key) is None})
-        cells = spec.cells(filled[name])
+        cells = _SUITES[name].cells(_filled(name, args))
         if not cells:
             raise ValueError(f"suite {name!r} has no cells for nmax={args.nmax}, "
                              f"kmax={args.kmax}, mmax={args.mmax}")
         items.extend((name, params) for params in cells)
+    return items
+
+
+def run_suite(suite: str, args: SuiteArgs | None = None, threads: int = 1) -> VerificationReport:
+    """Run one named suite (or 'all') and return the merged report."""
+    args = args or SuiteArgs()
+    items = plan_suite(suite, args)
     workers = min(threads, len(items), os.cpu_count() or 1)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -863,7 +876,7 @@ def run_suite(suite: str, args: SuiteArgs | None = None, threads: int = 1) -> Ve
         for (name, _), cell in zip(items, cells):
             cell.params = {"suite": name, **cell.params}
     findings: list[dict] = []
-    for name in names:
+    for name in dict.fromkeys(name for name, _ in items):
         if _SUITES[name].findings is not None:
-            findings.extend(_SUITES[name].findings(filled[name]))
+            findings.extend(_SUITES[name].findings(_filled(name, args)))
     return VerificationReport(suite=suite, seed=args.seed, cells=cells, findings=findings)

@@ -496,7 +496,13 @@ class ReproducingResult:
 def uniform_sphere(samples: int, dim: int, rng: np.random.Generator) -> np.ndarray:
     """Uniform points on S^(dim-1) from row-normalised Gaussian vectors."""
     pts = rng.standard_normal((samples, dim))
-    pts /= np.linalg.norm(pts, axis=1, keepdims=True)
+    # the row norms summed column by column: the bits of np.linalg.norm(pts, axis=1)
+    # (a sequential sum below 8 columns) without its (samples, dim) temporary
+    norm = pts[:, 0] * pts[:, 0]
+    for j in range(1, dim):
+        norm += pts[:, j] * pts[:, j]
+    np.sqrt(norm, out=norm)
+    pts /= norm[:, None]
     return pts
 
 
@@ -513,11 +519,10 @@ def reproducing_mc(n: int, k: int, test_poly: rx.RadialExpr, y,
     rng = np.random.default_rng(seed)
     pts = uniform_sphere(samples, nvars, rng)
     kernel = zonal_direct(n, k)
-    ybatch = y[None, :]
-    kvals = kernel.eval_float_batch(pts, ybatch)
-    pvals = test_poly.eval_float_batch(pts, np.zeros((1, max(test_poly.ny, 1))))
+    origin = np.zeros((1, max(test_poly.ny, 1)))
+    kvals, pvals = rx.eval_float_shared(pts, [(kernel, y[None, :]), (test_poly, origin)])
     prods = pvals * kvals
     estimate = float(np.mean(prods))
     stderr = float(np.std(prods, ddof=1) / math.sqrt(samples))
-    target = float(test_poly.eval_float_batch(y[None, :], np.zeros((1, max(test_poly.ny, 1))))[0])
+    target = float(test_poly.eval_float_batch(y[None, :], origin)[0])
     return ReproducingResult(estimate, target, stderr, samples, seed)

@@ -11,6 +11,7 @@ constructions themselves remain fully verified end to end.
 
 from __future__ import annotations
 
+import hashlib
 import time
 
 import pytest
@@ -241,4 +242,7 @@ def test_criterion_11_reproducing_property():
     for cell in rep.cells:
         assert "three_sigma" in cell.params  # the sigma budget is documented per cell
         assert cell.params["samples"] == 1_000_000
+    # the 10^6-sample float path, bit for bit: estimates, errors and digests
+    assert hashlib.sha256(rep.to_json().encode()).hexdigest() == \
+        "a299ecdf36582383e3cd29da2efab6269d666513ebaabf928e211911ec7cd648"
     assert elapsed < 120.0

@@ -260,6 +260,17 @@ def test_verify_json_write_error_exit_3(monkeypatch, tmp_path, capsys):
     assert old.read_text() == "old report"
 
 
+@pytest.mark.parametrize("where", ["new", "unwritable"])
+def test_verify_bad_range_exits_2_before_touching_the_report(tmp_path, capsys, where):
+    path = tmp_path / "new.json" if where == "new" else tmp_path / "missing" / "r.json"
+    code, out, err = run_cli(capsys, "verify", "--suite", "ladder", "--kmax", "-1",
+                             "--threads", "1", "--json", str(path))
+    assert code == 2
+    assert "kmax=-1" in err and "cannot write report" not in err
+    assert out == ""
+    assert not path.exists()
+
+
 def test_expand_ladder_high_dimension_in_bounded_memory():
     # n = 30 needs 31 terms; a cost exponential in n fails fast under the limit
     def limit_address_space():

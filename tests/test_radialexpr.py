@@ -212,6 +212,13 @@ def test_homogeneous_degree():
     assert f.homogeneous_degree("x") == -2
     mixed = rx.coordinate("x", 0, NX, NY) + rx.quadratic_form("x", NX, NY)
     assert mixed.homogeneous_degree("x") is None
+    # degrees mixed only through the radial field, in the y group, and the zero expression
+    assert (rx.norm_power("y", 2, NX, NY) + rx.norm_power("y", 3, NX, NY)
+            ).homogeneous_degree("y") is None
+    g = (rx.coordinate("y", 2, NX, NY) * rx.norm_power("y", 1, NX, NY)
+         + rx.quadratic_form("y", NX, NY))
+    assert g.homogeneous_degree("y") == 2 and g.homogeneous_degree("x") == 0
+    assert rx.RadialExpr.zero(NX, NY).homogeneous_degree("x") is None
 
 
 def test_reference_substitution_unit_sphere():
@@ -315,6 +322,10 @@ def _laurent_expr():
     ])
 
 
+def _bits(a):
+    return np.asarray(a, dtype=float).view(np.int64)
+
+
 @pytest.mark.parametrize("make", [lambda: zonal_direct(3, 3), _laurent_expr],
                          ids=["zonal_direct(3,3)", "laurent"])
 def test_eval_float_batch_is_bit_identical_across_blocks(make):
@@ -323,7 +334,46 @@ def test_eval_float_batch_is_bit_identical_across_blocks(make):
     rng = np.random.default_rng(5)
     X = rng.standard_normal((rows, 4))
     for Y in (rng.standard_normal((1, 4)), rng.standard_normal((rows, 4))):
-        assert np.array_equal(f.eval_float_batch(X, Y), reference_eval_float_batch(f, X, Y))
+        assert np.array_equal(_bits(f.eval_float_batch(X, Y)),
+                              _bits(reference_eval_float_batch(f, X, Y)))
+
+
+# one-row poles with exact zero coordinates, as the reproducing suite uses, and a -0.0
+_ZERO_POLES = [np.array([[0.6, 0.0, 0.8, 0.0]]), np.array([[0.0, -0.0, 1.0, 0.0]])]
+
+
+def test_eval_float_shared_jobs_match_one_job_evaluations():
+    f, g = zonal_direct(3, 3), _laurent_expr()
+    rows = rx._EVAL_BLOCK + 11
+    rng = np.random.default_rng(8)
+    X = rng.standard_normal((rows, 4))
+    jobs = [(f, _ZERO_POLES[0]), (g, rng.standard_normal((rows, 4))), (g, _ZERO_POLES[1]),
+            (f, rng.standard_normal((1, 4)))]
+    values = rx.eval_float_shared(X, jobs)
+    assert len(values) == len(jobs)
+    for (expr, Y), got in zip(jobs, values):
+        assert np.array_equal(_bits(got), _bits(reference_eval_float_batch(expr, X, Y)))
+        assert np.array_equal(_bits(got), _bits(expr.eval_float_batch(X, Y)))
+
+
+@pytest.mark.parametrize("special", [np.inf, -np.inf, np.nan, 1e200, 1e-200],
+                         ids=["inf", "-inf", "nan", "1e200", "1e-200"])
+@pytest.mark.parametrize("make", [lambda: zonal_direct(3, 3), _laurent_expr],
+                         ids=["zonal_direct(3,3)", "laurent"])
+def test_zero_pole_terms_skip_only_when_exact(make, special):
+    # a term with a zero pole factor is +-0.0 unless another factor or partial product
+    # is inf or NaN (inf coordinate, x^3 or Q_x overflowing at 1e200): then inf * 0 = NaN
+    f = make()
+    rows = rx._EVAL_BLOCK + 5
+    X = np.random.default_rng(3).standard_normal((rows, 4))
+    X[3, 0] = X[rows - 2, 1] = special
+    with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+        want = [reference_eval_float_batch(f, X, Y) for Y in _ZERO_POLES]
+        got = rx.eval_float_shared(X, [(f, Y) for Y in _ZERO_POLES])
+    for a, b in zip(got, want):
+        assert np.array_equal(_bits(a), _bits(b))
+    if not np.isfinite(special) or special > 1:
+        assert np.isnan(want[0][3]) and np.isnan(got[0][3])
 
 
 def test_eval_float_batch_pole_in_a_later_block():
@@ -332,6 +382,14 @@ def test_eval_float_batch_pole_in_a_later_block():
     X[rx._EVAL_BLOCK + 3] = 0.0
     with pytest.raises(rx.PoleError):
         f.eval_float_batch(X, np.ones((1, 4)))
+    # in a shared call, a pole of either group in any job raises before a block is evaluated
+    fine = np.ones((X.shape[0], 4))
+    with pytest.raises(rx.PoleError):
+        rx.eval_float_shared(X, [(zonal_direct(3, 3), _ZERO_POLES[0]), (f, np.ones((1, 4)))])
+    Y = fine.copy()
+    Y[rx._EVAL_BLOCK + 3] = 0.0
+    with pytest.raises(rx.PoleError):
+        rx.eval_float_shared(fine, [(zonal_direct(3, 3), _ZERO_POLES[0]), (f, Y)])
 
 
 # -- serialization -----------------------------------------------------------------

@@ -240,6 +240,15 @@ def test_poisson_operator_identity():
 
 # -- reproducing property -------------------------------------------------------------
 
+@pytest.mark.parametrize("dim", [3, 4, 5])
+def test_uniform_sphere_matches_linalg_norm_bits(dim):
+    for seed in (0, 7):
+        g = np.random.default_rng(seed).standard_normal((50_000, dim))
+        want = g / np.linalg.norm(g, axis=1, keepdims=True)
+        got = zr.uniform_sphere(50_000, dim, np.random.default_rng(seed))
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
 def test_reproducing_trivial_constant():
     P = rx.constant(1, 3, 3)
     res = zr.reproducing_mc(2, 0, P, np.array([0.6, 0.8, 0.0]), 2000, seed=1)
