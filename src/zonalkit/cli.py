@@ -34,12 +34,23 @@ class UsageError(Exception):
     pass
 
 
+# expand's and eval's default --max-terms, and the fixed cap of table zonal_coeffs
+MAX_TERMS = 2_000_000
+
+
 def _estimate_zonal_terms(nvars: int, deg: int) -> int:
     """Upper bound on the coordinate term count of a degree-(deg,deg) kernel."""
     total = 0
     for j in range(deg // 2 + 1):
         total += comb(deg - 2 * j + nvars - 1, nvars - 1) * comb(j + nvars - 1, nvars - 1) ** 2
     return total
+
+
+def _check_term_budget(n: int, deg: int, cap: int, advice: str) -> None:
+    """Refuse a degree-(deg,deg) kernel on R^(n+1) estimated beyond ``cap`` terms."""
+    estimate = _estimate_zonal_terms(n + 1, deg)
+    if estimate > cap:
+        raise UsageError(f"expansion would reach ~{estimate} terms (cap {cap}); {advice}")
 
 
 # route name -> builder(n, k, m); each route checks the domain particular to it
@@ -59,6 +70,8 @@ _FORCED_N_OFFSET = {"laplacian_odd": 2, "laplacian_even": 1, "clifford": 1}
 
 def _route_expr(route: str, n: int | None, k: int, m: int, max_terms: int) -> rx.RadialExpr:
     """Build the expanded expression for one route cell, with a size guard."""
+    if max_terms < 1:
+        raise UsageError(f"--max-terms must be >= 1, got {max_terms}")
     if k < 0:
         raise UsageError(f"degree k must be nonnegative, got {k}")
     if m < 0:
@@ -75,12 +88,7 @@ def _route_expr(route: str, n: int | None, k: int, m: int, max_terms: int) -> rx
         raise UsageError("--n is required for this route")
     if n < 1:
         raise UsageError(f"--n must be >= 1 (ambient R^(n+1)), got {n}")
-    estimate = _estimate_zonal_terms(n + 1, deg)
-    if estimate > max_terms:
-        raise UsageError(
-            f"expansion would reach ~{estimate} terms (cap {max_terms}); "
-            "reduce k or m, or raise --max-terms"
-        )
+    _check_term_budget(n, deg, max_terms, "reduce k or m, or raise --max-terms")
     return _ROUTES[route](n, k, m)
 
 
@@ -97,7 +105,8 @@ def _parse_point(text: str, nvars: int, label: str) -> list[Fraction]:
 def _cmd_expand(args: argparse.Namespace) -> int:
     expr = _route_expr(args.route, args.n, args.k, args.m, args.max_terms)
     if args.format == "json":
-        sys.stdout.write(expr.to_json() + "\n")
+        sys.stdout.writelines(expr._json_chunks())  # the bytes of to_json(), never held whole
+        sys.stdout.write("\n")
     else:
         print(expr)
     return EXIT_OK
@@ -226,6 +235,7 @@ def _check_table_args(args: argparse.Namespace) -> None:
             raise UsageError(f"--n must be >= 1 (ambient R^(n+1)), got {args.n}")
         if args.kmax < 0:
             raise UsageError(f"zonal_coeffs needs --kmax >= 0, got {args.kmax}")
+        _check_term_budget(args.n, args.kmax, MAX_TERMS, "reduce --kmax or --n")
     elif args.kind == "poisson_convergence":
         if args.r is None or args.w is None:
             raise UsageError("poisson_convergence needs --r and --w")
@@ -296,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--n", type=int, default=None, help="ambient space R^(n+1)")
         p.add_argument("--k", type=int, required=True, help="kernel degree")
         p.add_argument("--m", type=int, default=0, help="Laplacian count where applicable")
-        p.add_argument("--max-terms", type=int, default=2_000_000,
+        p.add_argument("--max-terms", type=int, default=MAX_TERMS,
                        help="refuse expansions estimated beyond this many terms")
 
     p_expand = sub.add_parser("expand", help="print the canonical term list of a route output")

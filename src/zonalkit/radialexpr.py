@@ -63,6 +63,8 @@ MAX_DEGREE = _EXP_MASK
 
 # rows per block of float evaluation; bounds the memory of the power tables
 _EVAL_BLOCK = 1 << 15
+# terms per chunk of the canonical serialisation; bounds the text held at once
+_JSON_CHUNK = 4096
 
 
 class RadialOverflow(OverflowError):
@@ -735,98 +737,94 @@ class RadialExpr:
         self._digest = other._digest = self._digest or other._digest
         return True
 
-    def _rows(self) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]],
-                             Iterator[tuple[int, int, int, int, int, int]]]:
-        """The canonical term order, shared by every serialisation.
+    def _order(self) -> tuple[list, list, list, dict[int, int]]:
+        """The canonical term order, the one sort rule of every serialisation.
 
-        Returns ``(xexps, yexps, rows)``: the distinct x and y exponent
-        tuples in sorted order, and one ``(i, j, px, py, num, den)`` row per
-        term, where the term is ``num/den * x^xexps[i] y^yexps[j] |x|^px
-        |y|^py`` with ``num/den`` in lowest terms.  Rows come sorted by
-        ``(xexp, yexp, px, py)``.  Each term's x and y exponents are one bit
-        slice of its key each, so only the few distinct slices are unpacked.
+        Returns the distinct x and y exponent tuples and ``(px, py)`` pairs,
+        each sorted, and each term's numerator keyed by its rank ``(i * w +
+        j) * nr + l`` (``w`` y tuples, ``nr`` pairs): sorted ranks are the
+        ``(xexp, yexp, px, py)`` order.  The x exponents, y exponents and
+        radial pair are one bit slice of a key each, unpacked once per
+        distinct value, and a rank is the sum of one offset per slice.
         """
-        xbits = _EXP_BITS * self.nx
         base = 2 * _RAD_BITS
-        xmask = (1 << xbits) - 1
-        yshift = base + xbits
+        yshift = base + _EXP_BITS * self.nx
+        xmask, rmask = (1 << _EXP_BITS * self.nx) - 1, (1 << base) - 1
         terms = self._terms
 
-        def ranks(slices: set[int], n: int) -> tuple[list[tuple[int, ...]], dict[int, int]]:
-            exps = {s: tuple((s >> (_EXP_BITS * i)) & _EXP_MASK for i in range(n))
-                    for s in slices}
-            order = sorted(slices, key=exps.__getitem__)
-            return [exps[s] for s in order], {s: r for r, s in enumerate(order)}
+        def offsets(slices: set[int], fields: list, step: int) -> tuple[list, dict[int, int]]:
+            values = {s: tuple(((s >> at) & mask) - bias for at, mask, bias in fields)
+                      for s in slices}
+            order = sorted(slices, key=values.__getitem__)
+            return [values[s] for s in order], {s: r * step for r, s in enumerate(order)}
 
-        xexps, xrank = ranks({(key >> base) & xmask for key in terms}, self.nx)
-        yexps, yrank = ranks({key >> yshift for key in terms}, self.ny)
-        # sort key: x rank, y rank, biased px, biased py
-        jbits = max(len(yexps) - 1, 0).bit_length()
-        ishift = base + jbits
-        jmask = (1 << jbits) - 1
-        by_rank = {
-            (xrank[(key >> base) & xmask] << ishift) | (yrank[key >> yshift] << base)
-            | ((key & _RAD_MASK) << _RAD_BITS) | ((key >> _RAD_BITS) & _RAD_MASK): num
-            for key, num in terms.items()
-        }
-        den = self._den
-        gcd = math.gcd
+        radials, roff = offsets({key & rmask for key in terms},
+                                [(0, _RAD_MASK, _RAD_BIAS), (_RAD_BITS, _RAD_MASK, _RAD_BIAS)], 1)
+        yexps, yoff = offsets({key >> yshift for key in terms},
+                              [(_EXP_BITS * i, _EXP_MASK, 0) for i in range(self.ny)], len(radials))
+        xexps, xoff = offsets({(key >> base) & xmask for key in terms},
+                              [(_EXP_BITS * i, _EXP_MASK, 0) for i in range(self.nx)],
+                              len(yexps) * len(radials))
+        by_rank = {xoff[(key >> base) & xmask] + yoff[key >> yshift] + roff[key & rmask]: num
+                   for key, num in terms.items()}
+        return xexps, yexps, radials, by_rank
 
-        def rows() -> Iterator[tuple[int, int, int, int, int, int]]:
-            for r in sorted(by_rank):
-                num = by_rank[r]
-                g = gcd(num, den)
-                yield (r >> ishift, (r >> base) & jmask,
-                       ((r >> _RAD_BITS) & _RAD_MASK) - _RAD_BIAS, (r & _RAD_MASK) - _RAD_BIAS,
-                       num // g, den // g)
+    def _rows(self) -> Iterator[tuple[tuple[int, ...], tuple[int, ...], int, int, int, int]]:
+        """``(xexp, yexp, px, py, num, den)`` per term in canonical order, in lowest terms."""
+        xexps, yexps, radials, by_rank = self._order()
+        nr, w, den = len(radials), len(yexps), self._den
+        for r in sorted(by_rank):
+            g = math.gcd(num := by_rank[r], den)
+            yield xexps[r // (w * nr)], yexps[r // nr % w], *radials[r % nr], num // g, den // g
 
-        return xexps, yexps, rows()
+    def _json_chunks(self) -> Iterator[str]:
+        """:meth:`to_json` in pieces of ``_JSON_CHUNK`` terms.  A term is its
+        coefficient then the texts of its radial pair, x and y exponents, each
+        formatted once per distinct value; a gcd is taken only when den != 1."""
+        xexps, yexps, radials, by_rank = self._order()
+        nr, w, den = len(radials), len(yexps), self._den
+        wnr = w * nr
+        rtext = [f',"px":{px},"py":{py},"xexp":[' for px, py in radials]
+        xtext = [",".join(map(str, e)) + '],"yexp":[' for e in xexps]
+        ytext = [",".join(map(str, e)) + "]}" for e in yexps]
+        ranks = sorted(by_rank)
+        yield f'{{"nx":{self.nx},"ny":{self.ny},"terms":['
+        for lo in range(0, len(ranks), _JSON_CHUNK):
+            part = ranks[lo:lo + _JSON_CHUNK]
+            if den == 1:
+                rows = [f'{{"den":"1","num":"{by_rank[r]}"'
+                        f'{rtext[r % nr]}{xtext[r // wnr]}{ytext[r // nr % w]}' for r in part]
+            else:
+                rows = [f'{{"den":"{den // g}","num":"{num // g}"'
+                        f'{rtext[r % nr]}{xtext[r // wnr]}{ytext[r // nr % w]}'
+                        for r in part for num in (by_rank[r],) for g in (math.gcd(num, den),)]
+            yield ("," if lo else "") + ",".join(rows)
+        yield "]}"
 
     def sorted_terms(self) -> list[tuple[tuple[int, ...], tuple[int, ...], int, int, Fraction]]:
         """Terms as (xexp, yexp, px, py, coefficient) in canonical order."""
-        xexps, yexps, rows = self._rows()
-        return [(xexps[i], yexps[j], px, py, Fraction(num, den))
-                for i, j, px, py, num, den in rows]
+        return [(xe, ye, px, py, Fraction(num, den)) for xe, ye, px, py, num, den in self._rows()]
 
     def to_json_dict(self) -> dict:
         """The canonical serialisation as a dict; see :meth:`to_json`."""
-        xexps, yexps, rows = self._rows()
-        return {
-            "nx": self.nx,
-            "ny": self.ny,
-            "terms": [
-                {
-                    "xexp": list(xexps[i]), "yexp": list(yexps[j]), "px": px, "py": py,
-                    "num": str(num), "den": str(den),
-                }
-                for i, j, px, py, num, den in rows
-            ],
-        }
+        return {"nx": self.nx, "ny": self.ny, "terms": [
+            {"xexp": list(xe), "yexp": list(ye), "px": px, "py": py,
+             "num": str(num), "den": str(den)} for xe, ye, px, py, num, den in self._rows()]}
 
     def to_json(self) -> str:
-        """The canonical serialisation that :meth:`digest` hashes.
-
-        The bytes are those of ``json.dumps(self.to_json_dict(),
-        sort_keys=True, separators=(",", ":"))``: keys in sorted order,
-        no whitespace, one ``{"den","num","px","py","xexp","yexp"}`` object
-        per term with the coefficient in lowest terms as decimal strings
-        (``den`` positive), terms in ``(xexp, yexp, px, py)`` order.  They
-        are written directly from :meth:`_rows`, with each distinct
-        exponent list formatted once.
-        """
-        xexps, yexps, rows = self._rows()
-        xtext = ["[" + ",".join(map(str, e)) + "]" for e in xexps]
-        ytext = ["[" + ",".join(map(str, e)) + "]" for e in yexps]
-        body = ",".join([
-            f'{{"den":"{den}","num":"{num}","px":{px},"py":{py},'
-            f'"xexp":{xtext[i]},"yexp":{ytext[j]}}}'
-            for i, j, px, py, num, den in rows
-        ])
-        return f'{{"nx":{self.nx},"ny":{self.ny},"terms":[{body}]}}'
+        """The canonical serialisation that :meth:`digest` hashes: the bytes of
+        ``json.dumps(self.to_json_dict(), sort_keys=True, separators=(",", ":"))``,
+        one ``{"den","num","px","py","xexp","yexp"}`` object per term with the
+        coefficient in lowest terms as decimal strings, in (xexp, yexp, px, py) order."""
+        return "".join(self._json_chunks())
 
     def digest(self) -> str:
+        """sha256 of :meth:`to_json`, fed one chunk at a time."""
         if self._digest is None:
-            self._digest = hashlib.sha256(self.to_json().encode()).hexdigest()
+            h = hashlib.sha256()
+            for chunk in self._json_chunks():
+                h.update(chunk.encode())
+            self._digest = h.hexdigest()
         return self._digest
 
     def __str__(self) -> str:

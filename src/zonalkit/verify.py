@@ -134,11 +134,10 @@ def _digest_float(x: float) -> str:
 
 def _expr_witness(diff: rx.RadialExpr, cap: int = 24) -> dict:
     """The first ``cap`` terms of a nonzero difference, in canonical order."""
-    xexps, yexps, rows = diff._rows()
     shown = [
-        {"xexp": list(xexps[i]), "yexp": list(yexps[j]), "px": px, "py": py,
+        {"xexp": list(xe), "yexp": list(ye), "px": px, "py": py,
          "num": str(num), "den": str(den)}
-        for i, j, px, py, num, den in islice(rows, cap)
+        for xe, ye, px, py, num, den in islice(diff._rows(), cap)
     ]
     return {"kind": "expr_diff", "nonzero_terms": len(diff), "terms": shown,
             "truncated": len(diff) > cap}

@@ -108,7 +108,9 @@ def lap_c(N, j: int, ell: int, k: int) -> Fraction:
     """Eigenvalue of Lap^j on |x|^(2 ell) H_k in R^N: 0 for j > ell, else
     4^j ell!/(ell-j)! Gamma(k+ell+N/2)/Gamma(k+ell-j+N/2); j, ell >= 0 only,
     as ell < 0 breaks the rule (on R^3, Lap x_0 |x|^-2 = -2 x_0 |x|^-4), and
-    k >= 0, the degree of H_k."""
+    k >= 0, the degree of H_k, in a dimension N >= 1."""
+    if N < 1:
+        raise ValueError(f"lap_c needs a dimension N >= 1, got N={N}")
     if j < 0 or ell < 0 or k < 0:
         raise ValueError(f"lap_c needs j, ell and k >= 0, got j={j}, ell={ell}, k={k}")
     if j > ell:

@@ -9,8 +9,9 @@ from pathlib import Path
 
 import pytest
 
-from zonalkit import cli, verify
+from zonalkit import cli, radialexpr as rx, verify
 from zonalkit.cli import main
+from zonalkit.gegenbauer import zonal_direct
 
 
 def run_cli(capsys, *argv):
@@ -39,6 +40,16 @@ def test_expand_json_format(capsys):
     data = json.loads(out)
     assert data["nx"] == data["ny"] == 3
     assert all(t["py"] == 0 for t in data["terms"])
+
+
+def test_expand_json_streams_the_canonical_bytes(capsys):
+    # zonal_direct(6, 6) has 25,242 terms, several serialisation chunks
+    expr = zonal_direct(6, 6)
+    assert len(expr) > 2 * rx._JSON_CHUNK
+    code, out, _ = run_cli(capsys, "expand", "--route", "direct", "--n", "6", "--k", "6",
+                           "--format", "json")
+    assert code == 0
+    assert out == expr.to_json() + "\n"
 
 
 def test_expand_invalid_parameters_exit_2(capsys):
@@ -75,6 +86,17 @@ def test_expand_term_budget_guard(capsys):
     assert "terms" in err
 
 
+@pytest.mark.parametrize("command", ["expand", "eval"])
+@pytest.mark.parametrize("cap", ["0", "-5"])
+def test_max_terms_below_one_exit_2(capsys, command, cap):
+    points = ("--x", "1,2,3", "--y", "1,0,0") if command == "eval" else ()
+    code, out, err = run_cli(capsys, command, "--route", "direct", "--n", "2", "--k", "1",
+                             "--max-terms", cap, *points)
+    assert code == 2
+    assert out == ""
+    assert f"--max-terms must be >= 1, got {cap}" in err
+
+
 def test_eval_exact_point(capsys):
     code, out, _ = run_cli(capsys, "eval", "--route", "direct", "--n", "2", "--k", "1",
                            "--x", "1,2,3", "--y", "1/2,0,-1")
@@ -106,6 +128,23 @@ def test_coeff_domain_error_exit_2(capsys):
         code, out, err = run_cli(capsys, "coeff", which, "--m", "1", "--k", "2",
                                  "--lambda", "1/0")
         assert code == 2 and out == "" and "--lambda" in err
+
+
+@pytest.mark.parametrize("dim", ["0", "-2"])
+def test_coeff_c_nonpositive_dimension_exit_2(capsys, dim):
+    code, out, err = run_cli(capsys, "coeff", "c", "--N", dim, "--j", "1", "--ell", "1",
+                             "--k", "0")
+    assert code == 2
+    assert out == ""
+    assert f"N >= 1, got N={dim}" in err
+
+
+def test_coeff_c_valid_dimension(capsys):
+    # Lap |x|^2 = 2N on R^N: c(N=3, j=1, ell=1, k=0) = 4 * (3/2) = 6
+    code, out, _ = run_cli(capsys, "coeff", "c", "--N", "3", "--j", "1", "--ell", "1",
+                           "--k", "0")
+    assert code == 0
+    assert out.startswith("c = 6 ")
 
 
 @pytest.mark.parametrize("flags", [
@@ -322,6 +361,33 @@ def test_table_zonal_coeffs_domain_error_exit_2(tmp_path, capsys, flags):
     assert stdout == ""
     assert "--kmax" in err or "--n" in err
     assert not out.exists()
+
+
+def test_table_zonal_coeffs_term_budget_exit_2(tmp_path, capsys):
+    # the n=8, k=12 kernel is estimated at ~316 million terms; refused before it is built
+    out = tmp_path / "z.csv"
+    code, stdout, err = run_cli(capsys, "table", "zonal_coeffs", "--n", "8", "--kmax", "12",
+                                "--out", str(out))
+    assert code == 2
+    assert stdout == ""
+    assert f"~316330782 terms (cap {cli.MAX_TERMS})" in err
+    assert not out.exists()
+    # expand refuses the same kernel with the same estimate at its default cap
+    code, _, err2 = run_cli(capsys, "expand", "--route", "direct", "--n", "8", "--k", "12")
+    assert code == 2
+    assert "~316330782 terms (cap 2000000)" in err2
+
+
+def test_table_zonal_coeffs_term_budget_admits_the_cap(monkeypatch, tmp_path, capsys):
+    # the budget is on the largest kernel, at kmax; a kernel at the cap is built
+    monkeypatch.setattr(cli, "MAX_TERMS", cli._estimate_zonal_terms(3, 3))
+    out = tmp_path / "z.csv"
+    code, _, _ = run_cli(capsys, "table", "zonal_coeffs", "--n", "2", "--kmax", "3",
+                         "--out", str(out))
+    assert code == 0 and out.exists()
+    code, _, err = run_cli(capsys, "table", "zonal_coeffs", "--n", "2", "--kmax", "4",
+                           "--out", str(tmp_path / "z4.csv"))
+    assert code == 2 and "terms" in err
 
 
 def test_table_poisson_convergence(tmp_path, capsys):

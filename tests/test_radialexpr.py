@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 from fractions import Fraction
@@ -448,6 +449,37 @@ def test_shared_denominator_case_reduces_per_term():
     f = _SERIALISATION_CASES["shared denominator"]()
     assert f._den == 12
     assert {t["den"] for t in f.to_json_dict()["terms"]} == {"12", "6", "4", "3", "2", "1"}
+
+
+def _chunk_case(count, integral):
+    """``count`` canonical terms with nx=2, ny=3: under each x monomial, four y
+    monomials each with four (px, py) pairs, one per parity sector, and
+    coefficients over 12 (or 1) that reduce per term."""
+    radials = [(0, 0), (1, 0), (-1, 1), (0, -3)]
+    items = []
+    for t in range(count):
+        a, j, l = t // 16, t // 4 % 4, t % 4
+        coef = Fraction((-1) ** t * (t % 11 + 1), 1 if integral else 12)
+        items.append(((a % 50, a // 50), (j, 3 - j, j % 2), *radials[l], coef))
+    return rx.from_terms(2, 3, items)
+
+
+_C = rx._JSON_CHUNK
+_CHUNK_COUNTS = {"0": 0, "1": 1, "C-1": _C - 1, "C": _C, "C+1": _C + 1, "2C+1": 2 * _C + 1}
+
+
+@pytest.mark.parametrize("integral", [False, True], ids=["den=12", "den=1"])
+@pytest.mark.parametrize("count", list(_CHUNK_COUNTS.values()), ids=list(_CHUNK_COUNTS))
+def test_serialisation_at_chunk_boundaries(count, integral):
+    f = _chunk_case(count, integral)
+    assert len(f) == count
+    assert f._den == (1 if integral or count == 0 else 12)
+    assert len(list(f._json_chunks())) == 2 + -(-count // _C)
+    ref = reference_to_json(f)
+    # equal strings, compared term by term: a failure then reports the first
+    # differing term, where a diff of two long one-line strings takes minutes
+    assert f.to_json().split("},{") == ref.split("},{")
+    assert f.digest() == hashlib.sha256(ref.encode()).hexdigest()
 
 
 @settings(max_examples=60, deadline=None)

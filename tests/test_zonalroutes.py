@@ -20,6 +20,12 @@ def test_lap_c_values():
     assert zr.lap_c(4, 1, 1, 1) == 4 * (1 + 2)  # 4 poch(k+2,1) = 4(k+2), k=1
 
 
+@pytest.mark.parametrize("N", [0, -2])
+def test_lap_c_rejects_nonpositive_dimension(N):
+    with pytest.raises(ValueError, match="N >= 1"):
+        zr.lap_c(N, 1, 1, 0)
+
+
 def test_lap_c_rejects_negative_indices():
     # Lap x0 |x|^-2 = -2 x0 |x|^-4 on R^3: ell = -1 is not annihilated, so no 0 is returned
     f = rx.coordinate("x", 0, 3, 3) * rx.norm_power("x", -2, 3, 3)
