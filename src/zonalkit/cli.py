@@ -16,8 +16,6 @@ import sys
 from fractions import Fraction
 from math import comb, isfinite
 
-import numpy as np
-
 from . import radialexpr as rx
 from . import zonalroutes as zr
 from .gegenbauer import zonal_direct
@@ -272,6 +270,8 @@ def _cmd_table(args: argparse.Namespace) -> int:
                                      " ".join(map(str, xe)), " ".join(map(str, ye)),
                                      px, py, str(coef)])
         else:
+            import numpy as np
+
             writer.writerow(["terms", "partial_sum", "closed_form", "abs_error"])
             dim = args.n + 1
             x = np.zeros(dim)
@@ -340,7 +340,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_coeff.add_argument("--m", type=int, default=None)
     p_coeff.add_argument("--k", type=int, default=None)
     p_coeff.add_argument("--lambda", dest="lam", default=None,
-                         help="rational order, e.g. 1/2")
+                         help="rational order, e.g. 1/2; write a negative one as "
+                              "--lambda=-1/4, since argparse reads -1/4 as a flag")
     p_coeff.add_argument("--N", type=int, default=None)
     p_coeff.add_argument("--j", type=int, default=None)
     p_coeff.add_argument("--ell", type=int, default=None)

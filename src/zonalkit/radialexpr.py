@@ -43,11 +43,12 @@ import heapq
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Literal, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Literal, Sequence
 
 from .ratnum import sqrt_exact
+
+if TYPE_CHECKING:
+    import numpy as np
 
 VarGroup = Literal["x", "y"]
 
@@ -883,13 +884,32 @@ def eval_float_shared(X: np.ndarray,
     one-row factors, is below 2^1000: no factor or partial product can then
     be inf or NaN, so no inf * 0 is hidden.
     """
+    import numpy as np
+
     X = np.asarray(X, dtype=float)
-    rows = X.shape[0]
-    qx_col = X.shape[1]
+    return _float_plan(X.shape[1], jobs)(X)
+
+
+def _float_plan(nx: int, jobs: Sequence[tuple[RadialExpr, np.ndarray]]
+               ) -> Callable[[np.ndarray], list[np.ndarray]]:
+    """:func:`eval_float_shared` of ``jobs`` at any X of ``nx`` columns.
+
+    What depends on the jobs alone is done once, here: each term's value and
+    ordered factors, Q_y and its zero check, the one-row factors, and the
+    part of each skip bound that they and the coefficient give.  Each call
+    of the returned function does what depends on its X (Q_x and its zero
+    check, the rest of the skip bounds, the blocks) and returns
+    ``eval_float_shared(X, jobs)``, bit for bit.  A Y of s rows needs an X
+    of s rows.
+    """
+    import numpy as np
+
+    qx_col = nx
     # the columns a factor (column, exponent) can name: x_0.., Q_x, then each
-    # job's y_0.. and Q_y; Q columns stay None until some term needs them
-    sources: list = [X[:, i] for i in range(qx_col)] + [None]
-    one_row = [False] * (qx_col + 1)
+    # job's y_0.. and Q_y; the x columns come with each X, and Q columns stay
+    # None until some term needs them
+    sources: list = [None] * (nx + 1)
+    one_row = [False] * (nx + 1)
     plans = []
     x_powers = set()
     for expr, Y in jobs:
@@ -922,43 +942,57 @@ def eval_float_shared(X: np.ndarray,
             if min(y_powers) < 0 and np.any(qy == 0.0):
                 raise PoleError("pole at the origin")
         plans.append(plan)
-    if x_powers:
-        sources[qx_col] = qx = np.sum(X * X, axis=1)
-        if min(x_powers) < 0 and np.any(qx == 0.0):
-            raise PoleError("pole at the origin")
     # one-row factors are the same in every block
     const = {f: sources[f[0]] ** f[1] for plan in plans for _, factors in plan
              for f in factors if one_row[f[0]]}
-    if rows and any(v[0] == 0.0 for v in const.values()):
-        caps = {f: _log2_cap(abs(float(v[0])), 1.0) for f, v in const.items()}
-        xmax = max(float(X.max()), -float(X.min()))
-        qx = sources[qx_col]
-        for col, e in {f for plan in plans for _, factors in plan for f in factors
-                       if f not in const}:
-            u = xmax if col < qx_col else float(qx.max() if e > 0 else qx.min())
-            caps[(col, e)] = _log2_cap(u, e)
+    # per term with an exact 0.0 one-row factor: the log2 bound of its value
+    # and one-row factors, and its other factors (x columns and Q_x only, as
+    # the Y of its job has one row); None for every other term
+    caps = {f: _log2_cap(abs(float(v[0])), 1.0) for f, v in const.items()}
+    bounds = [[(_log2_cap(abs(value), 1.0) + sum(caps[f] for f in factors if f in const),
+                [f for f in factors if f not in const])
+               if any(const[f][0] == 0.0 for f in factors if f in const) else None
+               for value, factors in plan] for plan in plans]
+    skips = any(bound for plan in bounds for bound in plan)
+    x_factors = {f for plan in bounds for bound in plan if bound for f in bound[1]}
 
-        def signed_zero(value: float, factors: list) -> bool:
-            return (any(const[f][0] == 0.0 for f in factors if f in const)
-                    and _log2_cap(abs(value), 1.0) + sum(caps[f] for f in factors) < 1000)
+    def evaluate(X: np.ndarray) -> list[np.ndarray]:
+        X = np.asarray(X, dtype=float)
+        rows = X.shape[0]
+        columns = [X[:, i] for i in range(nx)] + sources[nx:]
+        if x_powers:
+            columns[qx_col] = qx = np.sum(X * X, axis=1)
+            if min(x_powers) < 0 and np.any(qx == 0.0):
+                raise PoleError("pole at the origin")
+        kept = plans
+        if rows and skips:
+            xmax = max(float(X.max()), -float(X.min()))
+            qx = columns[qx_col]
+            x_caps = {(col, e): _log2_cap(xmax if col < qx_col
+                                          else float(qx.max() if e > 0 else qx.min()), e)
+                      for col, e in x_factors}
+            kept = [[term for term, bound in zip(plan, plan_bounds)
+                     if bound is None or bound[0] + sum(x_caps[f] for f in bound[1]) >= 1000]
+                    for plan, plan_bounds in zip(plans, bounds)]
+        distinct = {f for plan in kept for _, factors in plan for f in factors
+                    if f not in const}
+        totals = [np.zeros(rows) for _ in kept]
+        buf = np.empty(min(rows, _EVAL_BLOCK))
+        for lo in range(0, rows, _EVAL_BLOCK):
+            hi = min(lo + _EVAL_BLOCK, rows)
+            table = {f: columns[f[0]][lo:hi] ** f[1] for f in distinct}
+            table.update(const)
+            v = buf[:hi - lo]
+            for total, plan in zip(totals, kept):
+                block_total = total[lo:hi]
+                for value, factors in plan:
+                    v.fill(value)
+                    for f in factors:
+                        np.multiply(v, table[f], out=v)
+                    block_total += v
+        return totals
 
-        plans = [[term for term in plan if not signed_zero(*term)] for plan in plans]
-    distinct = {f for plan in plans for _, factors in plan for f in factors if f not in const}
-    totals = [np.zeros(rows) for _ in plans]
-    buf = np.empty(min(rows, _EVAL_BLOCK))
-    for lo in range(0, rows, _EVAL_BLOCK):
-        hi = min(lo + _EVAL_BLOCK, rows)
-        table = {f: sources[f[0]][lo:hi] ** f[1] for f in distinct}
-        table.update(const)
-        v = buf[:hi - lo]
-        for total, plan in zip(totals, plans):
-            block_total = total[lo:hi]
-            for value, factors in plan:
-                v.fill(value)
-                for f in factors:
-                    np.multiply(v, table[f], out=v)
-                block_total += v
-    return totals
+    return evaluate
 
 
 # -- module-level constructors ----------------------------------------------

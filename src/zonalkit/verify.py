@@ -38,8 +38,6 @@ from fractions import Fraction
 from itertools import islice
 from typing import Callable
 
-import numpy as np
-
 from . import cliffordalg as ca
 from . import radialexpr as rx
 from . import zonalalg as za
@@ -709,6 +707,8 @@ def _cells_poisson(args: SuiteArgs) -> list[dict]:
 
 
 def _run_poisson(params: dict) -> Cell:
+    import numpy as np
+
     n = params["n"]
     dim = n + 1
     if params["check"] == "series":
@@ -757,6 +757,8 @@ def _cells_reproducing(args: SuiteArgs) -> list[dict]:
 
 
 def _run_reproducing(params: dict) -> Cell:
+    import numpy as np
+
     n, k = params["n"], params["k"]
     dim = n + 1
     pole = _RATIONAL_UNITS[dim]

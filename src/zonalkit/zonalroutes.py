@@ -64,15 +64,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from operator import methodcaller
-from typing import Literal
-
-import numpy as np
+from typing import TYPE_CHECKING, Literal
 
 from . import radialexpr as rx
 from . import zonalalg as za
 from .gegenbauer import zonal_direct, zonal_direct_invariant
 from .orbitform import OrbitForm
 from .ratnum import factorial, pochhammer
+
+if TYPE_CHECKING:
+    import numpy as np
 
 Parity = Literal["odd", "even"]
 
@@ -89,10 +90,20 @@ def _check_counts(m: int, k: int) -> None:
         raise ValueError(f"degree k must be nonnegative, got k={k}")
 
 
+def _check_order(lam: Fraction) -> None:
+    """The Gegenbauer order domain of ``gegenbauer``: lam > -1/2 and lam != 0."""
+    if lam == 0:
+        raise ValueError("order lam = 0 is the Chebyshev limit; "
+                         "its coefficient is alpha_hat_top")
+    if 2 * lam <= -1:
+        raise ValueError(f"Gegenbauer order lam must exceed -1/2, got lam={lam}")
+
+
 def alpha_top(m: int, lam, k: int) -> Fraction:
     """Top telescoping coefficient: (-1)^m poch(lam, m) / poch(lam+k+m+1, m)."""
     _check_counts(m, k)
     lam = Fraction(lam)
+    _check_order(lam)
     return (-1) ** m * pochhammer(lam, m) / pochhammer(lam + k + m + 1, m)
 
 
@@ -128,6 +139,7 @@ def beta(m: int, lam, k: int) -> Fraction:
     target kernel; lam must be a half-integer for N to be an integer.
     """
     lam = Fraction(lam)
+    _check_order(lam)
     N = 2 * (lam + m) + 2
     if N.denominator != 1:
         raise ValueError(f"2(lam+m)+2 must be an integer dimension, got {N}")
@@ -184,6 +196,7 @@ def beta_hat_composed(m: int, k: int) -> Fraction:
 
 def eta_reference(m: int, k: int) -> Fraction:
     """The stated bridge constant: 4^(2m) (k+2m) (m!)^3 G(k+2m+1) / (k (2m)! G(k+m+1))."""
+    _check_counts(m, k)
     if k < 1:
         raise ValueError("the bridge constant presupposes k >= 1")
     return (Fraction(4) ** (2 * m) * (k + 2 * m) * factorial(m) ** 3
@@ -196,6 +209,7 @@ def eta_observed(m: int, k: int) -> Fraction:
 
     eta_reference / eta_observed = 4^m (m!)^2 / (2m)!, which is 1 only at m = 0.
     """
+    _check_counts(m, k)
     if k < 1:
         raise ValueError("the bridge constant presupposes k >= 1")
     return (Fraction(4) ** m * factorial(m) * (k + 2 * m)
@@ -411,6 +425,8 @@ def eta_relation(m: int, k: int) -> EtaRelationResult:
 
 def poisson_closed(x, y) -> float:
     """(1 - |x|^2|y|^2) / (1 - 2<x,y> + |x|^2|y|^2)^(N/2) on R^N."""
+    import numpy as np
+
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.shape != y.shape:
@@ -429,6 +445,8 @@ def poisson_series(x, y, terms: int) -> float:
     Terms are generated by the three-term recurrence in the degree, so the
     cost is linear in ``terms``.
     """
+    import numpy as np
+
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     N = x.size
@@ -496,7 +514,15 @@ class ReproducingResult:
 
 
 def uniform_sphere(samples: int, dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Uniform points on S^(dim-1) from row-normalised Gaussian vectors."""
+    """Uniform points on S^(dim-1) from row-normalised Gaussian vectors.
+
+    Each row is normalised on its own, and ``rng.standard_normal`` draws the
+    same stream whether it is asked for all rows at once or in consecutive
+    parts, so calls for consecutive parts return, bit for bit, the rows of
+    one call for all of them.
+    """
+    import numpy as np
+
     pts = rng.standard_normal((samples, dim))
     # the row norms summed column by column: the bits of np.linalg.norm(pts, axis=1)
     # (a sequential sum below 8 columns) without its (samples, dim) temporary
@@ -515,15 +541,29 @@ def reproducing_mc(n: int, k: int, test_poly: rx.RadialExpr, y,
     ``test_poly`` must be a degree-k harmonic in the x group (harmonicity is
     the caller's responsibility and is asserted exactly in the suites);
     ``y`` is a unit vector with n+1 components.
+
+    The two expressions are planned for float evaluation once, and the
+    samples are drawn and evaluated in blocks of the evaluator's block size
+    into one products array, so a cell holds one 8-byte value per sample
+    plus one block of points and values.  The generator draws the same
+    stream in parts, sampling and evaluation work row by row, and a term the
+    evaluator skips in some blocks only is a signed zero there, so the
+    products, and the mean and standard error over them, have the bits of
+    drawing and evaluating all samples at once.
     """
+    import numpy as np
+
     nvars = n + 1
     y = np.asarray(y, dtype=float)
     rng = np.random.default_rng(seed)
-    pts = uniform_sphere(samples, nvars, rng)
     kernel = zonal_direct(n, k)
     origin = np.zeros((1, max(test_poly.ny, 1)))
-    kvals, pvals = rx.eval_float_shared(pts, [(kernel, y[None, :]), (test_poly, origin)])
-    prods = pvals * kvals
+    evaluate = rx._float_plan(nvars, [(kernel, y[None, :]), (test_poly, origin)])
+    prods = np.empty(samples)
+    for lo in range(0, samples, rx._EVAL_BLOCK):
+        hi = min(lo + rx._EVAL_BLOCK, samples)
+        kvals, pvals = evaluate(uniform_sphere(hi - lo, nvars, rng))
+        np.multiply(pvals, kvals, out=prods[lo:hi])
     estimate = float(np.mean(prods))
     stderr = float(np.std(prods, ddof=1) / math.sqrt(samples))
     target = float(test_poly.eval_float_batch(y[None, :], origin)[0])

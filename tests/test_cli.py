@@ -113,6 +113,9 @@ def test_coeff_values(capsys):
     assert code == 0 and "note:" in out  # stated/observed disagreement surfaced
     code, out, _ = run_cli(capsys, "coeff", "beta", "--m", "1", "--lambda", "1", "--k", "2")
     assert code == 0 and "-80" in out  # -16(k+3) at k=2
+    # a negative order inside the domain lam > -1/2 takes the --lambda= form
+    code, out, _ = run_cli(capsys, "coeff", "alpha", "--m", "1", "--k", "2", "--lambda=-1/4")
+    assert code == 0 and out.startswith("alpha = 1/15 ")
 
 
 def test_coeff_domain_error_exit_2(capsys):
@@ -128,6 +131,26 @@ def test_coeff_domain_error_exit_2(capsys):
         code, out, err = run_cli(capsys, "coeff", which, "--m", "1", "--k", "2",
                                  "--lambda", "1/0")
         assert code == 2 and out == "" and "--lambda" in err
+
+
+@pytest.mark.parametrize("flags, message", [
+    (("alpha", "--m", "1", "--k", "2", "--lambda=0"), "alpha_hat_top"),
+    (("alpha", "--m", "1", "--k", "2", "--lambda=-1/2"), "lam=-1/2"),
+    (("beta", "--m", "2", "--k", "2", "--lambda=-1"), "lam=-1"),
+], ids=["alpha-zero", "alpha-minus-half", "beta-minus-one"])
+def test_coeff_order_outside_gegenbauer_domain_exit_2(capsys, flags, message):
+    # gegenbauer() needs lam > -1/2 and lam != 0; these printed 0, 1/7 and 0
+    code, out, err = run_cli(capsys, "coeff", *flags)
+    assert code == 2
+    assert out == ""
+    assert message in err
+
+
+def test_coeff_eta_negative_count_names_m(capsys):
+    code, out, err = run_cli(capsys, "coeff", "eta", "--m", "-1", "--k", "2")
+    assert code == 2
+    assert out == ""
+    assert "Laplacian count m must be nonnegative, got m=-1" in err
 
 
 @pytest.mark.parametrize("dim", ["0", "-2"])
@@ -316,8 +339,7 @@ def test_expand_ladder_high_dimension_in_bounded_memory():
         resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
 
     src = Path(__file__).resolve().parents[1] / "src"
-    # one BLAS thread: numpy's per-thread buffers would count against the address space
-    env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1")
+    env = dict(os.environ, PYTHONPATH=str(src))
     script = ("import resource, subprocess, sys\n"
               "done = subprocess.run(sys.argv[1:])\n"
               "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss, file=sys.stderr)\n"
@@ -411,6 +433,29 @@ def test_table_io_error_exit_3(capsys):
     code, _, err = run_cli(capsys, "table", "zonal_coeffs", "--n", "1", "--kmax", "1",
                            "--out", "/nonexistent/dir/x.csv")
     assert code == 3
+
+
+def test_exact_commands_leave_numpy_unloaded():
+    # numpy is imported by the float code only: the poisson and reproducing suites,
+    # table poisson_convergence and the float evaluator; the cells run in this process
+    script = (
+        "import sys\n"
+        "import zonalkit\n"
+        "from zonalkit.cli import main\n"
+        "for argv in (['verify', '--suite', 'ladder', '--nmax', '3', '--kmax', '2',\n"
+        "              '--threads', '1'],\n"
+        "             ['coeff', 'eta', '--m', '1', '--k', '2'],\n"
+        "             ['expand', '--route', 'direct', '--n', '2', '--k', '2']):\n"
+        "    assert main(argv) == 0, argv\n"
+        "    assert 'numpy' not in sys.modules, argv\n"
+        "assert main(['verify', '--suite', 'poisson', '--nmax', '2', '--threads', '1']) == 0\n"
+        "assert 'numpy' in sys.modules\n"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
 
 
 def test_module_entry_point_runs():

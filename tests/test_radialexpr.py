@@ -357,6 +357,17 @@ def test_eval_float_shared_jobs_match_one_job_evaluations():
         assert np.array_equal(_bits(got), _bits(expr.eval_float_batch(X, Y)))
 
 
+def test_eval_float_shared_radial_free_jobs_need_no_q_x():
+    # no term has a radial x power, so Q_x is never computed; the zero-pole skip
+    # bounds only the terms of one-row jobs, whose other factors are x columns
+    f = zonal_direct(3, 3)
+    rng = np.random.default_rng(9)
+    X = rng.standard_normal((40, 4))
+    jobs = [(f, _ZERO_POLES[0]), (f, rng.standard_normal((40, 4)))]
+    for (expr, Y), got in zip(jobs, rx.eval_float_shared(X, jobs)):
+        assert np.array_equal(_bits(got), _bits(reference_eval_float_batch(expr, X, Y)))
+
+
 @pytest.mark.parametrize("special", [np.inf, -np.inf, np.nan, 1e200, 1e-200],
                          ids=["inf", "-inf", "nan", "1e200", "1e-200"])
 @pytest.mark.parametrize("make", [lambda: zonal_direct(3, 3), _laurent_expr],
@@ -371,7 +382,14 @@ def test_zero_pole_terms_skip_only_when_exact(make, special):
     with np.errstate(over="ignore", invalid="ignore", under="ignore"):
         want = [reference_eval_float_batch(f, X, Y) for Y in _ZERO_POLES]
         got = rx.eval_float_shared(X, [(f, Y) for Y in _ZERO_POLES])
+        # a plan evaluated at several X bounds the skip by the rows of each call
+        evaluate = rx._float_plan(4, [(f, Y) for Y in _ZERO_POLES])
+        clean = X[5:12]
+        planned = evaluate(clean) + evaluate(X)
+        want_planned = [reference_eval_float_batch(f, clean, Y) for Y in _ZERO_POLES] + want
     for a, b in zip(got, want):
+        assert np.array_equal(_bits(a), _bits(b))
+    for a, b in zip(planned, want_planned):
         assert np.array_equal(_bits(a), _bits(b))
     if not np.isfinite(special) or special > 1:
         assert np.isnan(want[0][3]) and np.isnan(got[0][3])

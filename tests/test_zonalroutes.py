@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -44,8 +45,9 @@ def test_coefficients_reject_a_negative_degree_or_count():
                         lambda: zr.fixed_y_prefactor("odd", 1, -1)):
         with pytest.raises(ValueError, match="k"):
             coefficient()
-    with pytest.raises(ValueError, match="count m"):
-        zr.beta_hat(-1, 2)
+    for coefficient in (zr.beta_hat, zr.eta_reference, zr.eta_observed):
+        with pytest.raises(ValueError, match="count m must be nonnegative, got m=-1"):
+            coefficient(-1, 2)
 
 
 def test_beta_composition_values():
@@ -253,6 +255,32 @@ def test_uniform_sphere_matches_linalg_norm_bits(dim):
         want = g / np.linalg.norm(g, axis=1, keepdims=True)
         got = zr.uniform_sphere(50_000, dim, np.random.default_rng(seed))
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+@pytest.mark.parametrize("dim", [3, 4, 5])
+def test_uniform_sphere_in_parts_matches_one_draw(dim):
+    # reproducing_mc draws its samples block by block; the split is no block multiple
+    rng = np.random.default_rng(11)
+    parts = np.concatenate([zr.uniform_sphere(12_345, dim, rng),
+                            zr.uniform_sphere(40_000, dim, rng)])
+    whole = zr.uniform_sphere(52_345, dim, np.random.default_rng(11))
+    assert np.array_equal(parts.view(np.int64), whole.view(np.int64))
+
+
+def test_reproducing_memory_is_one_value_per_sample():
+    # the samples are streamed in evaluator blocks: the products array, the
+    # standard deviation's temporary and one block fit in 3 doubles per sample
+    pole = (Fraction(3, 5), 0, Fraction(4, 5), 0)
+    P = zonal_direct_invariant(3, 3).to_radialexpr(y=pole)
+    samples = 10 ** 6
+    tracemalloc.start()
+    try:
+        res = zr.reproducing_mc(3, 3, P, np.array([0.6, 0.0, 0.8, 0.0]), samples, seed=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert res.rel_error < 0.01
+    assert peak < 3 * 8 * samples
 
 
 def test_reproducing_trivial_constant():
