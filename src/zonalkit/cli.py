@@ -76,6 +76,8 @@ def _route_expr(route: str, n: int | None, k: int, m: int, max_terms: int) -> rx
         raise UsageError(f"Laplacian count m must be nonnegative, got {m}")
     deg = k
     offset = _FORCED_N_OFFSET.get(route)
+    if offset is None and m:
+        raise UsageError(f"the {route} route takes no Laplacian count, got m={m}")
     if offset is not None:
         if n is None:
             n = 2 * m + offset
@@ -118,7 +120,11 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     a, b, c, d = value.as_tuple()
     print(f"exact: {a} + ({b})*sqrt({value.qx}) + ({c})*sqrt({value.qy})"
           f" + ({d})*sqrt({value.qx * value.qy})")
-    print(f"float: {value.to_float()!r}")
+    try:
+        approx = repr(value.to_float())
+    except OverflowError:
+        approx = "outside the float range"
+    print(f"float: {approx}")
     return EXIT_OK
 
 
@@ -305,7 +311,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--route", required=True, choices=tuple(_ROUTES))
         p.add_argument("--n", type=int, default=None, help="ambient space R^(n+1)")
         p.add_argument("--k", type=int, required=True, help="kernel degree")
-        p.add_argument("--m", type=int, default=0, help="Laplacian count where applicable")
+        p.add_argument("--m", type=int, default=0,
+                       help="Laplacian count (laplacian_odd, laplacian_even and clifford only)")
         p.add_argument("--max-terms", type=int, default=MAX_TERMS,
                        help="refuse expansions estimated beyond this many terms")
 

@@ -62,8 +62,6 @@ _RAD_MAX = _RAD_MASK - _RAD_BIAS
 
 MAX_DEGREE = _EXP_MASK
 
-# rows per block of float evaluation; bounds the memory of the power tables
-_EVAL_BLOCK = 1 << 15
 # terms per chunk of the canonical serialisation; bounds the text held at once
 _JSON_CHUNK = 4096
 
@@ -306,14 +304,18 @@ class ExtendedValue:
         return (self.rational, self.coef_rx, self.coef_ry, self.coef_rxy)
 
     def to_float(self) -> float:
+        """The value in floating point; OverflowError when it leaves the float range."""
         rx = math.sqrt(self.qx)
         ry = math.sqrt(self.qy)
-        return (
+        value = (
             float(self.rational)
             + float(self.coef_rx) * rx
             + float(self.coef_ry) * ry
             + float(self.coef_rxy) * rx * ry
         )
+        if not math.isfinite(value):
+            raise OverflowError("value outside the float range")
+        return value
 
 
 def _collapse(a: Fraction, b: Fraction, c: Fraction, d: Fraction,
@@ -703,18 +705,15 @@ class RadialExpr:
         a, b, c2, d = _collapse(sectors[0], sectors[1], sectors[2], sectors[3], qx, qy)
         return ExtendedValue(a, b, c2, d, qx, qy)
 
-    def eval_float_batch(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-        """Vectorised float evaluation at rows of X (s, nx) and Y (1 or s, ny).
+    def eval_float_batch(self, X: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """Float values at the rows of X (s, nx), with y fixed at one point.
 
-        Terms are summed in sorted key order, so the value depends on the
-        expression and not on the construction that built it.  Rows are
-        evaluated in blocks: each distinct coordinate power and radial
-        half-power is computed once per block and shared by every term, and
-        each term multiplies its factors in the same order as a term-by-term
-        evaluation would, so the result does not depend on the block size.
-        This is the one-expression call of :func:`eval_float_shared`.
+        The expression must be radial-free, and ``y`` is one point of the y
+        group.  Terms are summed in sorted key order, so the value depends
+        on the expression and not on the construction that built it.  This
+        is the one-job call of :func:`_float_plan`.
         """
-        return eval_float_shared(X, [(self, Y)])[0]
+        return _float_plan([(self, y)])(X)[0]
 
     # -- comparison / serialisation -----------------------------------------
 
@@ -863,133 +862,84 @@ def _log2_cap(u: float, h: float) -> float:
     return max(0.0, h * math.log2(u))
 
 
-def eval_float_shared(X: np.ndarray,
-                      jobs: Sequence[tuple[RadialExpr, np.ndarray]]) -> list[np.ndarray]:
-    """Float values of several expressions at the same rows of X.
-
-    ``jobs`` holds ``(expr, Y)`` pairs, Y of 1 or s rows; the result for each
-    is the value :meth:`RadialExpr.eval_float_batch` documents, bit for bit.
-    Each block of rows builds one table of the distinct powers of the x
-    columns and of Q_x, shared by every job.  Q_x (Q_y) is computed only
-    when some term has a radial power in that group, and checked for zeros
-    only when some power is negative: a pole in any row raises
-    :class:`PoleError` before any block is evaluated.
-
-    A term with an exact 0.0 factor from a one-row Y (a zero pole
-    coordinate) is skipped.  A block total starts at +0.0 and so is never
-    -0.0, and adding +0.0 or -0.0 to it leaves its bits unchanged, so the
-    skip is exact when the term is a signed zero and not NaN.  It is taken
-    only when a bound on every partial product of the term, from its
-    coefficient, the largest |x_i| and the extreme Q_x over all rows and its
-    one-row factors, is below 2^1000: no factor or partial product can then
-    be inf or NaN, so no inf * 0 is hidden.
-    """
-    import numpy as np
-
-    X = np.asarray(X, dtype=float)
-    return _float_plan(X.shape[1], jobs)(X)
-
-
-def _float_plan(nx: int, jobs: Sequence[tuple[RadialExpr, np.ndarray]]
+def _float_plan(jobs: Sequence[tuple[RadialExpr, np.ndarray]]
                ) -> Callable[[np.ndarray], list[np.ndarray]]:
-    """:func:`eval_float_shared` of ``jobs`` at any X of ``nx`` columns.
+    """Float evaluation of polynomials, each with its y group fixed at one point.
 
-    What depends on the jobs alone is done once, here: each term's value and
-    ordered factors, Q_y and its zero check, the one-row factors, and the
-    part of each skip bound that they and the coefficient give.  Each call
-    of the returned function does what depends on its X (Q_x and its zero
-    check, the rest of the skip bounds, the blocks) and returns
-    ``eval_float_shared(X, jobs)``, bit for bit.  A Y of s rows needs an X
-    of s rows.
+    ``jobs`` holds ``(expr, y)`` pairs: a radial-free expression and one
+    point of its y group (``ny`` values, or one row of them); anything else
+    raises ``ValueError``.  What depends on the jobs alone is done once,
+    here: each term's value c/den, its x factors and its y powers.  The
+    returned function takes an X of s rows and returns, for each job, its s
+    values.  Each call builds one table of the distinct x powers of all
+    jobs, shared by every term.  Each term starts from its value and
+    multiplies by its x powers, then its y powers, in coordinate order, and
+    the terms are summed in sorted key order, so the values are those of a
+    term-by-term evaluation, bit for bit, and do not depend on the
+    construction that built the expression.
+
+    A term with an exact 0.0 y factor (a zero pole coordinate) is skipped.
+    A total starts at +0.0 and so is never -0.0, and adding +0.0 or -0.0 to
+    it leaves its bits unchanged, so the skip is exact when the term is a
+    signed zero and not NaN.  It is taken only when a bound on every partial
+    product of the term, from its value, its y factors and the largest
+    |x_i| of the call's rows, is below 2^1000: no factor or partial product
+    can then be inf or NaN, so no inf * 0 is hidden.
     """
     import numpy as np
 
-    qx_col = nx
-    # the columns a factor (column, exponent) can name: x_0.., Q_x, then each
-    # job's y_0.. and Q_y; the x columns come with each X, and Q columns stay
-    # None until some term needs them
-    sources: list = [None] * (nx + 1)
-    one_row = [False] * (nx + 1)
+    # per job, per term: its value, x factors (column, exponent), y powers
+    # (one-element arrays, raised by the same array power as a column) and,
+    # for a term with a 0.0 y power, the log2 bound of its value and y
+    # powers and its x degree
     plans = []
-    x_powers = set()
-    for expr, Y in jobs:
-        Y = np.asarray(Y, dtype=float)
+    for expr, y in jobs:
+        if not expr._radial_free:
+            raise ValueError("float evaluation needs a polynomial (no radial powers)")
+        y = np.asarray(y, dtype=float)
+        if y.shape not in ((expr.ny,), (1, expr.ny)):
+            raise ValueError(f"y must be one point of {expr.ny} coordinates, "
+                             f"got an array of shape {y.shape}")
+        y = y.reshape(-1)
         lay = expr._lay
-        y_col = len(sources)
-        qy_col = y_col + expr.ny
-        sources += [Y[:, j] for j in range(expr.ny)] + [None]
-        one_row += [Y.shape[0] == 1] * (expr.ny + 1)
         den = float(expr._den)
-        # per term: its value c/den and its factors in multiplication order
         plan = []
-        y_powers = set()
         for key, c in sorted(expr._terms.items()):
-            px = (key & _RAD_MASK) - _RAD_BIAS
-            py = ((key >> _RAD_BITS) & _RAD_MASK) - _RAD_BIAS
-            factors = [(col, e) for col, s in enumerate(lay.x_shifts)
-                       if (e := (key >> s) & _EXP_MASK)]
-            factors += [(y_col + j, e) for j, s in enumerate(lay.y_shifts)
+            value = c / den
+            x_factors = [(i, e) for i, s in enumerate(lay.x_shifts)
+                         if (e := (key >> s) & _EXP_MASK)]
+            y_powers = [y[j:j + 1] ** e for j, s in enumerate(lay.y_shifts)
                         if (e := (key >> s) & _EXP_MASK)]
-            if px:
-                factors.append((qx_col, px / 2.0))
-                x_powers.add(px)
-            if py:
-                factors.append((qy_col, py / 2.0))
-                y_powers.add(py)
-            plan.append((c / den, factors))
-        if y_powers:
-            sources[qy_col] = qy = np.sum(Y * Y, axis=1)
-            if min(y_powers) < 0 and np.any(qy == 0.0):
-                raise PoleError("pole at the origin")
+            bound = None
+            if any(p[0] == 0.0 for p in y_powers):
+                bound = (_log2_cap(abs(value), 1.0)
+                         + sum(_log2_cap(abs(float(p[0])), 1.0) for p in y_powers),
+                         sum(e for _, e in x_factors))
+            plan.append((value, x_factors, y_powers, bound))
         plans.append(plan)
-    # one-row factors are the same in every block
-    const = {f: sources[f[0]] ** f[1] for plan in plans for _, factors in plan
-             for f in factors if one_row[f[0]]}
-    # per term with an exact 0.0 one-row factor: the log2 bound of its value
-    # and one-row factors, and its other factors (x columns and Q_x only, as
-    # the Y of its job has one row); None for every other term
-    caps = {f: _log2_cap(abs(float(v[0])), 1.0) for f, v in const.items()}
-    bounds = [[(_log2_cap(abs(value), 1.0) + sum(caps[f] for f in factors if f in const),
-                [f for f in factors if f not in const])
-               if any(const[f][0] == 0.0 for f in factors if f in const) else None
-               for value, factors in plan] for plan in plans]
-    skips = any(bound for plan in bounds for bound in plan)
-    x_factors = {f for plan in bounds for bound in plan if bound for f in bound[1]}
+    skips = any(term[3] for plan in plans for term in plan)
 
     def evaluate(X: np.ndarray) -> list[np.ndarray]:
         X = np.asarray(X, dtype=float)
         rows = X.shape[0]
-        columns = [X[:, i] for i in range(nx)] + sources[nx:]
-        if x_powers:
-            columns[qx_col] = qx = np.sum(X * X, axis=1)
-            if min(x_powers) < 0 and np.any(qx == 0.0):
-                raise PoleError("pole at the origin")
         kept = plans
         if rows and skips:
             xmax = max(float(X.max()), -float(X.min()))
-            qx = columns[qx_col]
-            x_caps = {(col, e): _log2_cap(xmax if col < qx_col
-                                          else float(qx.max() if e > 0 else qx.min()), e)
-                      for col, e in x_factors}
-            kept = [[term for term, bound in zip(plan, plan_bounds)
-                     if bound is None or bound[0] + sum(x_caps[f] for f in bound[1]) >= 1000]
-                    for plan, plan_bounds in zip(plans, bounds)]
-        distinct = {f for plan in kept for _, factors in plan for f in factors
-                    if f not in const}
+            kept = [[term for term in plan
+                     if term[3] is None or term[3][0] + _log2_cap(xmax, term[3][1]) >= 1000]
+                    for plan in plans]
         totals = [np.zeros(rows) for _ in kept]
-        buf = np.empty(min(rows, _EVAL_BLOCK))
-        for lo in range(0, rows, _EVAL_BLOCK):
-            hi = min(lo + _EVAL_BLOCK, rows)
-            table = {f: columns[f[0]][lo:hi] ** f[1] for f in distinct}
-            table.update(const)
-            v = buf[:hi - lo]
-            for total, plan in zip(totals, kept):
-                block_total = total[lo:hi]
-                for value, factors in plan:
-                    v.fill(value)
-                    for f in factors:
-                        np.multiply(v, table[f], out=v)
-                    block_total += v
+        v = np.empty(rows)
+        distinct = {f for plan in kept for term in plan for f in term[1]}
+        table = {f: X[:, f[0]] ** f[1] for f in distinct}
+        for total, plan in zip(totals, kept):
+            for value, x_factors, y_powers, _ in plan:
+                v.fill(value)
+                for f in x_factors:
+                    np.multiply(v, table[f], out=v)
+                for p in y_powers:
+                    np.multiply(v, p, out=v)
+                total += v
         return totals
 
     return evaluate

@@ -513,6 +513,11 @@ class ReproducingResult:
         return abs(self.estimate - self.target) / abs(self.target)
 
 
+# rows per block of Monte-Carlo sampling and evaluation; bounds the memory of
+# the points, values and x-power tables a cell holds at once
+_SAMPLE_BLOCK = 1 << 15
+
+
 def uniform_sphere(samples: int, dim: int, rng: np.random.Generator) -> np.ndarray:
     """Uniform points on S^(dim-1) from row-normalised Gaussian vectors.
 
@@ -543,9 +548,9 @@ def reproducing_mc(n: int, k: int, test_poly: rx.RadialExpr, y,
     ``y`` is a unit vector with n+1 components.
 
     The two expressions are planned for float evaluation once, and the
-    samples are drawn and evaluated in blocks of the evaluator's block size
-    into one products array, so a cell holds one 8-byte value per sample
-    plus one block of points and values.  The generator draws the same
+    samples are drawn and evaluated in blocks of ``_SAMPLE_BLOCK`` rows into
+    one products array, so a cell holds one 8-byte value per sample plus
+    one block of points, values and x powers.  The generator draws the same
     stream in parts, sampling and evaluation work row by row, and a term the
     evaluator skips in some blocks only is a signed zero there, so the
     products, and the mean and standard error over them, have the bits of
@@ -557,11 +562,11 @@ def reproducing_mc(n: int, k: int, test_poly: rx.RadialExpr, y,
     y = np.asarray(y, dtype=float)
     rng = np.random.default_rng(seed)
     kernel = zonal_direct(n, k)
-    origin = np.zeros((1, max(test_poly.ny, 1)))
-    evaluate = rx._float_plan(nvars, [(kernel, y[None, :]), (test_poly, origin)])
+    origin = np.zeros(test_poly.ny)
+    evaluate = rx._float_plan([(kernel, y), (test_poly, origin)])
     prods = np.empty(samples)
-    for lo in range(0, samples, rx._EVAL_BLOCK):
-        hi = min(lo + rx._EVAL_BLOCK, samples)
+    for lo in range(0, samples, _SAMPLE_BLOCK):
+        hi = min(lo + _SAMPLE_BLOCK, samples)
         kvals, pvals = evaluate(uniform_sphere(hi - lo, nvars, rng))
         np.multiply(pvals, kvals, out=prods[lo:hi])
     estimate = float(np.mean(prods))

@@ -70,8 +70,11 @@ def test_expand_invalid_parameters_exit_2(capsys):
     (("ladder", "--n", "1", "--k", "2"), "n >= 2"),
     (("clifford", "--m", "-1", "--k", "2"), "m must be nonnegative"),
     (("laplacian_odd", "--m", "-1", "--k", "2"), "m must be nonnegative"),
+    (("direct", "--n", "3", "--k", "1", "--m", "1"), "direct route takes no Laplacian count"),
+    (("ladder", "--n", "3", "--k", "1", "--m", "2"), "ladder route takes no Laplacian count"),
+    (("kelvin", "--n", "3", "--k", "1", "--m", "4"), "kelvin route takes no Laplacian count"),
 ], ids=["laplacian_odd_n", "kelvin_even_n", "kelvin_k0", "ladder_n1", "clifford_m_negative",
-        "laplacian_m_negative"])
+        "laplacian_m_negative", "direct_m", "ladder_m", "kelvin_m"])
 def test_route_domain_error_exit_2(capsys, flags, message):
     code, out, err = run_cli(capsys, "expand", "--route", *flags)
     assert code == 2
@@ -102,6 +105,22 @@ def test_eval_exact_point(capsys):
                            "--x", "1,2,3", "--y", "1/2,0,-1")
     assert code == 0
     assert "exact: -15/2" in out
+
+
+@pytest.mark.parametrize("flags, exact", [
+    (("direct", "--n", "2", "--k", "1", "--x", "1e400,0,0", "--y", "1,0,0"),
+     "exact: 3" + "0" * 400 + " + "),
+    (("kelvin", "--n", "3", "--k", "1", "--x", "1e200,0,0,0", "--y", "1,0,0,0"),
+     "exact: -4" + "0" * 200 + " + "),
+], ids=["direct", "kelvin"])
+def test_eval_beyond_the_float_range(capsys, flags, exact):
+    # the exact value is printed in full; its float approximation would overflow
+    code, out, err = run_cli(capsys, "eval", "--route", *flags)
+    assert code == 0
+    assert err == ""
+    lines = out.splitlines()
+    assert lines[0].startswith(exact)
+    assert lines[1] == "float: outside the float range"
 
 
 def test_coeff_values(capsys):

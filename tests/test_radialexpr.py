@@ -265,12 +265,15 @@ def test_eval_exact_pole():
 @settings(max_examples=30, deadline=None)
 @given(f=expr_strategy(max_terms=3))
 def test_eval_exact_matches_eval_float(f):
+    # the float evaluator takes polynomials only; Laurent terms are checked
+    # against the term-by-term float reference
     rng = random.Random(9)
     for _ in range(4):
         ptx = [Fraction(rng.randint(1, 5), rng.randint(1, 3)) for _ in range(NX)]
         pty = [Fraction(rng.randint(1, 5), rng.randint(1, 3)) for _ in range(NY)]
         exact = f.eval_exact(ptx, pty).to_float()
-        approx = f.eval_float_batch(np.array([ptx], dtype=float), np.array([pty], dtype=float))[0]
+        approx = reference_eval_float_batch(f, np.array([ptx], dtype=float),
+                                            np.array([pty], dtype=float))[0]
         if abs(exact) > 1e-12:
             assert abs(exact - approx) / abs(exact) < 1e-10
         else:
@@ -280,10 +283,10 @@ def test_eval_exact_matches_eval_float(f):
 def test_eval_float_batch_matches_pointwise():
     f = zonal_direct(2, 3)
     X = np.array([[0.3, -0.2, 0.5], [1.0, 0.0, 2.0]])
-    Y = np.array([[0.1, 0.7, -0.4], [0.5, 0.5, 0.5]])
-    batch = f.eval_float_batch(X, Y)
+    y = np.array([0.1, 0.7, -0.4])
+    batch = f.eval_float_batch(X, y)
     for i in range(2):
-        assert batch[i] == f.eval_float_batch(X[i:i + 1], Y[i:i + 1])[0]
+        assert batch[i] == f.eval_float_batch(X[i:i + 1], y[None, :])[0]
 
 
 def reference_eval_float_batch(f, X, Y):
@@ -323,70 +326,71 @@ def _laurent_expr():
     ])
 
 
+def _polynomial_expr():
+    # the monomials of _laurent_expr without its radial powers
+    return rx.from_terms(4, 4, [
+        ((3, 0, 1, 0), (0, 2, 0, 0), 0, 0, Fraction(7, 3)),
+        ((0, 1, 0, 4), (1, 0, 0, 1), 0, 0, Fraction(-2, 9)),
+        ((2, 2, 0, 0), (0, 0, 3, 0), 0, 0, 5),
+        ((0, 0, 0, 0), (1, 1, 1, 0), 0, 0, Fraction(1, 7)),
+    ])
+
+
 def _bits(a):
     return np.asarray(a, dtype=float).view(np.int64)
 
 
-@pytest.mark.parametrize("make", [lambda: zonal_direct(3, 3), _laurent_expr],
-                         ids=["zonal_direct(3,3)", "laurent"])
+@pytest.mark.parametrize("make", [lambda: zonal_direct(3, 3), _polynomial_expr],
+                         ids=["zonal_direct(3,3)", "polynomial"])
 def test_eval_float_batch_is_bit_identical_across_blocks(make):
+    # reproducing_mc evaluates its samples block by block: a split of the rows
+    # that is no block multiple gives the bits of one call and of the reference
     f = make()
-    rows = 2 * rx._EVAL_BLOCK + 7
     rng = np.random.default_rng(5)
-    X = rng.standard_normal((rows, 4))
-    for Y in (rng.standard_normal((1, 4)), rng.standard_normal((rows, 4))):
-        assert np.array_equal(_bits(f.eval_float_batch(X, Y)),
-                              _bits(reference_eval_float_batch(f, X, Y)))
+    X = rng.standard_normal((2 * 4096 + 7, 4))
+    y = rng.standard_normal(4)
+    want = _bits(reference_eval_float_batch(f, X, y[None, :]))
+    assert np.array_equal(_bits(f.eval_float_batch(X, y)), want)
+    parts = [f.eval_float_batch(X[lo:lo + 3000], y) for lo in range(0, X.shape[0], 3000)]
+    assert np.array_equal(_bits(np.concatenate(parts)), want)
 
 
-# one-row poles with exact zero coordinates, as the reproducing suite uses, and a -0.0
+# poles with exact zero coordinates, as the reproducing suite uses, and a -0.0
 _ZERO_POLES = [np.array([[0.6, 0.0, 0.8, 0.0]]), np.array([[0.0, -0.0, 1.0, 0.0]])]
 
 
-def test_eval_float_shared_jobs_match_one_job_evaluations():
-    f, g = zonal_direct(3, 3), _laurent_expr()
-    rows = rx._EVAL_BLOCK + 11
+def test_float_plan_jobs_match_one_job_evaluations():
+    f, g = zonal_direct(3, 3), _polynomial_expr()
     rng = np.random.default_rng(8)
-    X = rng.standard_normal((rows, 4))
-    jobs = [(f, _ZERO_POLES[0]), (g, rng.standard_normal((rows, 4))), (g, _ZERO_POLES[1]),
+    X = rng.standard_normal((1000, 4))
+    jobs = [(f, _ZERO_POLES[0]), (g, rng.standard_normal(4)), (g, _ZERO_POLES[1]),
             (f, rng.standard_normal((1, 4)))]
-    values = rx.eval_float_shared(X, jobs)
+    values = rx._float_plan(jobs)(X)
     assert len(values) == len(jobs)
-    for (expr, Y), got in zip(jobs, values):
-        assert np.array_equal(_bits(got), _bits(reference_eval_float_batch(expr, X, Y)))
-        assert np.array_equal(_bits(got), _bits(expr.eval_float_batch(X, Y)))
-
-
-def test_eval_float_shared_radial_free_jobs_need_no_q_x():
-    # no term has a radial x power, so Q_x is never computed; the zero-pole skip
-    # bounds only the terms of one-row jobs, whose other factors are x columns
-    f = zonal_direct(3, 3)
-    rng = np.random.default_rng(9)
-    X = rng.standard_normal((40, 4))
-    jobs = [(f, _ZERO_POLES[0]), (f, rng.standard_normal((40, 4)))]
-    for (expr, Y), got in zip(jobs, rx.eval_float_shared(X, jobs)):
-        assert np.array_equal(_bits(got), _bits(reference_eval_float_batch(expr, X, Y)))
+    for (expr, y), got in zip(jobs, values):
+        assert np.array_equal(_bits(got), _bits(reference_eval_float_batch(expr, X, y.reshape(1, 4))))
+        assert np.array_equal(_bits(got), _bits(expr.eval_float_batch(X, y)))
 
 
 @pytest.mark.parametrize("special", [np.inf, -np.inf, np.nan, 1e200, 1e-200],
                          ids=["inf", "-inf", "nan", "1e200", "1e-200"])
-@pytest.mark.parametrize("make", [lambda: zonal_direct(3, 3), _laurent_expr],
-                         ids=["zonal_direct(3,3)", "laurent"])
+@pytest.mark.parametrize("make", [lambda: zonal_direct(3, 3), _polynomial_expr],
+                         ids=["zonal_direct(3,3)", "polynomial"])
 def test_zero_pole_terms_skip_only_when_exact(make, special):
     # a term with a zero pole factor is +-0.0 unless another factor or partial product
-    # is inf or NaN (inf coordinate, x^3 or Q_x overflowing at 1e200): then inf * 0 = NaN
+    # is inf or NaN (an inf coordinate, or x^3 overflowing at 1e200): then inf * 0 = NaN
     f = make()
-    rows = rx._EVAL_BLOCK + 5
+    rows = 4096 + 5
     X = np.random.default_rng(3).standard_normal((rows, 4))
     X[3, 0] = X[rows - 2, 1] = special
     with np.errstate(over="ignore", invalid="ignore", under="ignore"):
-        want = [reference_eval_float_batch(f, X, Y) for Y in _ZERO_POLES]
-        got = rx.eval_float_shared(X, [(f, Y) for Y in _ZERO_POLES])
+        want = [reference_eval_float_batch(f, X, y) for y in _ZERO_POLES]
+        got = [f.eval_float_batch(X, y) for y in _ZERO_POLES]
         # a plan evaluated at several X bounds the skip by the rows of each call
-        evaluate = rx._float_plan(4, [(f, Y) for Y in _ZERO_POLES])
+        evaluate = rx._float_plan([(f, y) for y in _ZERO_POLES])
         clean = X[5:12]
         planned = evaluate(clean) + evaluate(X)
-        want_planned = [reference_eval_float_batch(f, clean, Y) for Y in _ZERO_POLES] + want
+        want_planned = [reference_eval_float_batch(f, clean, y) for y in _ZERO_POLES] + want
     for a, b in zip(got, want):
         assert np.array_equal(_bits(a), _bits(b))
     for a, b in zip(planned, want_planned):
@@ -395,20 +399,20 @@ def test_zero_pole_terms_skip_only_when_exact(make, special):
         assert np.isnan(want[0][3]) and np.isnan(got[0][3])
 
 
-def test_eval_float_batch_pole_in_a_later_block():
-    f = _laurent_expr()
-    X = np.ones((2 * rx._EVAL_BLOCK + 7, 4))
-    X[rx._EVAL_BLOCK + 3] = 0.0
-    with pytest.raises(rx.PoleError):
-        f.eval_float_batch(X, np.ones((1, 4)))
-    # in a shared call, a pole of either group in any job raises before a block is evaluated
-    fine = np.ones((X.shape[0], 4))
-    with pytest.raises(rx.PoleError):
-        rx.eval_float_shared(X, [(zonal_direct(3, 3), _ZERO_POLES[0]), (f, np.ones((1, 4)))])
-    Y = fine.copy()
-    Y[rx._EVAL_BLOCK + 3] = 0.0
-    with pytest.raises(rx.PoleError):
-        rx.eval_float_shared(fine, [(zonal_direct(3, 3), _ZERO_POLES[0]), (f, Y)])
+def test_float_evaluation_rejects_a_radial_term():
+    X = np.ones((3, 4))
+    with pytest.raises(ValueError, match="radial"):
+        _laurent_expr().eval_float_batch(X, np.ones(4))
+    # one job with one radial term is enough
+    g = zonal_direct(3, 3) + rx.norm_power("x", 1, 4, 4)
+    with pytest.raises(ValueError, match="radial"):
+        rx._float_plan([(zonal_direct(3, 3), np.ones(4)), (g, np.ones(4))])
+
+
+@pytest.mark.parametrize("shape", [(3, 4), (2, 4), (0, 4), (3,), (1, 5)])
+def test_float_evaluation_takes_one_y_point(shape):
+    with pytest.raises(ValueError, match="one point of 4 coordinates"):
+        zonal_direct(3, 3).eval_float_batch(np.ones((3, 4)), np.ones(shape))
 
 
 # -- serialization -----------------------------------------------------------------
