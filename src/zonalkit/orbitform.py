@@ -90,8 +90,8 @@ class OrbitForm:
                 powers[(i, j)] = out
             return out
 
-        parts = inv._horner(cls.zero(n), lambda f: f.apply(lambda g: g * a),
-                            lambda i, j, c: power(i, j).scale(c))
+        parts = inv._horner(lambda: cls.zero(n), lambda f: f.apply(lambda g: g * a),
+                            lambda f, i, j, c: f + power(i, j).scale(c))
         # all radial powers are even and nonnegative: one group, radial floor (0, 0)
         return parts[0][2] if parts else cls.zero(n)
 

@@ -145,11 +145,10 @@ def _dir_deriv_overflows(lay: _Layout, key: int, radial: bool) -> bool:
 def _gcd_reduce(terms: dict[int, int], den: int) -> tuple[dict[int, int], int]:
     if not terms:
         return terms, 1
-    g = den
-    for v in terms.values():
-        g = math.gcd(g, v)
-        if g == 1:
-            return terms, den
+    # one value usually settles it; otherwise one C-level gcd over all of them
+    g = math.gcd(den, next(iter(terms.values())))
+    if g > 1:
+        g = math.gcd(g, *terms.values())
     if g > 1:
         terms = {k: v // g for k, v in terms.items()}
         den //= g
@@ -361,13 +360,14 @@ class RadialExpr:
               no_zeros: bool = False) -> "RadialExpr":
         """Wrap a term dict; ``no_zeros`` says it holds no zero coefficient.
 
-        Without it the dict is copied to drop zeros.  Callers whose terms
-        cannot cancel (a nonzero scale, negation, Kelvin's one-to-one key
-        map) pass ``no_zeros=True`` and skip the copy.
+        Without it the values are scanned, and the dict is copied to drop
+        zeros only when the scan finds one.  Callers whose terms cannot
+        cancel (a nonzero scale, negation, Kelvin's one-to-one key map) pass
+        ``no_zeros=True`` and skip the scan.
         """
         self = object.__new__(cls)
         lay = _layout(nx, ny)
-        if not no_zeros:
+        if not no_zeros and 0 in terms.values():
             terms = {k: v for k, v in terms.items() if v}
         if radial_free_hint:
             radial_free = True

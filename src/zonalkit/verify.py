@@ -31,8 +31,6 @@ import hashlib
 import json
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import islice
@@ -303,7 +301,7 @@ def _cells_ladder(args: SuiteArgs) -> list[dict]:
 def _run_ladder(params: dict) -> Cell:
     n, k = params["n"], params["k"]
     lhs = zr.ladder_route(n, k)
-    rhs = zonal_direct(n, k).scale(zr.ladder_scale(n, k))
+    rhs = zonal_direct_invariant(n, k).scale(zr.ladder_scale(n, k)).to_radialexpr()
     return _expr_cell(params, lhs, rhs)
 
 
@@ -363,7 +361,7 @@ def _run_laplacian(params: dict) -> Cell:
             rhs = zonal_direct_invariant(target_n, k).scale(pref)
             return _invariant_cell(params, lhs, rhs)
         lhs = zr.laplacian_route(parity, m, k)
-        rhs = zonal_direct(target_n, k).scale(pref)
+        rhs = zonal_direct_invariant(target_n, k).scale(pref).to_radialexpr()
         return _expr_cell(params, lhs, rhs)
     if params["check"] == "fixed_y":
         out = zr.laplacian_route_fixed_y(parity, m, k)
@@ -440,7 +438,7 @@ def _cells_clifford(args: SuiteArgs) -> list[dict]:
 def _run_clifford(params: dict) -> Cell:
     if params["check"] in ("plane_identity", "route"):  # the plane identity is m = 0
         m, k = params.get("m", 0), params["k"]
-        rhs = zonal_direct(2 * m + 1, k).scale(zr.beta_hat(m, k) / 2)
+        rhs = zonal_direct_invariant(2 * m + 1, k).scale(zr.beta_hat(m, k) / 2).to_radialexpr()
         return _expr_cell(params, zr.clifford_route(m, k), rhs)
     if params["check"] == "slice_derivative_value":
         # Lap_4 (x^(k+2))_0 = -2 (k+2)/(k+1) Z_k(x, 1) with the unit pole
@@ -863,6 +861,10 @@ def run_suite(suite: str, args: SuiteArgs | None = None, threads: int = 1) -> Ve
     items = plan_suite(suite, args)
     workers = min(threads, len(items), os.cpu_count() or 1)
     if workers > 1:
+        # loaded here, so that a run in this process never imports multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [pool.submit(_execute, it) for it in items]
         cells = []

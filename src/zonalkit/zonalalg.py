@@ -13,7 +13,11 @@ Every route input is written here first.  It reaches coordinates through
 :class:`~zonalkit.radialexpr.RadialExpr`, or through
 :meth:`zonalkit.orbitform.OrbitForm.from_invariant`, which runs the same
 Horner loop (:meth:`ZonalInvariant._horner`) with one coefficient per orbit
-of the pair permutations.  The invariant form also carries the deepest
+of the pair permutations.  In coordinates the loop runs into one dict of
+integer numerators over one denominator per parity class, so a constant
+that multiplies a kernel is best applied to the few invariant coefficients
+(:meth:`ZonalInvariant.scale`) before expanding, not to the expanded
+numerators.  The invariant form also carries the deepest
 iterated-Laplacian cells on its own: a coordinate expansion of three double
 Laplacians in R^9 would need on the order of 10^8 monomials, while the
 invariant form keeps tens of terms.  The closed-form operator rules used
@@ -34,6 +38,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from fractions import Fraction
 from typing import Sequence
 
@@ -126,6 +131,17 @@ class ZonalInvariant:
     def to_radialexpr(self, y: Sequence | None = None) -> rx.RadialExpr:
         """Expand into coordinates (feasible sizes only), by :meth:`_horner`.
 
+        Each parity group's polynomial is summed into one dict of integer
+        numerators over one denominator: a Horner level multiplies it by
+        <x,y> with integer coefficients into a fresh dict, and each
+        c Q_x^i Q_y^j is added into it from Q powers built once per call.
+        Zeros are dropped once, when the dict becomes a
+        :class:`~zonalkit.radialexpr.RadialExpr`; only the radial floor
+        |x|^r0 |y|^s0 and the sum over groups use ``RadialExpr`` arithmetic.
+        The degree bounds and the ``RadialOverflow`` raised at the packed
+        degree cap are those of the same plan written with ``RadialExpr``
+        products and sums.
+
         With a rational point ``y`` = p the y group is fixed at p during the
         expansion: <x,y> becomes the linear form <x,p>, Q_y the number |p|^2
         and the y radial floor |y|^s0 the number |p|^s0, so no y monomial is
@@ -136,53 +152,113 @@ class ZonalInvariant:
         square.
         """
         n = self.dim
-        qx = [rx.constant(1, n, n)]
+        lay = rx._layout(n, n)
         if y is None:
-            a = rx.inner_xy(n)
-            qy = [rx.constant(1, n, n)]
-
-            def quadratic(i: int, j: int, c: Fraction) -> rx.RadialExpr:
-                return _power(qx, "x", i).scale(c) * _power(qy, "y", j)
-
-            def y_floor(out: rx.RadialExpr, s0: int) -> rx.RadialExpr:
-                return out * rx.norm_power("y", s0, n, n)
+            # <x,y> raises one x and one y field per coordinate pair
+            inner = [((1 << sx) + (1 << sy), 1) for sx, sy in zip(lay.x_shifts, lay.y_shifts)]
+            d, q = 1, None
         else:
             if len(y) != n:
                 raise ValueError(f"point has {len(y)} coordinates, group needs {n}")
             pt = [Fraction(v) for v in y]
-            zeros = (0,) * n
-            a = rx.from_terms(n, n, [(tuple(int(i == j) for j in range(n)), zeros, 0, 0, v)
-                                     for i, v in enumerate(pt) if v])
+            # <x,p> = (1/d) sum P_i x_i with integers P_i
+            d = math.lcm(*(v.denominator for v in pt))
+            inner = [(1 << s, int(v * d)) for s, v in zip(lay.x_shifts, pt) if v]
             q = sum(v * v for v in pt)
+        # the degrees one factor of <x,y> or <x,p> adds; <x,0> is a zero of degree 0
+        step_x, step_y = int(bool(inner)), int(y is None)
+        den0 = math.lcm(*(c.denominator for c in self.terms.values()))
+        powers = {"x": [{0: 1}], "y": [{0: 1}]}
 
-            def quadratic(i: int, j: int, c: Fraction) -> rx.RadialExpr:
-                return _power(qx, "x", i).scale(c * q ** j)
+        def power(group: rx.VarGroup, i: int) -> dict[int, int]:
+            """Q^i as {key offset: coefficient}, one factor of Q at a time."""
+            table = powers[group]
+            if 2 * i > rx.MAX_DEGREE:
+                raise rx.RadialOverflow("product would exceed the packed degree cap")
+            shifts = [2 << s for s in (lay.x_shifts if group == "x" else lay.y_shifts)]
+            while len(table) <= i:
+                out: dict[int, int] = {}
+                get = out.get
+                for key, c in table[-1].items():
+                    for s in shifts:
+                        out[key + s] = get(key + s, 0) + c
+                table.append(out)
+            return table[i]
 
-            def y_floor(out: rx.RadialExpr, s0: int) -> rx.RadialExpr:
-                return out.scale(_norm_value(q, s0))
+        def times_inner(acc: _Numerators) -> _Numerators:
+            if acc.degx + step_x > rx.MAX_DEGREE or acc.degy + step_y > rx.MAX_DEGREE:
+                raise rx.RadialOverflow("product would exceed the packed degree cap")
+            acc.degx += step_x
+            acc.degy += step_y
+            if not inner:
+                acc.terms = {}
+                return acc
+            terms = acc.terms
+            # the first shift maps keys one to one; a coefficient 1 is not multiplied
+            (shift, c), *rest = inner
+            out = dict(zip(map(shift.__add__, terms),
+                           terms.values() if c == 1 else map(c.__mul__, terms.values())))
+            get = out.get
+            for shift, c in rest:
+                for key, v in (terms.items() if c == 1
+                               else zip(terms, map(c.__mul__, terms.values()))):
+                    key += shift
+                    out[key] = get(key, 0) + v
+            acc.terms = out
+            acc.den *= d
+            return acc
+
+        def add_quadratic(acc: _Numerators, i: int, j: int, c: Fraction) -> _Numerators:
+            qx = power("x", i)
+            if q is None:
+                qy = power("y", j)
+                acc.degx, acc.degy = max(acc.degx, 2 * i), max(acc.degy, 2 * j)
+            else:
+                qy = powers["y"][0]
+                c = c * q ** j
+                if not c:  # |p|^2 = 0 and j > 0: the term vanishes
+                    return acc
+                acc.degx = max(acc.degx, 2 * i)
+            terms = acc.terms
+            if acc.den % c.denominator:
+                m = c.denominator // math.gcd(acc.den, c.denominator)
+                terms = acc.terms = dict(zip(terms, map(m.__mul__, terms.values())))
+                acc.den *= m
+            num = c.numerator * (acc.den // c.denominator)
+            get = terms.get
+            for kx, vx in qx.items():
+                base, f = lay.zero_key + kx, num * vx
+                for key, v in zip(map(base.__add__, qy), map(f.__mul__, qy.values())):
+                    terms[key] = get(key, 0) + v
+            return acc
+
         parts = []
-        for r0, s0, out in self._horner(rx.RadialExpr.zero(n, n), lambda f: f * a, quadratic):
+        for r0, s0, acc in self._horner(lambda: _Numerators(den0), times_inner, add_quadratic):
+            out = rx.RadialExpr._make(n, n, acc.terms, acc.den, acc.degx, acc.degy,
+                                      radial_free_hint=True)
             if r0:
                 out = out * rx.norm_power("x", r0, n, n)
             if s0:
-                out = y_floor(out, s0)
+                out = (out * rx.norm_power("y", s0, n, n) if q is None
+                       else out.scale(_norm_value(q, s0)))
             parts.append(out)
         if not parts:
             return rx.RadialExpr.zero(n, n)
         return sum(parts[1:], parts[0])
 
-    def _horner(self, zero, times_inner, quadratic) -> list:
+    def _horner(self, start, times_inner, add_quadratic) -> list:
         """The one Horner scheme from invariants to a polynomial representation.
 
         Terms are grouped by the parities of R and S.  Within a group every
         |x|^R |y|^S is |x|^r0 |y|^s0 Q_x^i Q_y^j for the group's radial floor
         (r0, s0), so the group is one polynomial times one radial monomial.
-        The polynomial is built by Horner in a: going down in A,
-        out = times_inner(out) + sum quadratic(i, j, c), where
-        ``quadratic(i, j, c)`` is c Q_x^i Q_y^j and ``zero`` is the empty
-        sum, so every product has a small factor or factors in disjoint
-        variables.  Returns one ``(r0, s0, polynomial)`` per group; the
-        coordinate expander and the orbit form share this loop.
+        The polynomial is built by Horner in a, from ``start()``, the empty
+        sum: going down in A, a nonzero ``out`` becomes ``times_inner(out)``,
+        then ``add_quadratic(out, i, j, c)`` adds each c Q_x^i Q_y^j of the
+        level and returns the sum, so every product has a small factor or
+        factors in disjoint variables.  Returns one ``(r0, s0, polynomial)``
+        per group; the coordinate expander and the orbit form share this
+        loop.
         """
         groups: dict[tuple[int, int], list[tuple[Key, Fraction]]] = {}
         for key, c in self.terms.items():
@@ -194,12 +270,12 @@ class ZonalInvariant:
             by_a: dict[int, list[tuple[int, int, Fraction]]] = {}
             for (A, R, S), c in members:
                 by_a.setdefault(A, []).append(((R - r0) // 2, (S - s0) // 2, c))
-            out = zero
+            out = start()
             for A in range(max(by_a), -1, -1):
                 if out:
                     out = times_inner(out)
                 for i, j, c in by_a.get(A, ()):
-                    out = out + quadratic(i, j, c)
+                    out = add_quadratic(out, i, j, c)
             parts.append((r0, s0, out))
         return parts
 
@@ -235,6 +311,25 @@ class ZonalInvariant:
         return f"<ZonalInvariant dim={self.dim} terms={len(self.terms)}>"
 
 
+class _Numerators:
+    """One group's Horner sum in coordinates: integer numerators over ``den``.
+
+    ``terms`` maps packed keys to numerators and may hold zeros until the sum
+    becomes a ``RadialExpr``; ``degx`` and ``degy`` are the degree bounds it
+    will carry.
+    """
+
+    __slots__ = ("terms", "den", "degx", "degy")
+
+    def __init__(self, den: int):
+        self.terms: dict[int, int] = {}
+        self.den = den
+        self.degx = self.degy = 0
+
+    def __bool__(self) -> bool:
+        return any(self.terms.values())
+
+
 def _radial_floor(powers) -> int:
     """Lowest radial power of one parity class that leaves the rest even and >= 0.
 
@@ -255,14 +350,6 @@ def _norm_value(q: Fraction, s: int) -> Fraction:
     if sq is None:
         raise rx.PoleError(f"odd radial power needs a perfect-square |pt|^2; got {q}")
     return q ** half * sq
-
-
-def _power(table: list[rx.RadialExpr], group: rx.VarGroup, i: int) -> rx.RadialExpr:
-    """Q^i for the group, extending ``table`` (Q^0, Q^1, ...) one factor of Q at a time."""
-    while len(table) <= i:
-        n = table[0].nx
-        table.append(table[-1] * rx.quadratic_form(group, n, n))
-    return table[i]
 
 
 # -- constructors -------------------------------------------------------------

@@ -29,8 +29,10 @@ and only the result is unfolded to coordinates.  An operator may pass
 through Laurent intermediates as long as its output is a polynomial: the
 ladder applies Kelvin o <y,grad_x> o Kelvin as one step, and the inversion
 route applies |x|^(-2k), the Laplacians and Kelvin as one composed
-operator.  The expressions they are compared with (``zonal_direct``) come
-from the full coordinate expander.
+operator.  The expressions they are compared with come from the full
+coordinate expander: ``zonal_direct_invariant`` scaled by the cell's
+constant, then expanded (the kelvin cells expand ``zonal_direct`` unscaled
+and measure their constant against it).
 
 Paired cells.  The ``kelvin`` and ``eta`` suites check each case twice, once
 against the stated constant and once against the observed one, in adjacent
@@ -569,7 +571,12 @@ def reproducing_mc(n: int, k: int, test_poly: rx.RadialExpr, y,
         hi = min(lo + _SAMPLE_BLOCK, samples)
         kvals, pvals = evaluate(uniform_sphere(hi - lo, nvars, rng))
         np.multiply(pvals, kvals, out=prods[lo:hi])
-    estimate = float(np.mean(prods))
-    stderr = float(np.std(prods, ddof=1) / math.sqrt(samples))
+    mean = np.true_divide(np.add.reduce(prods, keepdims=True), samples)
+    estimate = float(mean[0])
+    # the steps of np.std(prods, ddof=1), run in place on prods: the same bits
+    # without its full-length temporary
+    np.subtract(prods, mean, out=prods)
+    np.multiply(prods, prods, out=prods)
+    stderr = float(np.sqrt(np.add.reduce(prods) / (samples - 1)) / math.sqrt(samples))
     target = float(test_poly.eval_float_batch(y[None, :], origin)[0])
     return ReproducingResult(estimate, target, stderr, samples, seed)

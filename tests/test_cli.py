@@ -89,6 +89,19 @@ def test_expand_term_budget_guard(capsys):
     assert "terms" in err
 
 
+@pytest.mark.parametrize("k, code", [(127, 0), (128, 2)])
+def test_expand_direct_at_the_degree_cap(capsys, k, code):
+    # the plane kernel of degree 128 needs x exponents past the 7-bit field
+    got, out, err = run_cli(capsys, "expand", "--route", "direct", "--n", "1", "--k", str(k),
+                            "--max-terms", "100000000")
+    assert got == code
+    if code:
+        assert out == ""
+        assert "product would exceed the packed degree cap" in err
+    else:
+        assert out.startswith("2 x1^127*y1^127 + ")
+
+
 @pytest.mark.parametrize("command", ["expand", "eval"])
 @pytest.mark.parametrize("cap", ["0", "-5"])
 def test_max_terms_below_one_exit_2(capsys, command, cap):
@@ -469,6 +482,33 @@ def test_exact_commands_leave_numpy_unloaded():
         "    assert 'numpy' not in sys.modules, argv\n"
         "assert main(['verify', '--suite', 'poisson', '--nmax', '2', '--threads', '1']) == 0\n"
         "assert 'numpy' in sys.modules\n"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+
+
+def test_process_pool_loads_only_when_one_starts():
+    # run_suite imports the pool when it starts one: the exact commands and a
+    # one-worker verify never load multiprocessing
+    script = (
+        "import sys\n"
+        "from zonalkit.cli import main\n"
+        "for argv in (['expand', '--route', 'direct', '--n', '2', '--k', '2'],\n"
+        "             ['eval', '--route', 'direct', '--n', '2', '--k', '1',\n"
+        "              '--x', '1,2,3', '--y', '1,0,0'],\n"
+        "             ['coeff', 'eta', '--m', '1', '--k', '2'],\n"
+        "             ['table', 'zonal_coeffs', '--n', '2', '--kmax', '2'],\n"
+        "             ['verify', '--suite', 'ladder', '--nmax', '3', '--kmax', '2',\n"
+        "              '--threads', '1']):\n"
+        "    assert main(argv) == 0, argv\n"
+        "    assert 'multiprocessing' not in sys.modules, argv\n"
+        "    assert 'concurrent.futures.process' not in sys.modules, argv\n"
+        "assert main(['verify', '--suite', 'monogenic', '--kmax', '2', '--threads', '2']) == 0\n"
+        "assert 'concurrent.futures.process' in sys.modules\n"
+        "assert 'multiprocessing' in sys.modules\n"
     )
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=str(src))

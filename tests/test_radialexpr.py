@@ -61,6 +61,23 @@ def test_add_cancellation():
     assert (f - f).is_zero()
 
 
+def test_cancelled_terms_leave_no_zero_coefficient():
+    # _make copies a term dict only when it holds a zero; results that cancel
+    # must still come out without one
+    x0, x1 = (rx.coordinate("x", i, NX, NY) for i in (0, 1))
+    y0 = rx.coordinate("y", 0, NX, NY)
+    cases = [
+        (x0 - x0, 0),
+        ((x0 + y0) * (x0 - y0), 2),  # the x0 y0 terms cancel
+        (rx.constant(5, NX, NY).partial("x", 0), 0),
+        ((x0 * x0 - x1 * x1).laplacian("x"), 0),  # 2 - 2 at the constant term
+    ]
+    for f, size in cases:
+        assert 0 not in f._terms.values()
+        assert len(f) == size
+    assert cases[1][0].equals(x0 * x0 - y0 * y0)
+
+
 def test_canonical_form_unique_across_constructions():
     # Q_x Q_y |x|^-2 |y|^-2 built two ways
     q = rx.quadratic_form("x", NX, NY) * rx.quadratic_form("y", NX, NY)

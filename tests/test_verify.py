@@ -1,3 +1,4 @@
+import concurrent.futures
 import hashlib
 import json
 from concurrent.futures import Future
@@ -183,7 +184,8 @@ def test_worker_count_is_capped(monkeypatch, threads, cpus, expected):
             future.set_result(fn(item))
             return future
 
-    monkeypatch.setattr(verify, "ProcessPoolExecutor", InlinePool)
+    # run_suite imports the pool class from concurrent.futures when it starts one
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
     monkeypatch.setattr(verify.os, "cpu_count", lambda: cpus)
     rep = run_suite("monogenic", SuiteArgs(kmax=2), threads=threads)
     assert sizes == expected

@@ -6,8 +6,9 @@ from hypothesis import given, settings, strategies as st
 
 from zonalkit import radialexpr as rx
 from zonalkit import zonalalg as za
-from zonalkit.gegenbauer import zonal_direct_invariant
+from zonalkit.gegenbauer import zonal_direct, zonal_direct_invariant
 
+from expand_reference import reference_to_radialexpr
 from pole_reference import reference_substitute_point
 
 monomials = st.tuples(st.integers(0, 3), st.integers(-5, 5), st.integers(-5, 5),
@@ -131,6 +132,75 @@ def test_pole_expansion_negative_floor_at_origin_raises():
         inv.to_radialexpr(y=origin)
     with pytest.raises(ValueError, match="coordinates"):
         inv.to_radialexpr(y=(1, 0, 0))
+
+
+def _expansion(expand, inv, y):
+    """What an expander gives: the exact state of its result, or the error it raised."""
+    try:
+        f = expand(inv, y)
+    except (rx.RadialOverflow, rx.PoleError) as exc:
+        return type(exc), str(exc)
+    return f._terms, f._den, f._degx, f._degy, f._radial_free
+
+
+@settings(max_examples=150, deadline=None)
+@given(dim=st.integers(2, 4),
+       terms=st.lists(st.tuples(st.integers(0, 4), st.integers(-5, 5), st.integers(-5, 5),
+                                st.fractions(min_value=-20, max_value=20, max_denominator=4)),
+                      min_size=0, max_size=5),
+       which=st.integers(0, 6), cancel=st.booleans())
+def test_expander_matches_the_radialexpr_reference(dim, terms, which, cancel):
+    # y free, y at the poles, at the origin, at a point of irrational norm and at
+    # one with |p|^2 = 1/4; negative and odd floors; with ``cancel`` a pair
+    # c |y|^(S+2) - c |p|^2 |y|^S that vanishes at the point
+    pad = (0,) * (dim - 2)
+    points = [None] + _poles(dim) + [(0,) * dim, (1, 1) + pad,
+                                     (Fraction(3, 10), Fraction(2, 5)) + pad]
+    p = points[which]
+    inv = za.ZonalInvariant(dim)
+    for A, R, S, c in terms:
+        inv = inv + za.monomial(dim, A, R, S, c)
+    if cancel and terms:
+        A, R, S, c = terms[0]
+        q = sum(Fraction(v) ** 2 for v in p) if p is not None else 1
+        inv = za.ZonalInvariant(dim, {(A, R + 1, S + 2): c or 1, (A, R + 1, S): -(c or 1) * q})
+    assert _expansion(za.ZonalInvariant.to_radialexpr, inv, p) \
+        == _expansion(reference_to_radialexpr, inv, p)
+
+
+@pytest.mark.parametrize("key", [(0, 128, 0), (0, 0, 128), (128, 0, 0), (127, 1, 0),
+                                 (127, 0, 1), (0, 127, 0), (63, 64, 0), (0, -3, 126)])
+@pytest.mark.parametrize("y", [None, (1, 0), (0, 0)])
+def test_expander_raises_at_the_degree_cap_where_the_reference_does(key, y):
+    inv = za.monomial(2, *key, Fraction(3, 2))
+    got = _expansion(za.ZonalInvariant.to_radialexpr, inv, y)
+    assert got == _expansion(reference_to_radialexpr, inv, y)
+    # <x,0> is a zero of degree 0, so a^128 at the origin stays below the cap
+    if key == (0, 128, 0) or (key == (128, 0, 0) and y != (0, 0)):
+        assert got == (rx.RadialOverflow, "product would exceed the packed degree cap")
+
+
+def test_expander_of_route_seeds_matches_the_reference():
+    cases = [(zonal_direct_invariant(n, k), n + 1) for n in (1, 2, 5) for k in range(7)]
+    cases += [(za.xyc_power_real_invariant(k, 4), 4) for k in range(-3, 6)]
+    cases += [(za.xyc_power_real_invariant(2, 3) - za.xyc_power_real_invariant(2, 3), 3)]
+    for inv, dim in cases:
+        for p in [None, (Fraction(3, 10), Fraction(2, 5)) + (0,) * (dim - 2)] + _poles(dim):
+            assert _expansion(za.ZonalInvariant.to_radialexpr, inv, p) \
+                == _expansion(reference_to_radialexpr, inv, p), (inv, p)
+
+
+def test_largest_default_kernel_is_pinned():
+    # zonal_direct(6, 8), the largest kernel of a default suite: 218,799 terms over 128
+    z = zonal_direct(6, 8)
+    assert (len(z), z._den) == (218_799, 128)
+    assert z.digest() == "48ead2e1ad8fa0ddf6d41ea4410324be26992621e7049db342eb7bf133d789d1"
+
+
+def test_direct_kernel_past_the_degree_cap_raises():
+    with pytest.raises(rx.RadialOverflow, match="packed degree cap"):
+        zonal_direct(1, 128)
+    assert zonal_direct(1, 127).homogeneous_degree("x") == 127
 
 
 def test_invariant_harmonicity():

@@ -283,6 +283,22 @@ def test_reproducing_memory_is_one_value_per_sample():
     assert peak < 3 * 8 * samples
 
 
+def test_reproducing_standard_error_runs_in_place():
+    # the standard error runs np.std's steps in place on the products array, so
+    # the products and one block of points, values and x powers fit in 2 doubles
+    # per sample
+    pole = (Fraction(3, 5), 0, Fraction(4, 5), 0)
+    P = zonal_direct_invariant(3, 3).to_radialexpr(y=pole)
+    samples = 10 ** 6
+    tracemalloc.start()
+    try:
+        zr.reproducing_mc(3, 3, P, np.array([0.6, 0.0, 0.8, 0.0]), samples, seed=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 8 * samples
+
+
 def test_reproducing_trivial_constant():
     P = rx.constant(1, 3, 3)
     res = zr.reproducing_mc(2, 0, P, np.array([0.6, 0.8, 0.0]), 2000, seed=1)
