@@ -13,10 +13,18 @@ denominator, keyed by a representative: the packed
 :mod:`~zonalkit.radialexpr` key of the monomial whose (a_i, b_i) pairs are
 sorted in decreasing order.
 
-Operators are not rewritten here.  An equivariant ``op`` acts on the small
-expression g = sum_O (c_O / |Stab r_O|) r_O through the coordinate engine
-unchanged; since f = sum over S_N of the images of g, op(f) is the sum of
-the images of h = op(g), whose orbit coefficients are
+Seed products act orbit by orbit.  A seed is built by the Horner loop of
+the coordinate expander with products by the power sums <x,y>, Q_x and Q_y,
+sum_t x_t^da y_t^db, and the product rule of monomial symmetric functions
+gives such a product directly on the orbit coefficients: m_r times the
+power sum is the sum, over the distinct pairs v of r ((0, 0) included
+when r has one), of mult_r'(v + (da, db)) m_r', where r' is r with one v
+raised by (da, db).  No coordinate expression is built for a seed.
+
+The operators under test still run in coordinates.  An equivariant ``op``
+acts on the small expression g = sum_O (c_O / |Stab r_O|) r_O through the
+coordinate engine unchanged; since f = sum over S_N of the images of g,
+op(f) is the sum of the images of h = op(g), whose orbit coefficients are
 c'_O' = |Stab r'| * (sum of h's coefficients over O').  |Stab r| is the
 product of mult! over the distinct pairs of r.  Only polynomials are kept:
 ``op`` may pass through Laurent intermediates (|x|^p with p negative or
@@ -41,6 +49,8 @@ from .zonalalg import ZonalInvariant
 
 _BITS = rx._EXP_BITS
 _MASK = rx._EXP_MASK
+# the (0, 0) entry that ends a representative's distinct pairs in OrbitForm._times
+_ZERO_PAIR = ((0, 0, 0),)
 
 
 class OrbitForm:
@@ -63,10 +73,12 @@ class OrbitForm:
 
     @classmethod
     def from_invariant(cls, inv: ZonalInvariant) -> "OrbitForm":
-        """Build by the Horner scheme of ``to_radialexpr``, folding after each product.
+        """Build by the Horner scheme of ``to_radialexpr``, orbit by orbit.
 
-        Only polynomials have an orbit form here: a term with a negative or
-        odd radial power raises ``ValueError``.
+        Each product by <x,y>, Q_x or Q_y is :meth:`_times` on the orbit
+        coefficients; no coordinate expression is built.  Only polynomials
+        have an orbit form here: a term with a negative or odd radial power
+        raises ``ValueError``.
         """
         for A, R, S in inv.terms:
             if R < 0 or S < 0 or R % 2 or S % 2:
@@ -74,23 +86,17 @@ class OrbitForm:
                     f"orbit form needs a polynomial; term (A, R, S) = {(A, R, S)} "
                     "has a negative or odd radial power")
         n = inv.dim
-        a = rx.inner_xy(n)
-        qx = rx.quadratic_form("x", n, n)
-        qy = rx.quadratic_form("y", n, n)
         powers = {(0, 0): cls(n, {rx._layout(n, n).zero_key: 1})}
 
         def power(i: int, j: int) -> "OrbitForm":
             # Q_x^i Q_y^j, one factor of Q at a time
             out = powers.get((i, j))
             if out is None:
-                if j:
-                    out = power(i, j - 1).apply(lambda g: g * qy)
-                else:
-                    out = power(i - 1, 0).apply(lambda g: g * qx)
+                out = power(i, j - 1)._times(0, 2) if j else power(i - 1, 0)._times(2, 0)
                 powers[(i, j)] = out
             return out
 
-        parts = inv._horner(lambda: cls.zero(n), lambda f: f.apply(lambda g: g * a),
+        parts = inv._horner(lambda: cls.zero(n), lambda f: f._times(1, 1),
                             lambda f, i, j, c: f + power(i, j).scale(c))
         # all radial powers are even and nonnegative: one group, radial floor (0, 0)
         return parts[0][2] if parts else cls.zero(n)
@@ -154,6 +160,57 @@ class OrbitForm:
         return OrbitForm(self.dim, {r: v * c.numerator for r, v in self._orbits.items()},
                          self._den * c.denominator)
 
+    def _times(self, da: int, db: int) -> "OrbitForm":
+        """The orbit form of f * sum_t x_t^da y_t^db, with (da, db) != (0, 0).
+
+        For each orbit r and each distinct pair v of r, (0, 0) included when
+        r has one, r' is r with one v raised to w = v + (da, db), and
+        c_r * mult_r'(w) is added to c_r'.  Since w sorts before v, r' keeps
+        r's pairs before the first one below w, then w, then the pairs from
+        there to the first v moved one position on.  Raises
+        ``RadialOverflow`` where the coordinate product does: when the
+        form's degree bound plus ``da`` (or ``db``) exceeds ``MAX_DEGREE``.
+        """
+        n = self.dim
+        lay = self._lay
+        x0, y0 = lay.x_shifts[0], lay.y_shifts[0]
+        # a pair raised in place, at position i, adds steps[i] to the key
+        steps = [(da << sx) + (db << sy) for sx, sy in zip(lay.x_shifts, lay.y_shifts)]
+        out: dict[int, int] = {}
+        get = out.get
+        for r, c in self._orbits.items():
+            _, dx, dy, counts = _orbit(r, n)
+            if dx + da > rx.MAX_DEGREE or dy + db > rx.MAX_DEGREE:
+                raise rx.RadialOverflow("product would exceed the packed degree cap")
+            i = 0  # the position of the first v
+            for j, (a, b, m) in enumerate(counts + _ZERO_PAIR):
+                if i == n:
+                    break  # every pair is nonzero: no (0, 0) to raise
+                wa, wb = a + da, b + db
+                # w goes after every pair >= w: the pairs before v that sort below w move
+                p, mult, q = i, 1, j - 1
+                while q >= 0:
+                    a2, b2, m2 = counts[q]
+                    if a2 > wa or (a2 == wa and b2 > wb):
+                        break
+                    if a2 == wa and b2 == wb:
+                        mult += m2
+                        break
+                    p -= m2
+                    q -= 1
+                if p == i:
+                    rr = r + steps[i]
+                else:
+                    sx, sy = x0 + _BITS * p, y0 + _BITS * p
+                    moved = (1 << _BITS * (i - p)) - 1  # the fields of positions p .. i-1
+                    clear = (moved << _BITS) | _MASK  # and of position i
+                    rr = ((r & ~((clear << sx) | (clear << sy)))
+                          | ((((r >> sx) & moved) << _BITS | wa) << sx)
+                          | ((((r >> sy) & moved) << _BITS | wb) << sy))
+                out[rr] = get(rr, 0) + c * mult
+                i += m
+        return OrbitForm(n, out, self._den)
+
     # -- operators and coordinates ----------------------------------------------
 
     def apply(self, op: Callable[[rx.RadialExpr], rx.RadialExpr]) -> "OrbitForm":
@@ -183,7 +240,8 @@ class OrbitForm:
         placements: disjoint position sets, one per distinct nonzero pair,
         of the pair's multiplicity; the (0, 0) pairs fill what is left.  A
         pair (a, b) on a position set with field sums (xs, ys) adds
-        a * xs + b * ys to the key.
+        a * xs + b * ys to the key, computed once per distinct set of its
+        column and picked for each placement by index.
         """
         n = self.dim
         zero = self._lay.zero_key
@@ -193,10 +251,15 @@ class OrbitForm:
             _, dx, dy, counts = _orbit(r, n)
             degx = max(degx, dx)
             degy = max(degy, dy)
+            keys = [zero]
             columns = _placements(n, tuple(m for _, _, m in counts))
-            keys = [zero] * len(columns[0]) if columns else [zero]
-            for (a, b, _), sums in zip(counts, columns):
-                keys = list(map(add, keys, [a * xs + b * ys for xs, ys in sums]))
+            for col, ((a, b, _), (sets, idx)) in enumerate(zip(counts, columns)):
+                vals = [a * xs + b * ys for xs, ys in sets]
+                if col:
+                    keys = list(map(add, keys, map(vals.__getitem__, idx)))
+                else:  # the first column starts every key from the zero key
+                    vals = [zero + v for v in vals]
+                    keys = list(map(vals.__getitem__, idx))
             terms.update(dict.fromkeys(keys, c))
         return rx.RadialExpr._make(n, n, terms, self._den, degx, degy,
                                    radial_free_hint=True, no_zeros=True)
@@ -237,12 +300,15 @@ def _orbit(r: int, dim: int) -> tuple[int, int, int, tuple[tuple[int, int, int],
 
 
 @lru_cache(maxsize=1 << 10)
-def _placements(dim: int, mults: tuple[int, ...]) -> tuple[tuple[tuple[int, int], ...], ...]:
+def _placements(dim: int, mults: tuple[int, ...]
+                ) -> tuple[tuple[tuple[tuple[int, int], ...], tuple[int, ...]], ...]:
     """Every choice of disjoint position sets of sizes ``mults`` among ``dim``.
 
-    One column per multiplicity: the i-th choice is the i-th entry of each.
-    An entry holds its set's field sums ``(xs, ys)``: a one in each x and
-    each y field of the set's positions.
+    One ``(sets, idx)`` per multiplicity: ``sets`` holds the field sums
+    ``(xs, ys)`` of the column's distinct position sets, a one in each x and
+    each y field of the set's positions, and the i-th choice puts the
+    column's pair on ``sets[idx[i]]``.  Each distinct set has one
+    ``(xs, ys)`` entry, shared by every column that holds it.
     """
     placed = [((), (1 << dim) - 1)]
     for m in mults:
@@ -256,8 +322,12 @@ def _placements(dim: int, mults: tuple[int, ...]) -> tuple[tuple[tuple[int, int]
     columns = tuple(zip(*(masks for masks, _ in placed)))
     lay = rx._layout(dim, dim)
     fields = list(enumerate(zip(lay.x_shifts, lay.y_shifts)))
-    # one (xs, ys) per distinct position set, shared by every entry that holds it
     sums = {mask: (sum(1 << sx for i, (sx, _) in fields if mask >> i & 1),
                    sum(1 << sy for i, (_, sy) in fields if mask >> i & 1))
             for mask in set().union(*columns)}
-    return tuple(tuple(map(sums.__getitem__, column)) for column in columns)
+    out = []
+    for column in columns:
+        distinct = list(dict.fromkeys(column))
+        index = {mask: i for i, mask in enumerate(distinct)}
+        out.append((tuple(map(sums.__getitem__, distinct)), tuple(map(index.__getitem__, column))))
+    return tuple(out)

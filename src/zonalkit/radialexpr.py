@@ -987,6 +987,9 @@ def coordinate(group: VarGroup, i: int, nx: int, ny: int) -> RadialExpr:
 
 def norm_power(group: VarGroup, p: int, nx: int, ny: int) -> RadialExpr:
     """|x|^p (or |y|^p) as an expression; even nonnegative p absorbs to a polynomial."""
+    if not _RAD_MIN <= p <= _RAD_MAX:
+        # the biased field would carry into its neighbour
+        raise RadialOverflow(f"radial exponent out of range: |{group}|^{p}")
     lay = _layout(nx, ny)
     rad_shift = lay.px_shift if group == "x" else lay.py_shift
     key = (lay.zero_key & (lay.px_clear if group == "x" else lay.py_clear)) \

@@ -34,16 +34,20 @@ coordinate expander: ``zonal_direct_invariant`` scaled by the cell's
 constant, then expanded (the kelvin cells expand ``zonal_direct`` unscaled
 and measure their constant against it).
 
-Paired cells.  The ``kelvin`` and ``eta`` suites check each case twice, once
+Route caches.  The ``kelvin`` and ``eta`` suites check each case twice, once
 against the stated constant and once against the observed one, in adjacent
 cells.  The two route cores behind them, ``_inversion_route`` (``kelvin_route``
 and the eta right-hand side) and ``_paravector_laplacians`` (``clifford_route``
 and the eta left-hand side), are ``lru_cache(maxsize=1)`` caches: each keeps
 its most recent result, so the second cell of a pair takes the first one's
-expression, and a call with other arguments replaces it.  The caches are
-not scoped to a run, and each holds at most one result, an immutable
-``RadialExpr`` that the cells sharing it cannot disturb.  The public routes
-stay plain functions, and ``zonal_direct`` is never memoised.
+expression, and a call with other arguments replaces it.  The ladder core
+``_ladder_form`` is one too: step k is step k - 1 of the cache, so the
+ladder cells, which run n-major with k ascending, take one step each; any
+other call steps on from the cached form when it is below, or else from
+the constant 1.  The caches are not scoped to a run, and each holds at
+most one result, an immutable ``RadialExpr`` or ``OrbitForm`` that the
+cells sharing it cannot disturb.  The public routes stay plain functions,
+and ``zonal_direct`` is never memoised.
 
 Coefficient conventions.  The iterated-Laplacian prefactor is *defined* as
 the composition alpha * c^2 of the telescoping coefficient with the squared
@@ -265,12 +269,26 @@ def ladder_route(n: int, k: int) -> rx.RadialExpr:
     """
     if n < 2:
         raise ValueError("ladder route needs n >= 2")
-    nvars = n + 1
-    # K o D o K maps polynomials to polynomials, so each step folds
-    f = OrbitForm.fold(rx.constant(1, nvars, nvars))
-    for _ in range(k):
-        f = f.apply(lambda g: g.kelvin().dir_deriv().kelvin())
-    return f.unfold()
+    if k < 0:
+        raise ValueError(f"degree k must be nonnegative, got k={k}")
+    if k > rx.MAX_DEGREE:
+        # the output has x and y degree k: refuse before 127 steps are taken,
+        # and before the cached recursion outgrows the interpreter's stack
+        raise rx.RadialOverflow(f"ladder degree k={k} exceeds the packed degree cap "
+                                f"{rx.MAX_DEGREE}")
+    return _ladder_form(n, k).unfold()
+
+
+@lru_cache(maxsize=1)
+def _ladder_form(n: int, k: int) -> OrbitForm:
+    """The ladder's k-th step in orbit form, from the cached step k - 1.
+
+    K o D o K maps polynomials to polynomials, so each step folds.  Cells
+    that take k in ascending order for one n take one step each.
+    """
+    if k == 0:
+        return OrbitForm.fold(rx.constant(1, n + 1, n + 1))
+    return _ladder_form(n, k - 1).apply(lambda g: g.kelvin().dir_deriv().kelvin())
 
 
 def _laplacian_seed(parity: Parity, m: int, k: int) -> za.ZonalInvariant:

@@ -1,16 +1,19 @@
 import math
+import random
 from collections import Counter
 from fractions import Fraction
 from itertools import permutations
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from zonalkit import radialexpr as rx
 from zonalkit import zonalalg as za
 from zonalkit import zonalroutes as zr
 from zonalkit.gegenbauer import zonal_direct
 from zonalkit.orbitform import OrbitForm
+
+from orbit_reference import reference_from_invariant
 
 
 def full_laplacians(seed: za.ZonalInvariant, m: int, groups: str) -> rx.RadialExpr:
@@ -172,3 +175,116 @@ def test_apply_multiplication_matches_coordinates():
     a = rx.inner_xy(4)
     got = OrbitForm.from_invariant(seed).apply(lambda g: g * a).unfold()
     assert got == seed.to_radialexpr() * a
+
+
+def _build(builder, inv):
+    """What a builder gives: its numerators and denominator, or the error it raised."""
+    try:
+        f = builder(inv)
+    except rx.RadialOverflow as exc:
+        return type(exc), str(exc)
+    return f._orbits, f._den
+
+
+@settings(max_examples=80, deadline=None)
+@given(dim=st.integers(2, 7),
+       terms=st.lists(st.tuples(st.integers(0, 4), st.integers(0, 3), st.integers(0, 3),
+                                st.fractions(min_value=-20, max_value=20, max_denominator=6)),
+                      max_size=5),
+       cancel=st.booleans())
+@example(dim=3, terms=[], cancel=False)
+def test_orbit_products_match_the_coordinate_detour(dim, terms, cancel):
+    # even radial powers up to 6; with ``cancel`` a pair c a^(A+2) - c a^A Q_x Q_y,
+    # whose coefficients cancel on the orbits of x_i^2 y_i^2 times a common factor
+    inv = za.ZonalInvariant(dim)
+    for A, R, S, c in terms:
+        inv = inv + za.monomial(dim, A, 2 * R, 2 * S, c)
+    if cancel and terms:
+        A, R, S, c = terms[0]
+        A = min(A, 2)
+        inv = (inv + za.monomial(dim, A + 2, 2 * R, 2 * S, c or 1)
+               - za.monomial(dim, A, 2 * R + 2, 2 * S + 2, c or 1))
+    assert _build(OrbitForm.from_invariant, inv) == _build(reference_from_invariant, inv)
+
+
+def power_sum(dim: int, da: int, db: int) -> rx.RadialExpr:
+    """sum_t x_t^da y_t^db in coordinates."""
+    return rx.from_terms(dim, dim, [([da * (i == t) for i in range(dim)],
+                                     [db * (i == t) for i in range(dim)], 0, 0, 1)
+                                    for t in range(dim)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), dim=st.integers(1, 7), d=st.sampled_from([(1, 1), (2, 0), (0, 2),
+                                                                   (1, 0), (0, 3), (2, 1)]))
+def test_times_matches_the_coordinate_product(data, dim, d):
+    reps = data.draw(st.lists(st.lists(pair, min_size=dim, max_size=dim), max_size=5))
+    coeffs = st.fractions(min_value=-9, max_value=9, max_denominator=6).filter(bool)
+    f = orbit_form(dim, {tuple(sorted(p, reverse=True)): data.draw(coeffs) for p in reps})
+    p = power_sum(dim, *d)
+    got = f._times(*d)
+    assert got == f.apply(lambda g: g * p)
+    assert got.unfold() == f.unfold() * p
+
+
+def test_times_hand_cases():
+    # dim 1: one pair, raised
+    assert orbit_form(1, {((2, 1),): Fraction(3)})._times(1, 1) \
+        == orbit_form(1, {((3, 2),): Fraction(3)})
+    # all pairs equal: m of x1 y1 x2 y2 x3 y3 times <x,y> is m of x1^2 y1^2 x2 y2 x3 y3
+    assert orbit_form(3, {((1, 1),) * 3: Fraction(1)})._times(1, 1) \
+        == orbit_form(3, {((2, 2), (1, 1), (1, 1)): Fraction(1)})
+    # (0, 0) pairs are raised too, and a raised pair that meets its equal counts twice:
+    # x1^2 y1^2 x2^2 y2^2 comes from x1^2 y1^2 x2 y2 * x2 y2 and x2^2 y2^2 x1 y1 * x1 y1
+    got = orbit_form(3, {((2, 2), (1, 1), (0, 0)): Fraction(1, 2)})._times(1, 1)
+    assert got == orbit_form(3, {((3, 3), (1, 1), (0, 0)): Fraction(1, 2),
+                                 ((2, 2), (2, 2), (0, 0)): Fraction(1),
+                                 ((2, 2), (1, 1), (1, 1)): Fraction(1)})
+    # a pair raised past others moves before them
+    got = orbit_form(3, {((2, 0), (1, 3), (0, 1)): Fraction(1)})._times(2, 0)
+    assert got == orbit_form(3, {((4, 0), (1, 3), (0, 1)): Fraction(1),
+                                 ((3, 3), (2, 0), (0, 1)): Fraction(1),
+                                 ((2, 1), (2, 0), (1, 3)): Fraction(1)})
+    assert OrbitForm.zero(4)._times(1, 1) == OrbitForm.zero(4)
+    # at the degree cap: x degree 127 takes no more x, and y is still free
+    f = orbit_form(2, {((127, 0), (0, 0)): Fraction(1)})
+    with pytest.raises(rx.RadialOverflow, match="packed degree cap"):
+        f._times(1, 0)
+    assert f._times(0, 127) == orbit_form(2, {((127, 127), (0, 0)): Fraction(1),
+                                              ((127, 0), (0, 127)): Fraction(1)})
+
+
+@pytest.mark.parametrize("key", [(0, 128, 0), (0, 0, 128), (128, 0, 0), (126, 2, 0),
+                                 (126, 0, 2), (0, 126, 126), (127, 0, 0)])
+def test_products_raise_at_the_degree_cap_where_the_detour_does(key):
+    inv = za.monomial(2, *key, Fraction(3, 2))
+    got = _build(OrbitForm.from_invariant, inv)
+    assert got == _build(reference_from_invariant, inv)
+    if max(key[0] + key[1], key[0] + key[2]) > rx.MAX_DEGREE:
+        assert got == (rx.RadialOverflow, "product would exceed the packed degree cap")
+
+
+def fresh_ladder(n: int, k: int) -> rx.RadialExpr:
+    """k ladder steps in orbit form from the constant 1, with no cache."""
+    f = OrbitForm.fold(rx.constant(1, n + 1, n + 1))
+    for _ in range(k):
+        f = f.apply(lambda g: g.kelvin().dir_deriv().kelvin())
+    return f.unfold()
+
+
+def test_ladder_cache_is_independent_of_the_call_order():
+    cells = [(n, k) for n in range(2, 7) for k in range(7)]
+    want = {cell: fresh_ladder(*cell) for cell in cells}
+    for order in (cells, cells[::-1], random.Random(5).sample(cells, len(cells))):
+        zr._ladder_form.cache_clear()
+        for cell in order:
+            assert zr.ladder_route(*cell) == want[cell], cell
+    for cell in cells[::5]:
+        zr._ladder_form.cache_clear()
+        assert zr.ladder_route(*cell) == want[cell], cell
+    with pytest.raises(ValueError, match="nonnegative"):
+        zr.ladder_route(3, -1)
+    with pytest.raises(rx.RadialOverflow, match="packed degree cap"):
+        zr.ladder_route(2, 128)
+    with pytest.raises(rx.RadialOverflow, match="packed degree cap"):
+        zr.ladder_route(2, 10 ** 6)

@@ -579,6 +579,19 @@ def test_partial_raises_instead_of_carrying():
     assert got.equals(rx.from_terms(3, 3, [((126, 0, 0), (0, 0, 0), 0, -1, 127)]))
 
 
+@pytest.mark.parametrize("group", ["x", "y"])
+@pytest.mark.parametrize("p", [2048, 2050, 4097, -2049, -3000])
+def test_norm_power_outside_the_radial_range_raises(group, p):
+    # the biased 12-bit field holds -2048..2047; 2048 used to carry into |y|^1
+    with pytest.raises(rx.RadialOverflow, match="radial exponent out of range"):
+        rx.norm_power(group, p, 2, 2)
+
+
+def test_norm_power_at_the_radial_range_ends():
+    assert list(rx.norm_power("y", -2048, 2, 2).terms()) == [((0, 0), (0, 0), 0, -2048, 1)]
+    assert list(rx.norm_power("x", -2047, 2, 2).terms()) == [((0, 0), (0, 0), -2047, 0, 1)]
+
+
 def test_laplacian_raises_instead_of_borrowing():
     # |x|^-2047 |y|: the radial branch would borrow from the |y| field
     with pytest.raises(rx.RadialOverflow, match="Laplacian in x"):

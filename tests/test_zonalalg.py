@@ -190,6 +190,12 @@ def test_expander_of_route_seeds_matches_the_reference():
                 == _expansion(reference_to_radialexpr, inv, p), (inv, p)
 
 
+def test_expander_names_a_radial_floor_outside_the_range():
+    # the floor |x|^-2049 used to borrow from the |y| field and fail in canonicalisation
+    with pytest.raises(rx.RadialOverflow, match="radial exponent out of range"):
+        za.monomial(2, 0, -2049, 0).to_radialexpr()
+
+
 def test_largest_default_kernel_is_pinned():
     # zonal_direct(6, 8), the largest kernel of a default suite: 218,799 terms over 128
     z = zonal_direct(6, 8)

@@ -268,8 +268,8 @@ def test_uniform_sphere_in_parts_matches_one_draw(dim):
 
 
 def test_reproducing_memory_is_one_value_per_sample():
-    # the samples are streamed in blocks: the products array, the
-    # standard deviation's temporary and one block fit in 3 doubles per sample
+    # the samples are streamed in blocks: the products array and one block of
+    # points, values and x powers fit in 3 doubles per sample
     pole = (Fraction(3, 5), 0, Fraction(4, 5), 0)
     P = zonal_direct_invariant(3, 3).to_radialexpr(y=pole)
     samples = 10 ** 6
