@@ -105,7 +105,7 @@ def _parse_point(text: str, nvars: int, label: str) -> list[Fraction]:
 def _cmd_expand(args: argparse.Namespace) -> int:
     expr = _route_expr(args.route, args.n, args.k, args.m, args.max_terms)
     if args.format == "json":
-        sys.stdout.writelines(expr._json_chunks())  # the bytes of to_json(), never held whole
+        sys.stdout.writelines(expr._json_chunks(expr._order()))  # to_json(), never held whole
         sys.stdout.write("\n")
     else:
         print(expr)

@@ -737,19 +737,24 @@ class RadialExpr:
         self._digest = other._digest = self._digest or other._digest
         return True
 
-    def _order(self) -> tuple[list, list, list, dict[int, int]]:
-        """The canonical term order, the one sort rule of every serialisation.
+    def _order(self) -> tuple[list, list, list, dict[int, int], dict[int, int], int, int]:
+        """The canonical order of the support, the one sort rule of every serialisation.
 
         Returns the distinct x and y exponent tuples and ``(px, py)`` pairs,
-        each sorted, and each term's numerator keyed by its rank ``(i * w +
-        j) * nr + l`` (``w`` y tuples, ``nr`` pairs): sorted ranks are the
-        ``(xexp, yexp, px, py)`` order.  The x exponents, y exponents and
-        radial pair are one bit slice of a key each, unpacked once per
-        distinct value, and a rank is the sum of one offset per slice.
+        each sorted, and the rank tables of :meth:`_by_rank`: a key's rank is
+        ``(i * w + j) * nr + l`` (``w`` y tuples, ``nr`` pairs), so sorted
+        ranks are the ``(xexp, yexp, px, py)`` order.  The x exponents, y
+        exponents and radial pair are one bit slice of a key each, unpacked
+        once per distinct value.  A key is its y slice over its x-and-radial
+        part, and the few distinct parts are split into their x and radial
+        slices once each, so a rank is the sum of one offset per part and
+        one per y slice.  No coefficient is read: the order serves every
+        expression whose keys are among this one's, each ranking its own
+        numerators; a key outside them raises ``KeyError``.
         """
         base = 2 * _RAD_BITS
         yshift = base + _EXP_BITS * self.nx
-        xmask, rmask = (1 << _EXP_BITS * self.nx) - 1, (1 << base) - 1
+        lowmask, rmask = (1 << yshift) - 1, (1 << base) - 1
         terms = self._terms
 
         def offsets(slices: set[int], fields: list, step: int) -> tuple[list, dict[int, int]]:
@@ -758,36 +763,52 @@ class RadialExpr:
             order = sorted(slices, key=values.__getitem__)
             return [values[s] for s in order], {s: r * step for r, s in enumerate(order)}
 
-        radials, roff = offsets({key & rmask for key in terms},
+        lows = {key & lowmask for key in terms}
+        radials, roff = offsets({lo & rmask for lo in lows},
                                 [(0, _RAD_MASK, _RAD_BIAS), (_RAD_BITS, _RAD_MASK, _RAD_BIAS)], 1)
         yexps, yoff = offsets({key >> yshift for key in terms},
                               [(_EXP_BITS * i, _EXP_MASK, 0) for i in range(self.ny)], len(radials))
-        xexps, xoff = offsets({(key >> base) & xmask for key in terms},
+        xexps, xoff = offsets({lo >> base for lo in lows},
                               [(_EXP_BITS * i, _EXP_MASK, 0) for i in range(self.nx)],
                               len(yexps) * len(radials))
-        by_rank = {xoff[(key >> base) & xmask] + yoff[key >> yshift] + roff[key & rmask]: num
-                   for key, num in terms.items()}
-        return xexps, yexps, radials, by_rank
+        loff = {lo: xoff[lo >> base] + roff[lo & rmask] for lo in lows}
+        return xexps, yexps, radials, loff, yoff, lowmask, yshift
 
-    def _rows(self) -> Iterator[tuple[tuple[int, ...], tuple[int, ...], int, int, int, int]]:
-        """``(xexp, yexp, px, py, num, den)`` per term in canonical order, in lowest terms."""
-        xexps, yexps, radials, by_rank = self._order()
+    def _by_rank(self, order: tuple) -> tuple[list[int], dict[int, int]]:
+        """The sorted ranks of this expression's terms under ``order`` (an
+        :meth:`_order` of a support holding its keys) and each numerator by
+        its rank."""
+        loff, yoff, lowmask, yshift = order[3:]
+        by_rank = {loff[key & lowmask] + yoff[key >> yshift]: num
+                   for key, num in self._terms.items()}
+        return sorted(by_rank), by_rank
+
+    def _rows(self, order: tuple) -> Iterator[
+            tuple[tuple[int, ...], tuple[int, ...], int, int, int, int]]:
+        """``(xexp, yexp, px, py, num, den)`` per term in canonical order, in
+        lowest terms; ``order`` is :meth:`_order` of a support holding this
+        expression's keys."""
+        xexps, yexps, radials = order[:3]
         nr, w, den = len(radials), len(yexps), self._den
-        for r in sorted(by_rank):
+        ranks, by_rank = self._by_rank(order)
+        for r in ranks:
             g = math.gcd(num := by_rank[r], den)
             yield xexps[r // (w * nr)], yexps[r // nr % w], *radials[r % nr], num // g, den // g
 
-    def _json_chunks(self) -> Iterator[str]:
-        """:meth:`to_json` in pieces of ``_JSON_CHUNK`` terms.  A term is its
-        coefficient then the texts of its radial pair, x and y exponents, each
-        formatted once per distinct value; a gcd is taken only when den != 1."""
-        xexps, yexps, radials, by_rank = self._order()
+    def _json_chunks(self, order: tuple) -> Iterator[str]:
+        """:meth:`to_json` in pieces of ``_JSON_CHUNK`` terms; ``order`` is
+        :meth:`_order` of a support holding this expression's keys.  A term
+        is its coefficient then the texts of its radial pair, x and y
+        exponents, each formatted once per distinct value; a gcd is taken
+        only when den != 1."""
+        xexps, yexps, radials = order[:3]
         nr, w, den = len(radials), len(yexps), self._den
         wnr = w * nr
+        ranks, by_rank = self._by_rank(order)
+        del order  # the rank tables are freed before the text is built, unless a caller shares them
         rtext = [f',"px":{px},"py":{py},"xexp":[' for px, py in radials]
         xtext = [",".join(map(str, e)) + '],"yexp":[' for e in xexps]
         ytext = [",".join(map(str, e)) + "]}" for e in yexps]
-        ranks = sorted(by_rank)
         yield f'{{"nx":{self.nx},"ny":{self.ny},"terms":['
         for lo in range(0, len(ranks), _JSON_CHUNK):
             part = ranks[lo:lo + _JSON_CHUNK]
@@ -803,26 +824,33 @@ class RadialExpr:
 
     def sorted_terms(self) -> list[tuple[tuple[int, ...], tuple[int, ...], int, int, Fraction]]:
         """Terms as (xexp, yexp, px, py, coefficient) in canonical order."""
-        return [(xe, ye, px, py, Fraction(num, den)) for xe, ye, px, py, num, den in self._rows()]
+        return [(xe, ye, px, py, Fraction(num, den))
+                for xe, ye, px, py, num, den in self._rows(self._order())]
 
     def to_json_dict(self) -> dict:
         """The canonical serialisation as a dict; see :meth:`to_json`."""
         return {"nx": self.nx, "ny": self.ny, "terms": [
             {"xexp": list(xe), "yexp": list(ye), "px": px, "py": py,
-             "num": str(num), "den": str(den)} for xe, ye, px, py, num, den in self._rows()]}
+             "num": str(num), "den": str(den)}
+            for xe, ye, px, py, num, den in self._rows(self._order())]}
 
     def to_json(self) -> str:
         """The canonical serialisation that :meth:`digest` hashes: the bytes of
         ``json.dumps(self.to_json_dict(), sort_keys=True, separators=(",", ":"))``,
         one ``{"den","num","px","py","xexp","yexp"}`` object per term with the
         coefficient in lowest terms as decimal strings, in (xexp, yexp, px, py) order."""
-        return "".join(self._json_chunks())
+        return "".join(self._json_chunks(self._order()))
 
-    def digest(self) -> str:
-        """sha256 of :meth:`to_json`, fed one chunk at a time."""
+    def digest(self, order: tuple | None = None) -> str:
+        """sha256 of :meth:`to_json`, fed one chunk at a time.
+
+        ``order`` is :meth:`_order` of a support holding this expression's
+        keys, when the caller has one already; without it the keys are
+        ranked here.
+        """
         if self._digest is None:
             h = hashlib.sha256()
-            for chunk in self._json_chunks():
+            for chunk in self._json_chunks(order or self._order()):
                 h.update(chunk.encode())
             self._digest = h.hexdigest()
         return self._digest

@@ -128,12 +128,14 @@ def _digest_float(x: float) -> str:
     return _digest_text(repr(float(x)))
 
 
-def _expr_witness(diff: rx.RadialExpr, cap: int = 24) -> dict:
-    """The first ``cap`` terms of a nonzero difference, in canonical order."""
+def _expr_witness(diff: rx.RadialExpr, order: tuple | None = None, cap: int = 24) -> dict:
+    """The first ``cap`` terms of a nonzero difference, in canonical order;
+    ``order`` is an ``_order()`` of a support holding diff's keys, when the
+    caller has one already."""
     shown = [
         {"xexp": list(xe), "yexp": list(ye), "px": px, "py": py,
          "num": str(num), "den": str(den)}
-        for xe, ye, px, py, num, den in islice(diff._rows(), cap)
+        for xe, ye, px, py, num, den in islice(diff._rows(order or diff._order()), cap)
     ]
     return {"kind": "expr_diff", "nonzero_terms": len(diff), "terms": shown,
             "truncated": len(diff) > cap}
@@ -147,10 +149,32 @@ def _cell(params: dict, ok: bool, lhs_digest: str, rhs_digest: str,
 
 
 def _expr_cell(params: dict, lhs: rx.RadialExpr, rhs: rx.RadialExpr) -> Cell:
-    lhs_digest = lhs.digest()
-    ok = lhs.equals(rhs)  # an equal rhs takes over lhs's digest
-    return _cell(params, ok, lhs_digest, rhs.digest(),
-                 None if ok else _expr_witness(lhs - rhs))
+    """Compare two expressions by canonical form and digest both sides.
+
+    A passing cell serialises once: an equal rhs takes over lhs's digest
+    through ``equals``.  The canonical order depends only on the support,
+    so a failing cell whose rhs keys are among lhs's hands lhs's order on to
+    rhs's digest and to the witness rows of ``lhs - rhs``, whose keys are
+    then among lhs's too (fewer where a coefficient cancels); otherwise each
+    side computes its own.  Equal canonical forms have equal denominators,
+    sizes and numerators, so sides that differ in one of these at lhs's
+    first key fail for sure, and lhs's order is computed once, before its
+    digest.  Other cells digest lhs first, so a passing cell holds no order
+    while its text is built, and order lhs again only if they fail.  The
+    order is a local of this call: route results sit in one-entry caches,
+    and an order kept on them would outlive the cell.
+    """
+    first = next(iter(lhs._terms), None)
+    fails = (lhs._den != rhs._den or len(lhs) != len(rhs)
+             or lhs._terms.get(first) != rhs._terms.get(first))
+    order = lhs._order() if fails and lhs._digest is None else None
+    lhs_digest = lhs.digest(order)
+    if lhs.equals(rhs):  # an equal rhs takes over lhs's digest
+        return _cell(params, True, lhs_digest, rhs.digest(), None)
+    shared = rhs._terms.keys() <= lhs._terms.keys()
+    order = (order or lhs._order()) if shared else None
+    return _cell(params, False, lhs_digest, rhs.digest(order),
+                 _expr_witness(lhs - rhs, order))
 
 
 def _invariant_cell(params: dict, lhs: za.ZonalInvariant, rhs: za.ZonalInvariant) -> Cell:

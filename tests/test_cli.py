@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import importlib.util
 import json
 import os
 import resource
@@ -534,6 +535,48 @@ def test_batch_driver_bad_parameter_exit_2(tmp_path):
                           env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 2
     assert "seed=-1" in done.stderr
+
+
+def _batch_driver():
+    path = Path(__file__).resolve().parents[1] / "scripts" / "run_verification.py"
+    spec = importlib.util.spec_from_file_location("run_verification", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _one_failing_cell_report(suite, args, threads):
+    check = {"kelvin": "observed_constant", "eta": "reference_constant"}[suite]
+    cells = [verify.Cell({"check": "reference_constant", "n": 3, "k": 1}, "fail", "a", "b", {}),
+             verify.Cell({"check": check, "n": 3, "k": 1}, "fail", "a", "b", {}),
+             verify.Cell({"check": "plane_reference", "n": 1, "k": 1}, "pass", "a", "a")]
+    return verify.VerificationReport(suite, args.seed, cells)
+
+
+@pytest.mark.parametrize("suite, code", [("kelvin", 1), ("eta", 0)],
+                         ids=["kelvin observed_constant fails", "eta reference_constant fails"])
+def test_batch_driver_fails_only_on_unexpected_cells(tmp_path, monkeypatch, capsys, suite, code):
+    # only the stated-constant cells of kelvin and eta may fail
+    driver = _batch_driver()
+    monkeypatch.setattr(driver, "run_suite", _one_failing_cell_report)
+    monkeypatch.setattr(sys, "argv", ["run_verification.py", "--out-dir", str(tmp_path),
+                                      "--suites", suite])
+    assert driver.main() == code
+    assert ("should pass" in capsys.readouterr().err) == bool(code)
+
+
+def test_batch_driver_accepts_the_real_kelvin_and_eta_reports(tmp_path, monkeypatch):
+    driver = _batch_driver()
+    monkeypatch.setattr(driver, "run_suite", lambda suite, args, threads: verify.run_suite(
+        suite, dataclasses.replace(args, kmax=2), threads=1))
+    monkeypatch.setattr(sys, "argv", ["run_verification.py", "--out-dir", str(tmp_path),
+                                      "--suites", "kelvin", "eta"])
+    assert driver.main() == 0
+    for suite in ("kelvin", "eta"):
+        report = json.loads((tmp_path / f"{suite}.json").read_text())
+        assert not report["passed"]
+        assert {c["params"]["check"] for c in report["cells"] if c["status"] == "fail"} \
+            == {"reference_constant"}
 
 
 @pytest.mark.parametrize("flags", [

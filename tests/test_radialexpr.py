@@ -513,7 +513,7 @@ def test_serialisation_at_chunk_boundaries(count, integral):
     f = _chunk_case(count, integral)
     assert len(f) == count
     assert f._den == (1 if integral or count == 0 else 12)
-    assert len(list(f._json_chunks())) == 2 + -(-count // _C)
+    assert len(list(f._json_chunks(f._order()))) == 2 + -(-count // _C)
     ref = reference_to_json(f)
     # equal strings, compared term by term: a failure then reports the first
     # differing term, where a diff of two long one-line strings takes minutes

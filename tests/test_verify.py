@@ -4,10 +4,14 @@ import json
 from concurrent.futures import Future
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
+from zonalkit import radialexpr as rx
 from zonalkit import verify
 from zonalkit import zonalroutes as zr
 from zonalkit.verify import SUITE_NAMES, SuiteArgs, run_suite
+
+from expr_cell_reference import reference_expr_cell
 
 SMALL = SuiteArgs(nmax=3, kmax=3, mmax=1, samples=20_000, seed=42)
 
@@ -190,3 +194,85 @@ def test_worker_count_is_capped(monkeypatch, threads, cpus, expected):
     rep = run_suite("monogenic", SuiteArgs(kmax=2), threads=threads)
     assert sizes == expected
     assert rep.to_json() == run_suite("monogenic", SuiteArgs(kmax=2)).to_json()
+
+
+# -- one support order per failing cell -----------------------------------------
+
+_NONZERO = st.fractions(min_value=-9, max_value=9, max_denominator=5).filter(bool)
+_TERM = st.tuples(st.tuples(*[st.integers(0, 2)] * 3), st.tuples(*[st.integers(0, 2)] * 3),
+                  st.integers(-3, 1), st.integers(-3, 1), _NONZERO)
+
+
+def _sides(kind: str, lhs: rx.RadialExpr, data) -> rx.RadialExpr:
+    """The right side of case ``kind``, built from lhs's canonical terms."""
+    terms = list(lhs.terms())
+    if kind == "equal":
+        return rx.from_terms(3, 3, terms)
+    if kind == "proportional":
+        return lhs.scale(data.draw(_NONZERO.filter(lambda c: c != 1)))
+    if kind in ("same support", "cancelling"):
+        factors = data.draw(st.lists(_NONZERO, min_size=len(terms), max_size=len(terms)))
+        if kind == "cancelling":  # the first difference coefficient cancels, no other
+            factors = [1] + [f if f != 1 else 2 for f in factors[1:]]
+        return rx.from_terms(3, 3, [(*t[:4], t[4] * f) for t, f in zip(terms, factors)])
+    if kind == "one key more":
+        extra = data.draw(_TERM)
+        rhs = rx.from_terms(3, 3, terms + [extra])
+        assume(len(rhs) == len(lhs) + 1 and lhs._terms.keys() < rhs._terms.keys())
+        return rhs
+    if kind == "one key less":
+        return rx.from_terms(3, 3, terms[1:])
+    return rx.RadialExpr.zero(3, 3)  # "zero rhs"
+
+
+_KINDS = ("equal", "proportional", "same support", "cancelling", "one key more",
+          "one key less", "zero rhs", "zero lhs")
+
+
+@settings(max_examples=120, deadline=None)
+@given(items=st.lists(_TERM, max_size=30), kind=st.sampled_from(_KINDS),
+       warm=st.booleans(), data=st.data())
+def test_expr_cell_matches_the_per_side_reference(items, kind, warm, data):
+    """A cell that shares lhs's support order gives the bytes of each side
+    serialised on its own: equal, proportional, same-support, cancelling and
+    one-key-apart sides, Laurent terms, den != 1, a zero side, supports past
+    the 24-row witness cap, and an lhs whose digest is already cached."""
+    lhs = rx.from_terms(3, 3, items)
+    rhs = _sides("zero rhs" if kind == "zero lhs" else kind, lhs, data)
+    if kind == "zero lhs":
+        lhs, rhs = rhs, lhs
+    params = {"check": kind}
+    expected = reference_expr_cell(params, lhs, rhs)
+    if warm:
+        lhs.digest()
+    assert verify._expr_cell(params, lhs, rhs) == expected
+
+
+@pytest.mark.parametrize("kind, orders", [
+    ("equal", 1), ("proportional", 1), ("one key less", 1), ("cancelling", 2),
+    ("one key more", 3)])
+def test_failing_cell_shares_one_order(monkeypatch, kind, orders):
+    # sides that differ at lhs's first key order lhs's support once, for both
+    # digests and the witness; "cancelling" agrees there, so its lhs is
+    # digested first and ordered again once the cell fails; a wider rhs and
+    # its difference are ordered on their own
+    lhs = rx.from_terms(3, 3, list(zr.kelvin_route(3, 2).terms()))  # no cached digest
+    terms = list(lhs.terms())
+    if kind == "equal":
+        rhs = rx.from_terms(3, 3, terms)
+    elif kind == "proportional":
+        rhs = lhs.scale(3)
+    elif kind == "cancelling":
+        rhs = rx.from_terms(3, 3, [terms[0]] + [(*t[:4], 2 * t[4]) for t in terms[1:]])
+    elif kind == "one key less":
+        rhs = rx.from_terms(3, 3, terms[1:])
+    else:
+        rhs = lhs + rx.from_terms(3, 3, [((2, 2, 2), (2, 2, 2), 0, 0, 1)])
+        assert len(rhs) == len(lhs) + 1
+    calls = []
+    order = rx.RadialExpr._order
+    monkeypatch.setattr(rx.RadialExpr, "_order",
+                        lambda self: calls.append(len(self)) or order(self))
+    cell = verify._expr_cell({}, lhs, rhs)
+    assert cell.status == ("pass" if kind == "equal" else "fail")
+    assert len(calls) == orders
