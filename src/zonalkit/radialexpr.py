@@ -33,7 +33,10 @@ Exponent vectors are packed into a single integer key (7 bits per exponent,
 12-bit biased fields for the radial powers) and coefficients are stored as
 integer numerators over one shared denominator.  The identity suites push
 polynomials with ~10^6 terms through repeated Laplacians, so the hot loops
-below deliberately stay on plain dict/int operations.
+below deliberately stay on plain dict/int operations.  The four coordinate
+operators share one loop (:meth:`RadialExpr._slice_map`) that decodes each
+distinct bit slice they read once into ``(key delta, factor)`` pairs; their
+per-term forms are the test reference ``tests/operator_reference.py``.
 """
 
 from __future__ import annotations
@@ -77,35 +80,38 @@ class PoleError(ZeroDivisionError):
 class _Layout:
     """Packed-key bit layout for a fixed pair of group sizes."""
 
-    __slots__ = (
-        "nx", "ny", "px_shift", "py_shift", "x_shifts", "y_shifts",
-        "zero_key", "px_clear", "py_clear", "exp_fields",
-    )
+    __slots__ = ("nx", "ny", "x_shifts", "y_shifts", "zero_key", "groups", "pair_mask")
 
     def __init__(self, nx: int, ny: int):
         self.nx = nx
         self.ny = ny
-        self.px_shift = 0
-        self.py_shift = _RAD_BITS
         base = 2 * _RAD_BITS
         self.x_shifts = tuple(base + _EXP_BITS * i for i in range(nx))
         self.y_shifts = tuple(base + _EXP_BITS * (nx + j) for j in range(ny))
         self.zero_key = _RAD_BIAS | (_RAD_BIAS << _RAD_BITS)
-        self.px_clear = ~_RAD_MASK
-        self.py_clear = ~(_RAD_MASK << _RAD_BITS)
-        ones = sum(1 << s for s in self.x_shifts + self.y_shifts)
-        # (mask, low bits, high bits) of every monomial field
-        self.exp_fields = (ones * _EXP_MASK, ones, ones << (_EXP_BITS - 1))
+        # per group: monomial shifts, radial shift, size, and the mask of the
+        # group's slice of a key (its monomial fields and its radial field)
+        self.groups = {name: (shifts, rad, len(shifts),
+                              sum(_EXP_MASK << s for s in shifts) | (_RAD_MASK << rad))
+                       for name, shifts, rad in (("x", self.x_shifts, 0),
+                                                 ("y", self.y_shifts, _RAD_BITS))}
+        # the slice <y,grad_x> reads: every monomial field and |x|
+        self.pair_mask = sum(_EXP_MASK << s for s in self.x_shifts + self.y_shifts) | _RAD_MASK
+
+    def group(self, group: VarGroup) -> tuple[tuple[int, ...], int, int, int]:
+        """(monomial shifts, radial shift, size, slice mask) of a variable group."""
+        if group not in ("x", "y"):
+            raise ValueError(f"unknown variable group {group!r}")
+        return self.groups[group]
 
     def pack(self, xexp: Sequence[int], yexp: Sequence[int], px: int, py: int) -> int:
+        if len(xexp) != self.nx or len(yexp) != self.ny:
+            raise ValueError(f"exponent tuples need lengths {self.nx} (x) and {self.ny} (y), "
+                             f"got {len(xexp)} and {len(yexp)}")
         if not (_RAD_MIN <= px <= _RAD_MAX and _RAD_MIN <= py <= _RAD_MAX):
             raise RadialOverflow(f"radial exponent out of range: px={px}, py={py}")
         key = (px + _RAD_BIAS) | ((py + _RAD_BIAS) << _RAD_BITS)
-        for e, s in zip(xexp, self.x_shifts):
-            if not 0 <= e <= _EXP_MASK:
-                raise RadialOverflow(f"monomial exponent {e} out of range")
-            key |= e << s
-        for e, s in zip(yexp, self.y_shifts):
+        for e, s in zip((*xexp, *yexp), self.x_shifts + self.y_shifts):
             if not 0 <= e <= _EXP_MASK:
                 raise RadialOverflow(f"monomial exponent {e} out of range")
             key |= e << s
@@ -129,19 +135,6 @@ def _layout(nx: int, ny: int) -> _Layout:
     return lay
 
 
-def _dir_deriv_overflows(lay: _Layout, key: int, radial: bool) -> bool:
-    """Whether <y,grad_x> applied to one term leaves a packed field."""
-    p = ((key & _RAD_MASK) - _RAD_BIAS) if radial else 0
-    if p and p - 2 < _RAD_MIN:
-        return True
-    for sx, sy in zip(lay.x_shifts, lay.y_shifts):
-        ex = (key >> sx) & _EXP_MASK
-        ey = (key >> sy) & _EXP_MASK
-        if (ey == _EXP_MASK and (ex or p)) or (ex == _EXP_MASK and p):
-            return True
-    return False
-
-
 def _gcd_reduce(terms: dict[int, int], den: int) -> tuple[dict[int, int], int]:
     if not terms:
         return terms, 1
@@ -157,13 +150,14 @@ def _gcd_reduce(terms: dict[int, int], den: int) -> tuple[dict[int, int], int]:
 
 def _mul_quadratic(terms: dict[int, int], shifts: tuple[int, ...], j: int) -> dict[int, int]:
     """Multiply a class dict by (sum_i v_i^2)^j for the given group's shifts."""
+    # the largest field e gains v^(2j) uncancelled: the product overflows iff e + 2j > cap
+    if j and max((key >> s) & _EXP_MASK for key in terms for s in shifts) + 2 * j > _EXP_MASK:
+        raise RadialOverflow("degree cap exceeded while absorbing radial power")
     for _ in range(j):
         out: dict[int, int] = {}
         get = out.get
         for key, c in terms.items():
             for s in shifts:
-                if ((key >> s) & _EXP_MASK) + 2 > _EXP_MASK:
-                    raise RadialOverflow("degree cap exceeded while absorbing radial power")
                 k2 = key + (2 << s)
                 out[k2] = get(k2, 0) + c
         terms = {k: v for k, v in out.items() if v}
@@ -223,7 +217,7 @@ def _normalize_sector(lay: _Layout, members: list[tuple[int, int]],
     tx = eps_x if px_min >= 0 else px_min
     ty = eps_y if py_min >= 0 else py_min
     neutral = lay.zero_key
-    rad_clear = lay.px_clear & lay.py_clear
+    rad_clear = ~((1 << 2 * _RAD_BITS) - 1)
     work: dict[int, int] = {}
     for (key, c), px, py in zip(members, pxs, pys):
         k0 = (key & rad_clear) | neutral
@@ -502,46 +496,49 @@ class RadialExpr:
 
     # -- calculus -----------------------------------------------------------
 
-    def _group_data(self, group: VarGroup):
-        lay = self._lay
-        if group == "x":
-            return lay.x_shifts, lay.px_shift, self.nx
-        if group == "y":
-            return lay.y_shifts, lay.py_shift, self.ny
-        raise ValueError(f"unknown variable group {group!r}")
+    def _slice_map(self, mask: int, rule: Callable[[int], list[tuple[int, int]]],
+                   degx: int, degy: int, **make) -> "RadialExpr":
+        """The image of an operator that maps each term by the bit slice ``key & mask``.
 
-    def partial(self, group: VarGroup, i: int) -> "RadialExpr":
-        """Exact partial derivative in coordinate i of the given group."""
-        shifts, rad_shift, n = self._group_data(group)
-        if not 0 <= i < n:
-            raise ValueError(f"coordinate index {i} out of range for group of size {n}")
-        s = shifts[i]
-        rad_dec = 2 << rad_shift
-        radial_free = self._radial_free
-        if not radial_free:
-            # the radial branch raises field s by one and lowers p by two;
-            # a radial field below 2 holds p < _RAD_MIN + 2
-            for key in self._terms:
-                field = (key >> rad_shift) & _RAD_MASK
-                if field != _RAD_BIAS and (field < 2 or (key >> s) & _EXP_MASK == _EXP_MASK):
-                    raise RadialOverflow(
-                        f"partial derivative d/d{group}{i} would leave a packed exponent field")
+        ``rule(s)`` gives slice ``s``'s ``(key delta, factor)`` pairs, and a term
+        ``c`` at ``key`` adds ``c * factor`` at ``key + delta`` for each.  It runs
+        once per distinct slice, in the order the terms first show it, and
+        raises ``RadialOverflow`` where a pair would leave a packed field.
+        """
+        table: dict[int, list[tuple[int, int]]] = {}
         out: dict[int, int] = {}
         get = out.get
         for key, c in self._terms.items():
-            e = (key >> s) & _EXP_MASK
-            if e:
-                k2 = key - (1 << s)
-                out[k2] = get(k2, 0) + c * e
-            if not radial_free:
-                p = ((key >> rad_shift) & _RAD_MASK) - _RAD_BIAS
-                if p:
-                    k2 = key + (1 << s) - rad_dec
-                    out[k2] = get(k2, 0) + c * p
-        dx = self._degx + (1 if group == "x" else 0)
-        dy = self._degy + (1 if group == "y" else 0)
-        return RadialExpr._make(self.nx, self.ny, out, self._den, dx, dy,
-                                radial_free_hint=radial_free)
+            pairs = table.get(s := key & mask)
+            if pairs is None:
+                pairs = table[s] = rule(s)
+            for delta, f in pairs:
+                k2 = key + delta
+                out[k2] = get(k2, 0) + c * f
+        return RadialExpr._make(self.nx, self.ny, out, self._den, degx, degy, **make)
+
+    def partial(self, group: VarGroup, i: int) -> "RadialExpr":
+        """Exact partial derivative in coordinate i of the given group."""
+        shifts, rad_shift, n, mask = self._lay.group(group)
+        if not 0 <= i < n:
+            raise ValueError(f"coordinate index {i} out of range for group of size {n}")
+        at = shifts[i]
+
+        def rule(s: int) -> list[tuple[int, int]]:
+            e = (s >> at) & _EXP_MASK
+            pairs = [(-(1 << at), e)] if e else []
+            field = (s >> rad_shift) & _RAD_MASK
+            if field != _RAD_BIAS:
+                # x_i^e |x|^p also gives p x_i^(e+1) |x|^(p-2); a radial
+                # field below 2 holds p < _RAD_MIN + 2
+                if field < 2 or e == _EXP_MASK:
+                    raise RadialOverflow(
+                        f"partial derivative d/d{group}{i} would leave a packed exponent field")
+                pairs.append(((1 << at) - (2 << rad_shift), field - _RAD_BIAS))
+            return pairs
+
+        return self._slice_map(mask, rule, self._degx + (group == "x"),
+                               self._degy + (group == "y"), radial_free_hint=self._radial_free)
 
     def laplacian(self, group: VarGroup) -> "RadialExpr":
         """Sum of second partials over every coordinate of the group.
@@ -549,82 +546,56 @@ class RadialExpr:
         Per term x^a |x|^p the radial rule collapses to a two-branch update:
         sum_i a_i(a_i-1) x^(a-2e_i) |x|^p  +  p(2|a| + N + p - 2) x^a |x|^(p-2).
         """
-        shifts, rad_shift, n = self._group_data(group)
-        rad_dec = 2 << rad_shift
-        if not self._radial_free:
-            # the radial branch lowers p by two; a radial field below 2 holds
-            # p < _RAD_MIN + 2, and the branch is emitted when its factor is nonzero
-            for key in self._terms:
-                field = (key >> rad_shift) & _RAD_MASK
-                if field < 2:
-                    p = field - _RAD_BIAS
-                    tot = sum((key >> s) & _EXP_MASK for s in shifts)
-                    if 2 * tot + n + p - 2:
-                        raise RadialOverflow(
-                            f"Laplacian in {group} would lower |{group}|^{p} "
-                            "below the packed radial range")
-        out: dict[int, int] = {}
-        get = out.get
-        if self._radial_free:
-            for key, c in self._terms.items():
-                for s in shifts:
-                    e = (key >> s) & _EXP_MASK
-                    if e >= 2:
-                        k2 = key - (2 << s)
-                        out[k2] = get(k2, 0) + c * e * (e - 1)
-        else:
-            for key, c in self._terms.items():
-                tot = 0
-                for s in shifts:
-                    e = (key >> s) & _EXP_MASK
-                    if e:
-                        tot += e
-                        if e >= 2:
-                            k2 = key - (2 << s)
-                            out[k2] = get(k2, 0) + c * e * (e - 1)
-                p = ((key >> rad_shift) & _RAD_MASK) - _RAD_BIAS
-                if p:
-                    f = p * (2 * tot + n + p - 2)
-                    if f:
-                        k2 = key - rad_dec
-                        out[k2] = get(k2, 0) + c * f
-        return RadialExpr._make(self.nx, self.ny, out, self._den, self._degx, self._degy,
-                                radial_free_hint=self._radial_free)
+        shifts, rad_shift, n, mask = self._lay.group(group)
+
+        def rule(s: int) -> list[tuple[int, int]]:
+            pairs = []
+            tot = 0
+            for at in shifts:
+                e = (s >> at) & _EXP_MASK
+                tot += e
+                if e >= 2:
+                    pairs.append((-(2 << at), e * (e - 1)))
+            field = (s >> rad_shift) & _RAD_MASK
+            p = field - _RAD_BIAS
+            f = p * (2 * tot + n + p - 2)
+            if f:
+                if field < 2:  # p < _RAD_MIN + 2
+                    raise RadialOverflow(f"Laplacian in {group} would lower |{group}|^{p} "
+                                         "below the packed radial range")
+                pairs.append((-(2 << rad_shift), f))
+            return pairs
+
+        return self._slice_map(mask, rule, self._degx, self._degy,
+                               radial_free_hint=self._radial_free)
 
     def dir_deriv(self) -> "RadialExpr":
         """The operator <y, grad_x>: sum_j y_j * d/dx_j."""
         if self.nx != self.ny:
             raise ValueError("dir_deriv pairs coordinates; group sizes must match")
         lay = self._lay
-        xs = lay.x_shifts
-        ys = lay.y_shifts
-        rad_shift = lay.px_shift
-        rad_dec = 2 << rad_shift
-        radial = not self._radial_free
-        mask, low, high = lay.exp_fields
-        for key in self._terms:
-            # v has a zero field exactly where key has a field at the cap, and
-            # (v - low) & ~v & high finds a zero field; the exact test runs
-            # only on those rare candidates
-            v = ~key & mask
-            if (((v - low) & ~v & high or (radial and (key & _RAD_MASK) < 2))
-                    and _dir_deriv_overflows(lay, key, radial)):
+        fields = tuple(zip(lay.x_shifts, lay.y_shifts))
+
+        def rule(s: int) -> list[tuple[int, int]]:
+            # y_j d/dx_j takes x_j^e |x|^p to e x_j^(e-1) y_j |x|^p + p x_j^(e+1) y_j |x|^(p-2);
+            # the |x| field is the lowest, so lowering p by two subtracts 2
+            p = (s & _RAD_MASK) - _RAD_BIAS
+            if p and p - 2 < _RAD_MIN:
                 raise RadialOverflow("<y,grad_x> would leave a packed exponent field")
-        out: dict[int, int] = {}
-        get = out.get
-        for key, c in self._terms.items():
-            p = 0 if self._radial_free else ((key >> rad_shift) & _RAD_MASK) - _RAD_BIAS
-            for sx, sy in zip(xs, ys):
-                e = (key >> sx) & _EXP_MASK
-                if e:
-                    k2 = key - (1 << sx) + (1 << sy)
-                    out[k2] = get(k2, 0) + c * e
+            pairs = []
+            for sx, sy in fields:
+                ex = (s >> sx) & _EXP_MASK
+                ey = (s >> sy) & _EXP_MASK
+                if (ey == _EXP_MASK and (ex or p)) or (ex == _EXP_MASK and p):
+                    raise RadialOverflow("<y,grad_x> would leave a packed exponent field")
+                if ex:
+                    pairs.append(((1 << sy) - (1 << sx), ex))
                 if p:
-                    k2 = key + (1 << sx) + (1 << sy) - rad_dec
-                    out[k2] = get(k2, 0) + c * p
-        return RadialExpr._make(self.nx, self.ny, out, self._den,
-                                self._degx + 1, self._degy + 1,
-                                radial_free_hint=self._radial_free)
+                    pairs.append(((1 << sx) + (1 << sy) - 2, p))
+            return pairs
+
+        return self._slice_map(lay.pair_mask, rule, self._degx + 1, self._degy + 1,
+                               radial_free_hint=self._radial_free)
 
     def kelvin(self, group: VarGroup = "x") -> "RadialExpr":
         """Kelvin inversion in the given group: f -> |x|^(1-n) f(x/|x|^2).
@@ -632,21 +603,18 @@ class RadialExpr:
         Termwise, m(x)|x|^p with deg m = d maps to m(x)|x|^(1-n-2d-p) where
         the ambient space is R^(n+1), i.e. n = group size - 1.
         """
-        shifts, rad_shift, nvars = self._group_data(group)
-        n = nvars - 1
-        rad_clear = self._lay.px_clear if group == "x" else self._lay.py_clear
-        out: dict[int, int] = {}
-        for key, c in self._terms.items():
-            d = 0
-            for s in shifts:
-                d += (key >> s) & _EXP_MASK
-            p = ((key >> rad_shift) & _RAD_MASK) - _RAD_BIAS
-            p2 = (1 - n) - 2 * d - p
+        shifts, rad_shift, nvars, mask = self._lay.group(group)
+
+        def rule(s: int) -> list[tuple[int, int]]:
+            d = sum((s >> at) & _EXP_MASK for at in shifts)
+            p = ((s >> rad_shift) & _RAD_MASK) - _RAD_BIAS
+            p2 = (2 - nvars) - 2 * d - p
             if not (_RAD_MIN <= p2 <= _RAD_MAX):
                 raise RadialOverflow(f"Kelvin image radial power {p2} out of range")
-            out[(key & rad_clear) | ((p2 + _RAD_BIAS) << rad_shift)] = c
-        return RadialExpr._make(self.nx, self.ny, out, self._den, self._degx, self._degy,
-                                no_zeros=True)
+            return [((p2 - p) << rad_shift, 1)]
+
+        # the key map is one-to-one, so no coefficient cancels
+        return self._slice_map(mask, rule, self._degx, self._degy, no_zeros=True)
 
     # -- structure ----------------------------------------------------------
 
@@ -655,10 +623,8 @@ class RadialExpr:
 
         The zero expression has no distinguished degree and returns None.
         """
-        shifts, rad_shift, _ = self._group_data(group)
-        # a term's degree is read from one bit slice of its key: the group's
-        # monomial and radial fields, so each distinct slice is decoded once
-        mask = sum(_EXP_MASK << s for s in shifts) | (_RAD_MASK << rad_shift)
+        shifts, rad_shift, _, mask = self._lay.group(group)
+        # a term's degree depends on its group slice only: decode each distinct one once
         degrees = {((key >> rad_shift) & _RAD_MASK) - _RAD_BIAS
                    + sum((key >> s) & _EXP_MASK for s in shifts)
                    for key in {key & mask for key in self._terms}}
@@ -684,11 +650,7 @@ class RadialExpr:
             if py < 0 and qy == 0:
                 raise PoleError("pole: negative |y| power at Q_y(point) = 0")
             v = Fraction(c, self._den)
-            for coord, s in zip(ptx, lay.x_shifts):
-                e = (key >> s) & _EXP_MASK
-                if e:
-                    v *= coord ** e
-            for coord, s in zip(pty, lay.y_shifts):
+            for coord, s in zip(ptx + pty, lay.x_shifts + lay.y_shifts):
                 e = (key >> s) & _EXP_MASK
                 if e:
                     v *= coord ** e
@@ -1004,36 +966,33 @@ def constant(c, nx: int, ny: int) -> RadialExpr:
 
 def coordinate(group: VarGroup, i: int, nx: int, ny: int) -> RadialExpr:
     lay = _layout(nx, ny)
-    shifts = lay.x_shifts if group == "x" else lay.y_shifts
-    n = nx if group == "x" else ny
+    shifts, _, n, _ = lay.group(group)
     if not 0 <= i < n:
         raise ValueError(f"coordinate index {i} out of range")
     key = lay.zero_key | (1 << shifts[i])
-    dx, dy = (1, 0) if group == "x" else (0, 1)
-    return RadialExpr._make(nx, ny, {key: 1}, 1, dx, dy, radial_free_hint=True)
+    return RadialExpr._make(nx, ny, {key: 1}, 1, int(group == "x"), int(group == "y"),
+                            radial_free_hint=True)
 
 
 def norm_power(group: VarGroup, p: int, nx: int, ny: int) -> RadialExpr:
     """|x|^p (or |y|^p) as an expression; even nonnegative p absorbs to a polynomial."""
+    lay = _layout(nx, ny)
+    _, rad_shift, _, _ = lay.group(group)
     if not _RAD_MIN <= p <= _RAD_MAX:
         # the biased field would carry into its neighbour
         raise RadialOverflow(f"radial exponent out of range: |{group}|^{p}")
-    lay = _layout(nx, ny)
-    rad_shift = lay.px_shift if group == "x" else lay.py_shift
-    key = (lay.zero_key & (lay.px_clear if group == "x" else lay.py_clear)) \
-        | ((p + _RAD_BIAS) << rad_shift)
-    dx = max(p, 0) if group == "x" else 0
-    dy = max(p, 0) if group == "y" else 0
-    return RadialExpr._make(nx, ny, {key: 1}, 1, dx, dy)
+    deg = max(p, 0)
+    return RadialExpr._make(nx, ny, {lay.zero_key + (p << rad_shift): 1}, 1,
+                            deg * (group == "x"), deg * (group == "y"))
 
 
 def quadratic_form(group: VarGroup, nx: int, ny: int) -> RadialExpr:
     """Q_x = sum_i x_i^2 (resp. Q_y) as a polynomial."""
     lay = _layout(nx, ny)
-    shifts = lay.x_shifts if group == "x" else lay.y_shifts
+    shifts, _, _, _ = lay.group(group)
     terms = {lay.zero_key | (2 << s): 1 for s in shifts}
-    dx, dy = (2, 0) if group == "x" else (0, 2)
-    return RadialExpr._make(nx, ny, terms, 1, dx, dy, radial_free_hint=True)
+    return RadialExpr._make(nx, ny, terms, 1, 2 * (group == "x"), 2 * (group == "y"),
+                            radial_free_hint=True)
 
 
 def inner_xy(nx: int, ny: int | None = None) -> RadialExpr:

@@ -101,28 +101,25 @@ class ZonalInvariant:
     # -- operators ------------------------------------------------------------
 
     def lap_x(self) -> "ZonalInvariant":
-        N = self.dim
-        out: dict[Key, Fraction] = {}
-        for (A, R, S), c in self.terms.items():
-            if A >= 2:
-                k = (A - 2, R, S + 2)
-                out[k] = out.get(k, Fraction(0)) + c * A * (A - 1)
-            f = R * (2 * A + N + R - 2)
-            if f:
-                k = (A, R - 2, S)
-                out[k] = out.get(k, Fraction(0)) + c * f
-        return ZonalInvariant(N, out)
+        return self._lap("x")
 
     def lap_y(self) -> "ZonalInvariant":
+        return self._lap("y")
+
+    def _lap(self, group: rx.VarGroup) -> "ZonalInvariant":
+        """Lap_x or Lap_y by the module rules: ``own`` maps (A, R, S) to (A, U, V),
+        U the exponent of the group's norm and V the other's, and back."""
         N = self.dim
+        own = (lambda A, U, V: (A, U, V)) if group == "x" else (lambda A, U, V: (A, V, U))
         out: dict[Key, Fraction] = {}
         for (A, R, S), c in self.terms.items():
+            _, U, V = own(A, R, S)
             if A >= 2:
-                k = (A - 2, R + 2, S)
+                k = own(A - 2, U, V + 2)
                 out[k] = out.get(k, Fraction(0)) + c * A * (A - 1)
-            f = S * (2 * A + N + S - 2)
+            f = U * (2 * A + N + U - 2)
             if f:
-                k = (A, R, S - 2)
+                k = own(A, U - 2, V)
                 out[k] = out.get(k, Fraction(0)) + c * f
         return ZonalInvariant(N, out)
 
@@ -175,7 +172,7 @@ class ZonalInvariant:
             table = powers[group]
             if 2 * i > rx.MAX_DEGREE:
                 raise rx.RadialOverflow("product would exceed the packed degree cap")
-            shifts = [2 << s for s in (lay.x_shifts if group == "x" else lay.y_shifts)]
+            shifts = [2 << s for s in lay.group(group)[0]]
             while len(table) <= i:
                 out: dict[int, int] = {}
                 get = out.get

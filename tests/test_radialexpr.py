@@ -11,6 +11,8 @@ from zonalkit import radialexpr as rx
 from zonalkit.gegenbauer import zonal_direct
 from zonalkit.zonalroutes import ladder_route
 
+from operator_reference import (reference_dir_deriv, reference_kelvin, reference_laplacian,
+                                reference_partial)
 from pole_reference import reference_substitute_point
 
 NX = NY = 3  # work in R^3 unless a case needs otherwise
@@ -97,6 +99,34 @@ def test_dimension_mismatch_rejected():
         rx.constant(1, 3, 3) + rx.constant(1, 4, 4)
     with pytest.raises(ValueError):
         rx.inner_xy(3) * rx.inner_xy(4)
+
+
+@pytest.mark.parametrize("group", ["x", "y"])
+@pytest.mark.parametrize("length", [1, 3])
+def test_exponent_tuples_of_the_wrong_length_raise(group, length):
+    # a tuple of the wrong length raises; it is not cut short or padded with zeros
+    xe, ye = ((0,) * length, (0, 0)) if group == "x" else ((0, 0), (0,) * length)
+    with pytest.raises(ValueError, match=r"lengths 2 \(x\) and 2 \(y\)"):
+        rx.from_terms(2, 2, [(xe, ye, 0, 0, 1)])
+    with pytest.raises(ValueError, match=r"lengths 2 \(x\) and 2 \(y\)"):
+        rx.inner_xy(2).coefficient(xe, ye)
+
+
+@pytest.mark.parametrize("call", [
+    lambda g: rx.coordinate(g, 0, 2, 2),
+    lambda g: rx.quadratic_form(g, 2, 2),
+    lambda g: rx.norm_power(g, -1, 2, 2),
+    lambda g: rx.inner_xy(2).partial(g, 0),
+    lambda g: rx.inner_xy(2).laplacian(g),
+    lambda g: rx.inner_xy(2).kelvin(g),
+    lambda g: rx.inner_xy(2).homogeneous_degree(g),
+], ids=["coordinate", "quadratic_form", "norm_power", "partial", "laplacian", "kelvin",
+        "homogeneous_degree"])
+@pytest.mark.parametrize("group", ["z", "X", None])
+def test_unknown_group_raises(call, group):
+    # a group other than "x" and "y" raises; it is not read as "y"
+    with pytest.raises(ValueError, match="unknown variable group"):
+        call(group)
 
 
 # -- derivatives ---------------------------------------------------------------
@@ -616,3 +646,68 @@ def test_copy_free_constructors_match_the_zero_dropping_path(e, c):
             lambda cls, *args, no_zeros=False, **kw: make(cls, *args, **kw)))
         slow = [op(e) for op in ops]
     assert fast == slow
+
+
+# -- the operators against the per-term reference ------------------------------
+
+# (exponent, radial power) alphabets: polynomials, small odd and negative
+# radial powers, and fields at the ends of their ranges (126 and 127 of 7
+# bits, and both ends of the biased 12-bit radial field)
+_ALPHABETS = [
+    (st.integers(0, 3), st.just(0)),
+    (st.integers(0, 3), st.integers(-5, 3)),
+    (st.sampled_from([0, 1, 2, 126, 127]),
+     st.sampled_from([-2048, -2047, -2046, -3, -1, 0, 1, 2046, 2047])),
+]
+
+
+@st.composite
+def operator_inputs(draw):
+    """An expression of group sizes 1-4; its terms are canonicalised when they
+    can be, and otherwise taken as they are, so every packed field can sit at
+    an end of its range."""
+    nx = draw(st.integers(1, 4))
+    ny = nx if draw(st.integers(0, 3)) else draw(st.integers(1, 4))
+    exps, radials = draw(st.sampled_from(_ALPHABETS))
+    items = draw(st.lists(st.tuples(st.tuples(*[exps] * nx), st.tuples(*[exps] * ny),
+                                    radials, radials,
+                                    st.integers(-5, 5).filter(bool)), min_size=1, max_size=6))
+    den = draw(st.integers(1, 4))
+    if draw(st.booleans()):
+        try:
+            return rx.from_terms(nx, ny, [(*t[:4], Fraction(t[4], den)) for t in items])
+        except rx.RadialOverflow:
+            pass
+    lay = rx._layout(nx, ny)
+    terms = {lay.pack(xe, ye, px, py): c for xe, ye, px, py, c in items}
+    f = rx.RadialExpr._make(nx, ny, terms, den,
+                            max((sum(t[0]) + max(t[2], 0) for t in items), default=0),
+                            max((sum(t[1]) + max(t[3], 0) for t in items), default=0),
+                            radial_free_hint=True)
+    f._radial_free = all((k & rx._RAD_MASK) == ((k >> rx._RAD_BITS) & rx._RAD_MASK) == rx._RAD_BIAS
+                         for k in f._terms)
+    return f
+
+
+def _outcome(call):
+    """What a call gives: its expression's terms, denominator, radial-free flag
+    and degrees, or the type and message of what it raised."""
+    try:
+        g = call()
+    except (ArithmeticError, ValueError) as exc:
+        return type(exc), str(exc)
+    return g._terms, g._den, g._radial_free, g._degx, g._degy
+
+
+@settings(max_examples=400, deadline=None)
+@given(f=operator_inputs(), group=st.sampled_from(["x", "y"]),
+       i=st.sampled_from([0, 1, 0, 1, 2, 3, -1, 4]))
+def test_operators_match_the_per_term_reference(f, group, i):
+    pairs = [
+        (lambda: f.partial(group, i), lambda: reference_partial(f, group, i)),
+        (lambda: f.laplacian(group), lambda: reference_laplacian(f, group)),
+        (lambda: f.dir_deriv(), lambda: reference_dir_deriv(f)),
+        (lambda: f.kelvin(group), lambda: reference_kelvin(f, group)),
+    ]
+    for new, ref in pairs:
+        assert _outcome(new) == _outcome(ref)

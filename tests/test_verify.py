@@ -256,18 +256,20 @@ def test_failing_cell_shares_one_order(monkeypatch, kind, orders):
     # digests and the witness; "cancelling" agrees there, so its lhs is
     # digested first and ordered again once the cell fails; a wider rhs and
     # its difference are ordered on their own
-    lhs = rx.from_terms(3, 3, list(zr.kelvin_route(3, 2).terms()))  # no cached digest
+    route = zr.kelvin_route(3, 2)
+    n = route.nx  # R^4
+    lhs = rx.from_terms(n, n, list(route.terms()))  # no cached digest
     terms = list(lhs.terms())
     if kind == "equal":
-        rhs = rx.from_terms(3, 3, terms)
+        rhs = rx.from_terms(n, n, terms)
     elif kind == "proportional":
         rhs = lhs.scale(3)
     elif kind == "cancelling":
-        rhs = rx.from_terms(3, 3, [terms[0]] + [(*t[:4], 2 * t[4]) for t in terms[1:]])
+        rhs = rx.from_terms(n, n, [terms[0]] + [(*t[:4], 2 * t[4]) for t in terms[1:]])
     elif kind == "one key less":
-        rhs = rx.from_terms(3, 3, terms[1:])
+        rhs = rx.from_terms(n, n, terms[1:])
     else:
-        rhs = lhs + rx.from_terms(3, 3, [((2, 2, 2), (2, 2, 2), 0, 0, 1)])
+        rhs = lhs + rx.from_terms(n, n, [((2,) * n, (2,) * n, 0, 0, 1)])
         assert len(rhs) == len(lhs) + 1
     calls = []
     order = rx.RadialExpr._order
