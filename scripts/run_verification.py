@@ -34,7 +34,8 @@ def main() -> int:
     parser.add_argument("--out-dir", default="reports", help="directory for JSON reports")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--threads", type=int, default=os.cpu_count() or 1)
-    parser.add_argument("--samples", type=int, default=1_000_000)
+    parser.add_argument("--samples", type=int, default=None,
+                        help="Monte-Carlo samples (default: the reproducing suite's own)")
     parser.add_argument("--suites", nargs="*", default=list(SUITE_NAMES))
     args = parser.parse_args()
 

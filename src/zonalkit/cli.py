@@ -12,7 +12,9 @@ from __future__ import annotations
 
 import argparse
 import csv
+import os
 import sys
+from contextlib import nullcontext
 from fractions import Fraction
 from math import comb, isfinite
 
@@ -27,11 +29,6 @@ EXIT_USAGE = 2
 EXIT_IO = 3
 EXIT_ERROR = 4
 
-
-class UsageError(Exception):
-    pass
-
-
 # expand's and eval's default --max-terms, and the fixed cap of table zonal_coeffs
 MAX_TERMS = 2_000_000
 
@@ -44,11 +41,19 @@ def _estimate_zonal_terms(nvars: int, deg: int) -> int:
     return total
 
 
+def _check_n(n: int | None, user: str) -> None:
+    """The ambient --n of a route or a table: given, and at least 1."""
+    if n is None:
+        raise ValueError(f"{user} needs --n (ambient R^(n+1))")
+    if n < 1:
+        raise ValueError(f"--n must be >= 1 (ambient R^(n+1)), got {n}")
+
+
 def _check_term_budget(n: int, deg: int, cap: int, advice: str) -> None:
     """Refuse a degree-(deg,deg) kernel on R^(n+1) estimated beyond ``cap`` terms."""
     estimate = _estimate_zonal_terms(n + 1, deg)
     if estimate > cap:
-        raise UsageError(f"expansion would reach ~{estimate} terms (cap {cap}); {advice}")
+        raise ValueError(f"expansion would reach ~{estimate} terms (cap {cap}); {advice}")
 
 
 # route name -> builder(n, k, m); each route checks the domain particular to it
@@ -69,37 +74,47 @@ _FORCED_N_OFFSET = {"laplacian_odd": 2, "laplacian_even": 1, "clifford": 1}
 def _route_expr(route: str, n: int | None, k: int, m: int, max_terms: int) -> rx.RadialExpr:
     """Build the expanded expression for one route cell, with a size guard."""
     if max_terms < 1:
-        raise UsageError(f"--max-terms must be >= 1, got {max_terms}")
+        raise ValueError(f"--max-terms must be >= 1, got {max_terms}")
     if k < 0:
-        raise UsageError(f"degree k must be nonnegative, got {k}")
+        raise ValueError(f"degree k must be nonnegative, got {k}")
     if m < 0:
-        raise UsageError(f"Laplacian count m must be nonnegative, got {m}")
+        raise ValueError(f"Laplacian count m must be nonnegative, got {m}")
     deg = k
     offset = _FORCED_N_OFFSET.get(route)
     if offset is None and m:
-        raise UsageError(f"the {route} route takes no Laplacian count, got m={m}")
+        raise ValueError(f"the {route} route takes no Laplacian count, got m={m}")
     if offset is not None:
         if n is None:
             n = 2 * m + offset
         elif n != 2 * m + offset:
-            raise UsageError(f"{route} route requires n = 2m+{offset}, got n={n}, m={m}")
+            raise ValueError(f"{route} route requires n = 2m+{offset}, got n={n}, m={m}")
         deg = k + 2 * m
-    if n is None:
-        raise UsageError("--n is required for this route")
-    if n < 1:
-        raise UsageError(f"--n must be >= 1 (ambient R^(n+1)), got {n}")
+    _check_n(n, f"the {route} route")
     _check_term_budget(n, deg, max_terms, "reduce k or m, or raise --max-terms")
     return _ROUTES[route](n, k, m)
 
 
-def _parse_point(text: str, nvars: int, label: str) -> list[Fraction]:
+def _rational(text: str, label: str) -> Fraction:
     try:
-        values = [Fraction(part.strip()) for part in text.split(",") if part.strip()]
+        return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
-        raise UsageError(f"cannot parse {label} point {text!r}: {exc}") from exc
+        raise ValueError(f"{label} must be a rational such as 1/2, got {text!r}") from exc
+
+
+def _parse_point(text: str, nvars: int, label: str) -> list[Fraction]:
+    values = [_rational(part, f"--{label} coordinate") for part in text.split(",")
+              if part.strip()]
     if len(values) != nvars:
-        raise UsageError(f"{label} point needs {nvars} coordinates, got {len(values)}")
+        raise ValueError(f"{label} point needs {nvars} coordinates, got {len(values)}")
     return values
+
+
+def _float_text(to_float, spec: str) -> str:
+    """``format(to_float(), spec)``, or a note when the value leaves the float range."""
+    try:
+        return format(to_float(), spec)
+    except OverflowError:
+        return "outside the float range"
 
 
 def _cmd_expand(args: argparse.Namespace) -> int:
@@ -120,17 +135,13 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     a, b, c, d = value.as_tuple()
     print(f"exact: {a} + ({b})*sqrt({value.qx}) + ({c})*sqrt({value.qy})"
           f" + ({d})*sqrt({value.qx * value.qy})")
-    try:
-        approx = repr(value.to_float())
-    except OverflowError:
-        approx = "outside the float range"
-    print(f"float: {approx}")
+    print(f"float: {_float_text(value.to_float, '')}")
     return EXIT_OK
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     if args.threads < 1:
-        raise UsageError("--threads must be at least 1")
+        raise ValueError("--threads must be at least 1")
     sargs = SuiteArgs(nmax=args.nmax, kmax=args.kmax, mmax=args.mmax,
                       samples=args.samples, seed=args.seed)
     plan_suite(args.suite, sargs)  # a bad range exits 2 before the report path is touched
@@ -168,135 +179,102 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_OK if report.passed else EXIT_FAIL
 
 
-def _parse_lambda(text: str) -> Fraction:
+def _beta_notes(value: Fraction, m: int, k: int, lam: Fraction) -> list[str]:
+    return ["computed as alpha * c^2 (the composition, not the printed closed form)",
+            "index convention: k is the output degree (the input kernel has "
+            f"degree k+2m = {k + 2 * m})"]
+
+
+def _beta_tilde_notes(value: Fraction, m: int, k: int) -> list[str]:
     try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise UsageError(f"--lambda must be a rational such as 1/2, got {text!r}") from exc
+        printed = zr.beta_tilde_printed(m, k)
+    except ValueError:
+        return ["the printed closed form is undefined at k + 2m = 0"]
+    if printed == value:
+        return []
+    return [f"printed closed form gives {printed}; the composed value above "
+            "is the one the symbolic route verifies"]
 
 
-def _coeff_value(args: argparse.Namespace) -> tuple[Fraction, list[str]]:
-    which = args.which
-    notes: list[str] = []
-    if which == "alpha":
-        if args.m is None or args.k is None or args.lam is None:
-            raise UsageError("alpha needs --m, --k and --lambda")
-        return zr.alpha_top(args.m, _parse_lambda(args.lam), args.k), notes
-    if which == "c":
-        if None in (args.N, args.j, args.ell, args.k):
-            raise UsageError("c needs --N, --j, --ell and --k")
-        return zr.lap_c(args.N, args.j, args.ell, args.k), notes
-    if which == "beta":
-        if args.m is None or args.k is None or args.lam is None:
-            raise UsageError("beta needs --m, --k and --lambda")
-        value = zr.beta(args.m, _parse_lambda(args.lam), args.k)
-        notes.append("computed as alpha * c^2 (the composition, not the printed closed form)")
-        notes.append("index convention: k is the output degree (the input kernel has "
-                     f"degree k+2m = {args.k + 2 * args.m})")
-        return value, notes
-    if which == "betaTilde":
-        if args.m is None or args.k is None:
-            raise UsageError("betaTilde needs --m and --k")
-        value = zr.beta_tilde(args.m, args.k)
-        printed = zr.beta_tilde_printed(args.m, args.k)
-        if printed != value:
-            notes.append(f"printed closed form gives {printed}; the composed value above "
-                         "is the one the symbolic route verifies")
-        return value, notes
-    if which == "betaHat":
-        if args.m is None or args.k is None:
-            raise UsageError("betaHat needs --m and --k")
-        return zr.beta_hat(args.m, args.k), notes
-    if which == "eta":
-        if args.m is None or args.k is None:
-            raise UsageError("eta needs --m and --k")
-        value = zr.eta_reference(args.m, args.k)
-        observed = zr.eta_observed(args.m, args.k)
-        if observed != value:
-            notes.append(f"exact computation yields {observed} "
-                         f"(stated/observed ratio {value / observed})")
-        return value, notes
-    raise UsageError(f"unknown coefficient {which!r}")
+def _eta_notes(value: Fraction, m: int, k: int) -> list[str]:
+    observed = zr.eta_observed(m, k)
+    if observed == value:
+        return []
+    return [f"exact computation yields {observed} (stated/observed ratio {value / observed})"]
+
+
+# coefficient -> (its flags, in order; its value from them; its notes from the value and them)
+_COEFFS = {
+    "alpha": (("m", "k", "lambda"), lambda m, k, lam: zr.alpha_top(m, lam, k), None),
+    "c": (("N", "j", "ell", "k"), zr.lap_c, None),
+    "beta": (("m", "k", "lambda"), lambda m, k, lam: zr.beta(m, lam, k), _beta_notes),
+    "betaTilde": (("m", "k"), zr.beta_tilde, _beta_tilde_notes),
+    "betaHat": (("m", "k"), zr.beta_hat, None),
+    "eta": (("m", "k"), zr.eta_reference, _eta_notes),
+}
 
 
 def _cmd_coeff(args: argparse.Namespace) -> int:
-    try:
-        value, notes = _coeff_value(args)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-    print(f"{args.which} = {value} (~ {float(value):.12g})")
-    for note in notes:
+    flags, value_of, notes_of = _COEFFS[args.which]
+    values = [getattr(args, flag) for flag in flags]
+    if None in values:
+        names = [f"--{flag}" for flag in flags]
+        raise ValueError(f"{args.which} needs {', '.join(names[:-1])} and {names[-1]}")
+    values = [_rational(v, "--lambda") if flag == "lambda" else v for flag, v in zip(flags, values)]
+    value = value_of(*values)
+    print(f"{args.which} = {value} (~ {_float_text(value.__float__, '.12g')})")
+    for note in notes_of(value, *values) if notes_of else ():
         print(f"note: {note}")
     return EXIT_OK
 
 
-def _check_table_args(args: argparse.Namespace) -> None:
-    """Reject a table request outside its domain, before any output is opened."""
-    if args.kind == "zonal_coeffs":
-        if args.n is None:
-            raise UsageError("zonal_coeffs needs --n")
-        if args.n < 1:
-            raise UsageError(f"--n must be >= 1 (ambient R^(n+1)), got {args.n}")
-        if args.kmax < 0:
-            raise UsageError(f"zonal_coeffs needs --kmax >= 0, got {args.kmax}")
-        _check_term_budget(args.n, args.kmax, MAX_TERMS, "reduce --kmax or --n")
-    elif args.kind == "poisson_convergence":
-        if args.r is None or args.w is None:
-            raise UsageError("poisson_convergence needs --r and --w")
-        if args.n is None:
-            raise UsageError("poisson_convergence needs --n (ambient R^(n+1))")
-        if args.n < 1:
-            raise UsageError(f"--n must be >= 1 (ambient R^(n+1)), got {args.n}")
-        # the series converges for r = |x||y| < 1, and w = <x,y>/r is a cosine
-        if not (isfinite(args.r) and 0.0 <= args.r < 1.0):
-            raise UsageError(f"--r must be a finite number with 0 <= r < 1, got {args.r}")
-        if not (isfinite(args.w) and -1.0 <= args.w <= 1.0):
-            raise UsageError(f"--w must be a finite number with -1 <= w <= 1, got {args.w}")
-        if args.max_terms < 1:
-            raise UsageError(f"--max-terms must be >= 1, got {args.max_terms}")
-    else:
-        raise UsageError(f"unknown table kind {args.kind!r}")
-
-
 def _cmd_table(args: argparse.Namespace) -> int:
-    _check_table_args(args)
+    # the whole domain is checked before any output is opened
+    _check_n(args.n, args.kind)
+    if args.kind == "zonal_coeffs":
+        if args.kmax < 0:
+            raise ValueError(f"zonal_coeffs needs --kmax >= 0, got {args.kmax}")
+        _check_term_budget(args.n, args.kmax, MAX_TERMS, "reduce --kmax or --n")
+    elif args.r is None or args.w is None:
+        raise ValueError("poisson_convergence needs --r and --w")
+    # the series converges for r = |x||y| < 1, and w = <x,y>/r is a cosine
+    elif not (isfinite(args.r) and 0.0 <= args.r < 1.0):
+        raise ValueError(f"--r must be a finite number with 0 <= r < 1, got {args.r}")
+    elif not (isfinite(args.w) and -1.0 <= args.w <= 1.0):
+        raise ValueError(f"--w must be a finite number with -1 <= w <= 1, got {args.w}")
+    elif args.max_terms < 1:
+        raise ValueError(f"--max-terms must be >= 1, got {args.max_terms}")
     try:
-        fh = open(args.out, "w", newline="", encoding="utf-8") if args.out else None
-    except OSError as exc:
-        print(f"cannot open output: {exc}", file=sys.stderr)
-        return EXIT_IO
-    try:
-        writer = csv.writer(fh if fh else sys.stdout)
-        if args.kind == "zonal_coeffs":
-            writer.writerow(["n", "k", "xexp", "yexp", "px", "py", "coeff"])
-            for k in range(args.kmax + 1):
-                z = zonal_direct(args.n, k)
-                for xe, ye, px, py, coef in z.sorted_terms():
-                    writer.writerow([args.n, k,
-                                     " ".join(map(str, xe)), " ".join(map(str, ye)),
-                                     px, py, str(coef)])
-        else:
-            import numpy as np
+        with (open(args.out, "w", newline="", encoding="utf-8") if args.out
+              else nullcontext(sys.stdout)) as fh:
+            writer = csv.writer(fh)
+            if args.kind == "zonal_coeffs":
+                writer.writerow(["n", "k", "xexp", "yexp", "px", "py", "coeff"])
+                for k in range(args.kmax + 1):
+                    z = zonal_direct(args.n, k)
+                    for xe, ye, px, py, coef in z.sorted_terms():
+                        writer.writerow([args.n, k,
+                                         " ".join(map(str, xe)), " ".join(map(str, ye)),
+                                         px, py, str(coef)])
+            else:
+                import numpy as np
 
-            writer.writerow(["terms", "partial_sum", "closed_form", "abs_error"])
-            dim = args.n + 1
-            x = np.zeros(dim)
-            y = np.zeros(dim)
-            # place the pair so that |x||y| = r and <x,y> = r w
-            x[0] = 1.0
-            y[0] = args.r * args.w
-            y[1] = args.r * (1.0 - args.w ** 2) ** 0.5
-            closed = zr.poisson_closed(x, y)
-            for terms in range(1, args.max_terms + 1):
-                partial = zr.poisson_series(x, y, terms)
-                writer.writerow([terms, repr(partial), repr(closed),
-                                 repr(abs(partial - closed))])
+                writer.writerow(["terms", "partial_sum", "closed_form", "abs_error"])
+                dim = args.n + 1
+                x = np.zeros(dim)
+                y = np.zeros(dim)
+                # place the pair so that |x||y| = r and <x,y> = r w
+                x[0] = 1.0
+                y[0] = args.r * args.w
+                y[1] = args.r * (1.0 - args.w ** 2) ** 0.5
+                closed = zr.poisson_closed(x, y)
+                for terms in range(1, args.max_terms + 1):
+                    partial = zr.poisson_series(x, y, terms)
+                    writer.writerow([terms, repr(partial), repr(closed),
+                                     repr(abs(partial - closed))])
     except OSError as exc:
-        print(f"I/O error: {exc}", file=sys.stderr)
+        print(f"cannot write table: {exc}", file=sys.stderr)
         return EXIT_IO
-    finally:
-        if fh:
-            fh.close()
     return EXIT_OK
 
 
@@ -334,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--mmax", type=int, default=None)
     p_verify.add_argument("--samples", type=int, default=None)
     p_verify.add_argument("--seed", type=int, default=0)
-    p_verify.add_argument("--threads", type=int, default=None,
+    p_verify.add_argument("--threads", type=int, default=os.cpu_count() or 1,
                           help="worker processes (default: available parallelism)")
     p_verify.add_argument("--json", nargs="?", const="-", default=None,
                           help="write the JSON report to PATH ('-' or bare flag: stdout)")
@@ -343,15 +321,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.set_defaults(func=_cmd_verify)
 
     p_coeff = sub.add_parser("coeff", help="print one connection coefficient exactly")
-    p_coeff.add_argument("which", choices=("alpha", "c", "beta", "betaTilde", "betaHat", "eta"))
-    p_coeff.add_argument("--m", type=int, default=None)
-    p_coeff.add_argument("--k", type=int, default=None)
-    p_coeff.add_argument("--lambda", dest="lam", default=None,
-                         help="rational order, e.g. 1/2; write a negative one as "
-                              "--lambda=-1/4, since argparse reads -1/4 as a flag")
-    p_coeff.add_argument("--N", type=int, default=None)
-    p_coeff.add_argument("--j", type=int, default=None)
-    p_coeff.add_argument("--ell", type=int, default=None)
+    p_coeff.add_argument("which", choices=tuple(_COEFFS))
+    for flag in dict.fromkeys(flag for flags, _, _ in _COEFFS.values() for flag in flags):
+        if flag == "lambda":  # parsed as a rational by the command
+            p_coeff.add_argument("--lambda", help="rational order, e.g. 1/2; write a negative "
+                                 "one as --lambda=-1/4, since argparse reads -1/4 as a flag")
+        else:
+            p_coeff.add_argument(f"--{flag}", type=int)
     p_coeff.set_defaults(func=_cmd_coeff)
 
     p_table = sub.add_parser("table", help="emit CSV tables")
@@ -368,16 +344,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if getattr(args, "command", None) == "verify" and args.threads is None:
-        import os
-        args.threads = os.cpu_count() or 1
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except (ValueError, rx.RadialOverflow) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

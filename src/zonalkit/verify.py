@@ -871,10 +871,12 @@ def plan_suite(suite: str, args: SuiteArgs | None = None) -> list[tuple[str, dic
             raise ValueError(f"{key}={value} is out of range; ranges and seeds must be >= 0")
     items: list[tuple[str, dict]] = []
     for name in names:
-        cells = _SUITES[name].cells(_filled(name, args))
+        filled = _filled(name, args)
+        cells = _SUITES[name].cells(filled)
         if not cells:
-            raise ValueError(f"suite {name!r} has no cells for nmax={args.nmax}, "
-                             f"kmax={args.kmax}, mmax={args.mmax}")
+            ranges = ", ".join(f"{key}={getattr(filled, key)}" for key in ("nmax", "kmax", "mmax")
+                               if key in _SUITES[name].defaults)
+            raise ValueError(f"suite {name!r} has no cells for {ranges}")
         items.extend((name, params) for params in cells)
     return items
 

@@ -17,8 +17,9 @@ Each route returns its expression alone.  The constant relating it to the
 direct kernel is one of the coefficient functions below: ``ladder_scale``,
 ``beta_tilde`` (odd) or ``beta_hat`` (even), ``fixed_y_prefactor``,
 ``beta_hat``/2 for the Clifford route, ``kelvin_constant_*`` and ``eta_*``.
-A route raises ``ValueError`` outside the domain particular to it (the
-ladder needs n >= 2, the inversion route odd n and k >= 1).
+Each domain rule is written once and raises ``ValueError``: m, k >= 0 (the
+coefficients, the Laplacian and Clifford routes), odd n >= 1 and k >= 1
+(``kelvin_*``), m >= 0 and k >= 1 (``eta_*``), n >= 2 (the ladder).
 
 The routes above run in :mod:`~zonalkit.orbitform` (the m = 3 Laplacian
 cells also have ``laplacian_route_invariant``): each input is a polynomial
@@ -94,6 +95,19 @@ def _check_counts(m: int, k: int) -> None:
         raise ValueError(f"Laplacian count m must be nonnegative, got m={m}")
     if k < 0:
         raise ValueError(f"degree k must be nonnegative, got k={k}")
+
+
+def _check_inversion(n: int, k: int) -> None:
+    """The inversion route and its constants need an odd n >= 1 and a degree k >= 1."""
+    if n < 1 or n % 2 != 1 or k < 1:
+        raise ValueError(f"inversion route needs odd n >= 1 and k >= 1, got n={n}, k={k}")
+
+
+def _check_bridge(m: int, k: int) -> None:
+    """The bridge identity and its constants need m >= 0 and a degree k >= 1."""
+    _check_counts(m, k)
+    if k < 1:
+        raise ValueError(f"the bridge identity needs k >= 1, got k={k}")
 
 
 def _check_order(lam: Fraction) -> None:
@@ -174,7 +188,9 @@ def beta_tilde(m: int, k: int) -> Fraction:
 
 
 def beta_tilde_printed(m: int, k: int) -> Fraction:
-    """The printed odd-target closed form (checked against the oracle, not trusted)."""
+    """The printed odd-target closed form (checked, not trusted); undefined at k + 2m = 0."""
+    if k + 2 * m == 0:
+        raise ValueError("the printed form divides by 2(k+2m); it is undefined at k + 2m = 0")
     num = (factorial(m) * factorial(2 * m + 1) * factorial(k + m)
            * factorial(2 * k + 4 * m))
     den = (2 * (k + 2 * m) * Fraction(2 * k + 2 * m + 1) ** 2
@@ -202,9 +218,7 @@ def beta_hat_composed(m: int, k: int) -> Fraction:
 
 def eta_reference(m: int, k: int) -> Fraction:
     """The stated bridge constant: 4^(2m) (k+2m) (m!)^3 G(k+2m+1) / (k (2m)! G(k+m+1))."""
-    _check_counts(m, k)
-    if k < 1:
-        raise ValueError("the bridge constant presupposes k >= 1")
+    _check_bridge(m, k)
     return (Fraction(4) ** (2 * m) * (k + 2 * m) * factorial(m) ** 3
             * pochhammer(Fraction(k + m + 1), m)
             / (k * factorial(2 * m)))
@@ -215,25 +229,21 @@ def eta_observed(m: int, k: int) -> Fraction:
 
     eta_reference / eta_observed = 4^m (m!)^2 / (2m)!, which is 1 only at m = 0.
     """
-    _check_counts(m, k)
-    if k < 1:
-        raise ValueError("the bridge constant presupposes k >= 1")
+    _check_bridge(m, k)
     return (Fraction(4) ** m * factorial(m) * (k + 2 * m)
             * pochhammer(Fraction(k + m + 1), m) / k)
 
 
 def kelvin_constant_reference(n: int, k: int) -> Fraction:
     """Stated inversion-route constant (n-1)! (-1)^((n-1)/2) k/(2k+n-1), odd n."""
-    if n % 2 != 1 or k < 1:
-        raise ValueError("inversion route needs odd n and k >= 1")
+    _check_inversion(n, k)
     m = (n - 1) // 2
     return factorial(n - 1) * (-1) ** m * Fraction(k, 2 * k + n - 1)
 
 
 def kelvin_constant_observed(n: int, k: int) -> Fraction:
     """Inversion-route constant from exact computation: (-1)^m 4^m (m!)^2 k/(2(k+m))."""
-    if n % 2 != 1 or k < 1:
-        raise ValueError("inversion route needs odd n and k >= 1")
+    _check_inversion(n, k)
     m = (n - 1) // 2
     return (-1) ** m * Fraction(4) ** m * factorial(m) ** 2 * Fraction(k, 2 * (k + m))
 
@@ -297,6 +307,7 @@ def _laplacian_seed(parity: Parity, m: int, k: int) -> za.ZonalInvariant:
     Lifting keeps the invariant terms and reads them over R^(2m+3) (odd) or
     R^(2m+2) (even), the dimension of the iterated-Laplacian target.
     """
+    _check_counts(m, k)
     if parity == "odd":
         low_n, dim = 2, 2 * m + 3
     elif parity == "even":
@@ -359,6 +370,7 @@ def clifford_route(m: int, k: int) -> rx.RadialExpr:
     The result should equal (beta_hat(m, k)/2) * zonal_direct(2m+1, k);
     m = 0 is the plane identity ((x y^c)^k)_0 = Z/2.
     """
+    _check_counts(m, k)
     return _paravector_laplacians(m, k)
 
 
@@ -376,10 +388,7 @@ def kelvin_route(n: int, k: int) -> rx.RadialExpr:
     compare it with both kelvin_constant_reference and
     kelvin_constant_observed and report both.
     """
-    if n % 2 != 1:
-        raise ValueError("inversion route needs odd n (integer Laplacian power)")
-    if k < 1:
-        raise ValueError("inversion route needs k >= 1")
+    _check_inversion(n, k)
     return _inversion_route((n - 1) // 2, k)
 
 
@@ -432,8 +441,7 @@ def eta_relation(m: int, k: int) -> EtaRelationResult:
     closed forms, eta_reference and eta_observed; agreement with one and not
     the other is the structured finding, never a silent fix.
     """
-    if k < 1:
-        raise ValueError("bridge identity needs k >= 1")
+    _check_bridge(m, k)
     lhs = _paravector_laplacians(m, k)
     rhs_raw = _inversion_route(m, k)
     return EtaRelationResult(m, k, lhs, rhs_raw, proportionality_ratio(lhs, rhs_raw))

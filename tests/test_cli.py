@@ -195,6 +195,25 @@ def test_coeff_c_nonpositive_dimension_exit_2(capsys, dim):
     assert f"N >= 1, got N={dim}" in err
 
 
+def test_coeff_beta_tilde_where_the_printed_form_is_undefined(capsys):
+    # the printed form divides by 2(k+2m); this raised ZeroDivisionError
+    code, out, err = run_cli(capsys, "coeff", "betaTilde", "--m", "0", "--k", "0")
+    assert code == 0
+    assert err == ""
+    assert out.splitlines() == ["betaTilde = 1 (~ 1)",
+                                "note: the printed closed form is undefined at k + 2m = 0"]
+
+
+def test_coeff_beyond_the_float_range(capsys):
+    # beta ~ lambda^(2m) overflows a float; the exact value is still printed
+    code, out, err = run_cli(capsys, "coeff", "beta", "--m", "1", "--k", "0",
+                             "--lambda", "1e400")
+    assert code == 0
+    assert err == ""
+    first = out.splitlines()[0]
+    assert first.startswith("beta = -16") and first.endswith(" (~ outside the float range)")
+
+
 def test_coeff_c_valid_dimension(capsys):
     # Lap |x|^2 = 2N on R^N: c(N=3, j=1, ell=1, k=0) = 4 * (3/2) = 6
     code, out, _ = run_cli(capsys, "coeff", "c", "--N", "3", "--j", "1", "--ell", "1",
@@ -246,6 +265,10 @@ def test_verify_empty_suite_exit_2(capsys):
                            "--threads", "1")
     assert code == 2
     assert "no cells" in err
+    # the message names the ranges the suite read, with the defaults it filled in
+    code, _, err = run_cli(capsys, "verify", "--suite", "eta", "--kmax", "0", "--threads", "1")
+    assert code == 2
+    assert "suite 'eta' has no cells for kmax=0, mmax=2" in err
 
 
 @pytest.mark.parametrize("suite, flag, value", [

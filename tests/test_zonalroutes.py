@@ -66,6 +66,14 @@ def test_beta_printed_forms_disagree():
     assert zr.beta_printed(2, HALF, 1) != zr.beta(2, HALF, 1)
 
 
+def test_beta_tilde_printed_is_undefined_at_degree_zero():
+    # the printed form divides by 2(k+2m); the composition is 1 there
+    assert zr.beta_tilde(0, 0) == 1
+    with pytest.raises(ValueError, match="k \\+ 2m = 0"):
+        zr.beta_tilde_printed(0, 0)
+    assert zr.beta_tilde_printed(0, 1) == Fraction(1, 18)  # defined, and off, at k = 1
+
+
 def test_beta_hat_matches_its_composition():
     for m in (0, 1, 2, 3):
         for k in range(0, 7):
@@ -186,6 +194,25 @@ def test_kelvin_route_rejects_even_dimension():
         zr.kelvin_route(4, 2)
     with pytest.raises(ValueError):
         zr.kelvin_route(3, 0)
+
+
+@pytest.mark.parametrize("route, args, message", [
+    (zr.laplacian_route, ("odd", 1, -1), "got k=-1"),
+    (zr.laplacian_route_fixed_y, ("odd", 1, -1), "got k=-1"),
+    (zr.laplacian_route_invariant, ("odd", 1, -1), "got k=-1"),
+    (zr.laplacian_route, ("even", -1, 2), "got m=-1"),
+    (zr.clifford_route, (1, -1), "got k=-1"),
+    (zr.clifford_route, (-1, 2), "got m=-1"),
+    (zr.kelvin_route, (-1, 2), "got n=-1"),
+    (zr.eta_relation, (-1, 2), "got m=-1"),
+    (zr.eta_relation, (1, 0), "got k=0"),
+], ids=["laplacian", "fixed_y", "invariant", "laplacian_m", "clifford", "clifford_m", "kelvin",
+        "eta_m", "eta_k"])
+def test_routes_reject_arguments_outside_their_domain(route, args, message):
+    # each of these returned a value (a zero, an empty invariant) instead of raising,
+    # except kelvin_route(-1, 2), which raised IndexError
+    with pytest.raises(ValueError, match=message):
+        route(*args)
 
 
 def test_eta_relation_results():
