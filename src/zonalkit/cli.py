@@ -120,7 +120,7 @@ def _float_text(to_float, spec: str) -> str:
 def _cmd_expand(args: argparse.Namespace) -> int:
     expr = _route_expr(args.route, args.n, args.k, args.m, args.max_terms)
     if args.format == "json":
-        sys.stdout.writelines(expr._json_chunks(expr._order()))  # to_json(), never held whole
+        sys.stdout.writelines(expr._json_chunks())  # to_json(), never held whole
         sys.stdout.write("\n")
     else:
         print(expr)

@@ -745,11 +745,13 @@ class RadialExpr:
                    for key, num in self._terms.items()}
         return sorted(by_rank), by_rank
 
-    def _rows(self, order: tuple) -> Iterator[
+    def _rows(self, order: tuple | None = None) -> Iterator[
             tuple[tuple[int, ...], tuple[int, ...], int, int, int, int]]:
         """``(xexp, yexp, px, py, num, den)`` per term in canonical order, in
         lowest terms; ``order`` is :meth:`_order` of a support holding this
-        expression's keys."""
+        expression's keys, when the caller shares one; without it this
+        expression ranks its own."""
+        order = order or self._order()
         xexps, yexps, radials = order[:3]
         nr, w, den = len(radials), len(yexps), self._den
         ranks, by_rank = self._by_rank(order)
@@ -757,12 +759,12 @@ class RadialExpr:
             g = math.gcd(num := by_rank[r], den)
             yield xexps[r // (w * nr)], yexps[r // nr % w], *radials[r % nr], num // g, den // g
 
-    def _json_chunks(self, order: tuple) -> Iterator[str]:
-        """:meth:`to_json` in pieces of ``_JSON_CHUNK`` terms; ``order`` is
-        :meth:`_order` of a support holding this expression's keys.  A term
-        is its coefficient then the texts of its radial pair, x and y
-        exponents, each formatted once per distinct value; a gcd is taken
-        only when den != 1."""
+    def _json_chunks(self, order: tuple | None = None) -> Iterator[str]:
+        """:meth:`to_json` in pieces of ``_JSON_CHUNK`` terms; ``order`` is as
+        in :meth:`_rows`.  A term is its coefficient then the texts of its
+        radial pair, x and y exponents, each formatted once per distinct
+        value; a gcd is taken only when den != 1."""
+        order = order or self._order()
         xexps, yexps, radials = order[:3]
         nr, w, den = len(radials), len(yexps), self._den
         wnr = w * nr
@@ -787,32 +789,28 @@ class RadialExpr:
     def sorted_terms(self) -> list[tuple[tuple[int, ...], tuple[int, ...], int, int, Fraction]]:
         """Terms as (xexp, yexp, px, py, coefficient) in canonical order."""
         return [(xe, ye, px, py, Fraction(num, den))
-                for xe, ye, px, py, num, den in self._rows(self._order())]
+                for xe, ye, px, py, num, den in self._rows()]
 
     def to_json_dict(self) -> dict:
         """The canonical serialisation as a dict; see :meth:`to_json`."""
         return {"nx": self.nx, "ny": self.ny, "terms": [
             {"xexp": list(xe), "yexp": list(ye), "px": px, "py": py,
              "num": str(num), "den": str(den)}
-            for xe, ye, px, py, num, den in self._rows(self._order())]}
+            for xe, ye, px, py, num, den in self._rows()]}
 
     def to_json(self) -> str:
         """The canonical serialisation that :meth:`digest` hashes: the bytes of
         ``json.dumps(self.to_json_dict(), sort_keys=True, separators=(",", ":"))``,
         one ``{"den","num","px","py","xexp","yexp"}`` object per term with the
         coefficient in lowest terms as decimal strings, in (xexp, yexp, px, py) order."""
-        return "".join(self._json_chunks(self._order()))
+        return "".join(self._json_chunks())
 
     def digest(self, order: tuple | None = None) -> str:
-        """sha256 of :meth:`to_json`, fed one chunk at a time.
-
-        ``order`` is :meth:`_order` of a support holding this expression's
-        keys, when the caller has one already; without it the keys are
-        ranked here.
-        """
+        """sha256 of :meth:`to_json`, fed one chunk at a time; ``order`` is
+        as in :meth:`_rows`."""
         if self._digest is None:
             h = hashlib.sha256()
-            for chunk in self._json_chunks(order or self._order()):
+            for chunk in self._json_chunks(order):
                 h.update(chunk.encode())
             self._digest = h.hexdigest()
         return self._digest

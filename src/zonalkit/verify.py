@@ -52,6 +52,9 @@ from .ratnum import binomial
 
 LAMBDA_SET = (Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(2), Fraction(3))
 
+# terms a failing cell's witness lists, in canonical order
+_WITNESS_TERMS = 24
+
 
 @dataclass
 class SuiteArgs:
@@ -128,17 +131,17 @@ def _digest_float(x: float) -> str:
     return _digest_text(repr(float(x)))
 
 
-def _expr_witness(diff: rx.RadialExpr, order: tuple | None = None, cap: int = 24) -> dict:
-    """The first ``cap`` terms of a nonzero difference, in canonical order;
-    ``order`` is an ``_order()`` of a support holding diff's keys, when the
-    caller has one already."""
+def _expr_witness(diff: rx.RadialExpr, order: tuple | None = None) -> dict:
+    """The first ``_WITNESS_TERMS`` terms of a nonzero difference, in
+    canonical order; ``order`` is an ``_order()`` of a support holding
+    diff's keys, when the caller shares one."""
     shown = [
         {"xexp": list(xe), "yexp": list(ye), "px": px, "py": py,
          "num": str(num), "den": str(den)}
-        for xe, ye, px, py, num, den in islice(diff._rows(order or diff._order()), cap)
+        for xe, ye, px, py, num, den in islice(diff._rows(order), _WITNESS_TERMS)
     ]
     return {"kind": "expr_diff", "nonzero_terms": len(diff), "terms": shown,
-            "truncated": len(diff) > cap}
+            "truncated": len(diff) > _WITNESS_TERMS}
 
 
 def _cell(params: dict, ok: bool, lhs_digest: str, rhs_digest: str,
@@ -151,23 +154,17 @@ def _cell(params: dict, ok: bool, lhs_digest: str, rhs_digest: str,
 def _expr_cell(params: dict, lhs: rx.RadialExpr, rhs: rx.RadialExpr) -> Cell:
     """Compare two expressions by canonical form and digest both sides.
 
+    lhs's support is ranked before its digest unless that digest is cached.
     A passing cell serialises once: an equal rhs takes over lhs's digest
     through ``equals``.  The canonical order depends only on the support,
     so a failing cell whose rhs keys are among lhs's hands lhs's order on to
     rhs's digest and to the witness rows of ``lhs - rhs``, whose keys are
     then among lhs's too (fewer where a coefficient cancels); otherwise each
-    side computes its own.  Equal canonical forms have equal denominators,
-    sizes and numerators, so sides that differ in one of these at lhs's
-    first key fail for sure, and lhs's order is computed once, before its
-    digest.  Other cells digest lhs first, so a passing cell holds no order
-    while its text is built, and order lhs again only if they fail.  The
-    order is a local of this call: route results sit in one-entry caches,
-    and an order kept on them would outlive the cell.
+    side ranks its own.  The order is a local of this call: route results
+    sit in one-entry caches, and an order kept on them would outlive the
+    cell.
     """
-    first = next(iter(lhs._terms), None)
-    fails = (lhs._den != rhs._den or len(lhs) != len(rhs)
-             or lhs._terms.get(first) != rhs._terms.get(first))
-    order = lhs._order() if fails and lhs._digest is None else None
+    order = lhs._order() if lhs._digest is None else None
     lhs_digest = lhs.digest(order)
     if lhs.equals(rhs):  # an equal rhs takes over lhs's digest
         return _cell(params, True, lhs_digest, rhs.digest(), None)
@@ -185,7 +182,7 @@ def _invariant_cell(params: dict, lhs: za.ZonalInvariant, rhs: za.ZonalInvariant
         witness = {"kind": "invariant_diff",
                    "terms": [{"a": A, "rx": R, "ry": S,
                               "num": str(c.numerator), "den": str(c.denominator)}
-                             for (A, R, S), c in diff.sorted_terms()[:24]],
+                             for (A, R, S), c in diff.sorted_terms()[:_WITNESS_TERMS]],
                    "nonzero_terms": len(diff.terms)}
     return _cell(params, ok, lhs.digest(), rhs.digest(), witness)
 
@@ -495,13 +492,12 @@ def _run_kelvin(params: dict) -> Cell:
     result = zr.kelvin_route(n, k)
     direct = zonal_direct(n, k)
     measured = zr.proportionality_ratio(result, direct)
-    if params["check"] in ("plane_reference", "reference_constant"):
-        reference = zr.kelvin_constant_reference(n, k)
-        return _expr_cell({**params, "reference": str(reference),
-                           "measured": str(measured)}, result, direct.scale(reference))
-    observed = zr.kelvin_constant_observed(n, k)
-    return _expr_cell({**params, "observed": str(observed),
-                       "measured": str(measured)}, result, direct.scale(observed))
+    if params["check"] == "observed_constant":
+        name, constant = "observed", zr.kelvin_constant_observed(n, k)
+    else:  # plane_reference, reference_constant
+        name, constant = "reference", zr.kelvin_constant_reference(n, k)
+    return _expr_cell({**params, name: str(constant), "measured": str(measured)},
+                      result, direct.scale(constant))
 
 
 def _kelvin_findings(args: SuiteArgs) -> list[dict]:
