@@ -5,7 +5,10 @@ Thin driver over zonalkit.verify for batch runs; the `zonalkit verify` CLI is
 the interactive front end.  The kelvin and eta suites are expected to exit
 red on their ``reference_constant`` cells, which check the paper's stated
 constants (see the findings inside the reports).  Any other failing cell, in
-those suites too, and any cell that raised (an ``error`` cell) fail the batch.
+those suites too, and any cell that raised (an ``error`` cell) fail the batch
+with exit 1.  A bad parameter (a worker count below 1, an unknown suite, an
+out-of-range seed or sample count) exits 2 before any suite runs and before
+the output directory is made.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ import pathlib
 import sys
 import time
 
-from zonalkit.verify import SUITE_NAMES, SuiteArgs, run_suite
+from zonalkit.verify import SUITE_NAMES, SuiteArgs, check_threads, plan_suite, run_suite
 
 # suites whose reference_constant cells fail by design
 STATED_CONSTANT_SUITES = ("kelvin", "eta")
@@ -39,17 +42,20 @@ def main() -> int:
     parser.add_argument("--suites", nargs="*", default=list(SUITE_NAMES))
     args = parser.parse_args()
 
+    sargs = SuiteArgs(seed=args.seed, samples=args.samples)
+    try:  # the whole request is checked before any suite runs or any report is written
+        check_threads(args.threads)
+        for suite in args.suites:
+            plan_suite(suite, sargs)
+    except ValueError as exc:  # a bad parameter: exit 2 with the message
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     out_dir = pathlib.Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     overall_ok = True
     for suite in args.suites:
         t0 = time.perf_counter()
-        try:
-            report = run_suite(suite, SuiteArgs(seed=args.seed, samples=args.samples),
-                               threads=args.threads)
-        except ValueError as exc:  # a bad parameter: exit 2 with the message
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+        report = run_suite(suite, sargs, threads=args.threads)
         elapsed = time.perf_counter() - t0
         path = out_dir / f"{suite}.json"
         path.write_text(report.to_json())

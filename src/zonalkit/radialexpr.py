@@ -474,6 +474,15 @@ class RadialExpr:
         self._require_same_shape(other)
         if self._degx + other._degx > MAX_DEGREE or self._degy + other._degy > MAX_DEGREE:
             raise RadialOverflow("product would exceed the packed degree cap")
+        if not (self._radial_free or other._radial_free):
+            # a radial sum outside its field would borrow from the next field
+            for shift, group in ((0, "x"), (_RAD_BITS, "y")):
+                lo, hi = (sum(bound(((k >> shift) & _RAD_MASK) - _RAD_BIAS for k in terms)
+                              for terms in (self._terms, other._terms)) for bound in (min, max))
+                if lo < _RAD_MIN or hi > _RAD_MAX:
+                    raise RadialOverflow(
+                        f"product radial exponent |{group}|^{lo if lo < _RAD_MIN else hi} "
+                        f"is outside the radial range {_RAD_MIN}..{_RAD_MAX}")
         zero_key = self._lay.zero_key
         if len(self._terms) >= len(other._terms):
             big, small = self._terms, other._terms

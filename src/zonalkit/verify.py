@@ -877,8 +877,17 @@ def plan_suite(suite: str, args: SuiteArgs | None = None) -> list[tuple[str, dic
     return items
 
 
+def check_threads(threads: int) -> None:
+    """Raise ValueError unless ``threads``, a worker count, is at least 1."""
+    if threads < 1:
+        raise ValueError(f"threads={threads} is out of range; the worker count must be >= 1")
+
+
 def run_suite(suite: str, args: SuiteArgs | None = None, threads: int = 1) -> VerificationReport:
-    """Run one named suite (or 'all') and return the merged report."""
+    """Run one named suite (or 'all') on up to ``threads`` workers and return
+    the merged report; raises ValueError as :func:`plan_suite` and
+    :func:`check_threads` do."""
+    check_threads(threads)
     args = args or SuiteArgs()
     items = plan_suite(suite, args)
     workers = min(threads, len(items), os.cpu_count() or 1)

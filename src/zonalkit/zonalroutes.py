@@ -343,10 +343,14 @@ def laplacian_route(parity: Parity, m: int, k: int) -> rx.RadialExpr:
 def laplacian_route_invariant(parity: Parity, m: int, k: int) -> za.ZonalInvariant:
     """laplacian_route in the compact invariant algebra.
 
-    A coordinate expansion of the m = 3 odd cells (degree k+6 kernels over
-    R^9 x R^9) needs on the order of 10^8 monomials; the invariant form is
-    the engineered path for those cells, with its operator rules
-    cross-validated against the coordinate engine elsewhere in the suite.
+    The laplacian suite runs its m = 3 cells (seeds of degree k+6 over
+    R^9 x R^9 odd and R^8 x R^8 even) on this form, although the orbit-form
+    ``laplacian_route`` can run them too (all 14 default m = 3 cells in
+    1.3-1.6 s serial on a 2-CPU machine).  No report cell checks these rules against the
+    coordinate Laplacian; the tier-1 tests do:
+    ``test_operator_rules_match_coordinate_engine`` on monomials and
+    ``test_laplacian_invariant_agrees_with_coordinates`` on this route at
+    m <= 2 and k <= 2.
     """
     out = _laplacian_seed(parity, m, k)
     for _ in range(m):

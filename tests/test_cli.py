@@ -389,6 +389,17 @@ def test_verify_bad_range_exits_2_before_touching_the_report(tmp_path, capsys, w
     assert not path.exists()
 
 
+@pytest.mark.parametrize("threads", ["0", "-3"])
+def test_verify_bad_worker_count_exits_2_before_touching_the_report(tmp_path, capsys, threads):
+    path = tmp_path / "new.json"
+    code, out, err = run_cli(capsys, "verify", "--suite", "monogenic", "--threads", threads,
+                             "--json", str(path))
+    assert code == 2
+    assert f"threads={threads}" in err
+    assert out == ""
+    assert not path.exists()
+
+
 def test_expand_ladder_high_dimension_in_bounded_memory():
     # n = 30 needs 31 terms; a cost exponential in n fails fast under the limit
     def limit_address_space():
@@ -566,6 +577,22 @@ def _batch_driver():
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+@pytest.mark.parametrize("flags, message", [
+    (("--threads", "0", "--suites", "monogenic"), "threads=0"),
+    (("--suites", "monogenic", "bogus"), "unknown suite 'bogus'"),
+    (("--samples", "1", "--suites", "monogenic", "reproducing"), "samples=1"),
+], ids=["threads=0", "unknown suite after a good one", "samples=1 after a good suite"])
+def test_batch_driver_checks_the_whole_request_first(tmp_path, monkeypatch, capsys,
+                                                     flags, message):
+    # exit 2 before any suite runs, any report is written or the directory is made
+    driver = _batch_driver()
+    out_dir = tmp_path / "reports"
+    monkeypatch.setattr(sys, "argv", ["run_verification.py", "--out-dir", str(out_dir), *flags])
+    assert driver.main() == 2
+    assert message in capsys.readouterr().err
+    assert not out_dir.exists()
 
 
 def _one_failing_cell_report(suite, args, threads):

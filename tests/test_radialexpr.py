@@ -622,6 +622,25 @@ def test_norm_power_at_the_radial_range_ends():
     assert list(rx.norm_power("x", -2047, 2, 2).terms()) == [((0, 0), (0, 0), -2047, 0, 1)]
 
 
+def test_product_at_the_radial_range_end():
+    half = rx.norm_power("x", -1024, 2, 2)
+    assert (half * half).equals(rx.norm_power("x", -2048, 2, 2))
+
+
+@pytest.mark.parametrize("product", [
+    # |x|^-4000 would borrow from the |y| field (Q_x^48 |y|^-1)
+    lambda: rx.norm_power("x", -2000, 2, 2) * rx.norm_power("x", -2000, 2, 2),
+    # |y|^-4000 would borrow from the x0 field and drop the x0 factor
+    lambda: rx.norm_power("y", -2000, 2, 2) * (rx.norm_power("y", -2000, 2, 2)
+                                               * rx.coordinate("x", 0, 2, 2)),
+    # |x|^-2049 is one past the end of the field
+    lambda: rx.norm_power("x", -1024, 2, 2) * rx.norm_power("x", -1025, 2, 2),
+], ids=["x_sum_borrows", "y_sum_borrows", "one_past_the_end"])
+def test_product_outside_the_radial_range_raises(product):
+    with pytest.raises(rx.RadialOverflow, match="outside the radial range"):
+        product()
+
+
 def test_laplacian_raises_instead_of_borrowing():
     # |x|^-2047 |y|: the radial branch would borrow from the |y| field
     with pytest.raises(rx.RadialOverflow, match="Laplacian in x"):

@@ -196,6 +196,14 @@ def test_worker_count_is_capped(monkeypatch, threads, cpus, expected):
     assert rep.to_json() == run_suite("monogenic", SuiteArgs(kmax=2)).to_json()
 
 
+@pytest.mark.parametrize("threads", [0, -3])
+def test_worker_count_below_one_is_refused(monkeypatch, threads):
+    # refused before any cell runs, not run serially
+    monkeypatch.setattr(verify, "_execute", lambda item: pytest.fail("a cell ran"))
+    with pytest.raises(ValueError, match=f"threads={threads} is out of range"):
+        run_suite("monogenic", SuiteArgs(kmax=2), threads=threads)
+
+
 # -- one support order per failing cell -----------------------------------------
 
 _NONZERO = st.fractions(min_value=-9, max_value=9, max_denominator=5).filter(bool)
