@@ -211,8 +211,9 @@ def cr_operators(f: Multivector, which: CROperator) -> Multivector:
     raise ValueError(f"unknown operator {which!r}")
 
 
-def laplacian_field(f: Multivector, group: rx.VarGroup = "x") -> Multivector:
-    return f.map_coeffs(lambda c: c.laplacian(group))
+def laplacian_field(f: Multivector) -> Multivector:
+    """Lap_x of every coefficient of ``f``."""
+    return f.map_coeffs(lambda c: c.laplacian("x"))
 
 
 # -- powers of x y^c ---------------------------------------------------------

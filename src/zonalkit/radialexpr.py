@@ -1002,13 +1002,9 @@ def quadratic_form(group: VarGroup, nx: int, ny: int) -> RadialExpr:
                             radial_free_hint=True)
 
 
-def inner_xy(nx: int, ny: int | None = None) -> RadialExpr:
-    """The pairing <x, y> = sum_i x_i y_i; group sizes must agree."""
-    if ny is None:
-        ny = nx
-    if nx != ny:
-        raise ValueError("<x,y> needs matching group sizes")
-    lay = _layout(nx, ny)
+def inner_xy(nx: int) -> RadialExpr:
+    """The pairing <x, y> = sum_i x_i y_i over R^nx x R^nx."""
+    lay = _layout(nx, nx)
     terms = {lay.zero_key | (1 << sx) | (1 << sy): 1
              for sx, sy in zip(lay.x_shifts, lay.y_shifts)}
-    return RadialExpr._make(nx, ny, terms, 1, 1, 1, radial_free_hint=True)
+    return RadialExpr._make(nx, nx, terms, 1, 1, 1, radial_free_hint=True)

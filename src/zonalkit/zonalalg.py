@@ -13,11 +13,13 @@ Every route input is written here first.  It reaches coordinates through
 :class:`~zonalkit.radialexpr.RadialExpr`, or through
 :meth:`zonalkit.orbitform.OrbitForm.from_invariant`, which runs the same
 Horner loop (:meth:`ZonalInvariant._horner`) with one coefficient per orbit
-of the pair permutations.  In coordinates the loop runs into one dict of
-integer numerators over one denominator per parity class, so a constant
-that multiplies a kernel is best applied to the few invariant coefficients
-(:meth:`ZonalInvariant.scale`) before expanding, not to the expanded
-numerators.  The invariant form also carries the deepest
+of the pair permutations.  The expander also fixes y at a pole, a rational
+point with |y| = 1 as in the paper's kernels Z_k(x, y): <x,y> becomes a
+linear form in x, and Q_y and every |y|^s become 1.  In coordinates the
+loop runs into one dict of integer numerators over one denominator per
+parity class, so a constant that multiplies a kernel is best applied to the
+few invariant coefficients (:meth:`ZonalInvariant.scale`) before expanding,
+not to the expanded numerators.  The invariant form also carries the deepest
 iterated-Laplacian cells on its own: a coordinate expansion of three double
 Laplacians in R^9 would need on the order of 10^8 monomials, while the
 invariant form keeps tens of terms.  The closed-form operator rules used
@@ -43,7 +45,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import radialexpr as rx
-from .ratnum import binomial, sqrt_exact
+from .ratnum import binomial
 
 Key = tuple[int, int, int]
 
@@ -139,31 +141,32 @@ class ZonalInvariant:
         degree cap are those of the same plan written with ``RadialExpr``
         products and sums.
 
-        With a rational point ``y`` = p the y group is fixed at p during the
-        expansion: <x,y> becomes the linear form <x,p>, Q_y the number |p|^2
-        and the y radial floor |y|^s0 the number |p|^s0, so no y monomial is
-        ever built.  The result equals the term-by-term substitution of p into
-        ``to_radialexpr()``: the same terms over the same denominator.  It
-        raises :class:`~zonalkit.radialexpr.PoleError` where |p|^s0 has no
-        exact value: s0 < 0 at p = 0, or s0 odd with |p|^2 not a rational
-        square.
+        With a pole ``y`` = p, a rational point with |p| = 1 such as e_0 or
+        (3/5, 4/5, 0, ...), the y group is fixed at p during the expansion:
+        <x,y> becomes the linear form <x,p>, and Q_y and the y radial floor
+        |y|^s0 are 1, odd and negative s0 included, so no y monomial is ever
+        built.  The result equals the term-by-term substitution of p into
+        ``to_radialexpr()``: the same terms over the same denominator.  Any
+        other point raises ``ValueError`` before the expansion starts.
         """
         n = self.dim
         lay = rx._layout(n, n)
         if y is None:
             # <x,y> raises one x and one y field per coordinate pair
             inner = [((1 << sx) + (1 << sy), 1) for sx, sy in zip(lay.x_shifts, lay.y_shifts)]
-            d, q = 1, None
+            d = 1
         else:
             if len(y) != n:
                 raise ValueError(f"point has {len(y)} coordinates, group needs {n}")
             pt = [Fraction(v) for v in y]
+            if sum(v * v for v in pt) != 1:
+                raise ValueError("y must be a pole, a point with |y| = 1; "
+                                 f"got ({', '.join(map(str, pt))})")
             # <x,p> = (1/d) sum P_i x_i with integers P_i
             d = math.lcm(*(v.denominator for v in pt))
             inner = [(1 << s, int(v * d)) for s, v in zip(lay.x_shifts, pt) if v]
-            q = sum(v * v for v in pt)
-        # the degrees one factor of <x,y> or <x,p> adds; <x,0> is a zero of degree 0
-        step_x, step_y = int(bool(inner)), int(y is None)
+        # one factor of <x,y> raises the x degree by 1, and the y degree unless y is fixed
+        step_y = int(y is None)
         den0 = math.lcm(*(c.denominator for c in self.terms.values()))
         powers = {"x": [{0: 1}], "y": [{0: 1}]}
 
@@ -183,13 +186,10 @@ class ZonalInvariant:
             return table[i]
 
         def times_inner(acc: _Numerators) -> _Numerators:
-            if acc.degx + step_x > rx.MAX_DEGREE or acc.degy + step_y > rx.MAX_DEGREE:
+            if acc.degx + 1 > rx.MAX_DEGREE or acc.degy + step_y > rx.MAX_DEGREE:
                 raise rx.RadialOverflow("product would exceed the packed degree cap")
-            acc.degx += step_x
+            acc.degx += 1
             acc.degy += step_y
-            if not inner:
-                acc.terms = {}
-                return acc
             terms = acc.terms
             # the first shift maps keys one to one; a coefficient 1 is not multiplied
             (shift, c), *rest = inner
@@ -207,21 +207,15 @@ class ZonalInvariant:
 
         def add_quadratic(acc: _Numerators, i: int, j: int, c: Fraction) -> _Numerators:
             qx = power("x", i)
-            if q is None:
+            if y is None:
                 qy = power("y", j)
-                acc.degx, acc.degy = max(acc.degx, 2 * i), max(acc.degy, 2 * j)
+                acc.degy = max(acc.degy, 2 * j)
             else:
-                qy = powers["y"][0]
-                c = c * q ** j
-                if not c:  # |p|^2 = 0 and j > 0: the term vanishes
-                    return acc
-                acc.degx = max(acc.degx, 2 * i)
-            terms = acc.terms
-            if acc.den % c.denominator:
-                m = c.denominator // math.gcd(acc.den, c.denominator)
-                terms = acc.terms = dict(zip(terms, map(m.__mul__, terms.values())))
-                acc.den *= m
+                qy = powers["y"][0]  # Q_y = 1 at a pole
+            acc.degx = max(acc.degx, 2 * i)
+            # acc.den is den0 times powers of d, so c's denominator divides it
             num = c.numerator * (acc.den // c.denominator)
+            terms = acc.terms
             get = terms.get
             for kx, vx in qx.items():
                 base, f = lay.zero_key + kx, num * vx
@@ -235,9 +229,8 @@ class ZonalInvariant:
                                       radial_free_hint=True)
             if r0:
                 out = out * rx.norm_power("x", r0, n, n)
-            if s0:
-                out = (out * rx.norm_power("y", s0, n, n) if q is None
-                       else out.scale(_norm_value(q, s0)))
+            if s0 and y is None:
+                out = out * rx.norm_power("y", s0, n, n)
             parts.append(out)
         if not parts:
             return rx.RadialExpr.zero(n, n)
@@ -289,21 +282,6 @@ class ZonalInvariant:
     def digest(self) -> str:
         return hashlib.sha256(self.to_json().encode()).hexdigest()
 
-    def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        bits = []
-        for (A, R, S), c in self.sorted_terms():
-            atoms = []
-            if A:
-                atoms.append(f"<x,y>^{A}" if A > 1 else "<x,y>")
-            if R:
-                atoms.append(f"|x|^{R}")
-            if S:
-                atoms.append(f"|y|^{S}")
-            bits.append(f"{c} " + "*".join(atoms) if atoms else f"{c}")
-        return " + ".join(bits)
-
     def __repr__(self) -> str:
         return f"<ZonalInvariant dim={self.dim} terms={len(self.terms)}>"
 
@@ -334,19 +312,6 @@ def _radial_floor(powers) -> int:
     """
     low = min(powers)
     return low if low < 0 else low & 1
-
-
-def _norm_value(q: Fraction, s: int) -> Fraction:
-    """|p|^s for a rational point p with |p|^2 = q, s != 0."""
-    if s < 0 and q == 0:
-        raise rx.PoleError("substitution point at the origin with negative radial power")
-    half, odd = divmod(s, 2)
-    if not odd:
-        return q ** half
-    sq = sqrt_exact(q)
-    if sq is None:
-        raise rx.PoleError(f"odd radial power needs a perfect-square |pt|^2; got {q}")
-    return q ** half * sq
 
 
 # -- constructors -------------------------------------------------------------

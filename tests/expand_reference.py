@@ -3,33 +3,21 @@
 ``ZonalInvariant.to_radialexpr`` runs its Horner plan into one dict of
 integer numerators.  This module keeps the same plan written with whole
 :class:`~zonalkit.radialexpr.RadialExpr` operations instead: every Horner
-level is a product with <x,y> (or <x,p>), every c Q_x^i Q_y^j is built as
-its own expression from Q powers multiplied one factor at a time, and every
-partial sum goes through ``+``.  The expander must agree with it on terms,
-denominator, degree bounds and raised errors.
+level is a product with <x,y> (or <x,p> at a pole p, where Q_y and |y| are
+1), every c Q_x^i Q_y^j is built as its own expression from Q powers
+multiplied one factor at a time, and every partial sum goes through ``+``.
+The expander must agree with it on terms, denominator, degree bounds and
+raised errors.
 """
 
 from fractions import Fraction
 
 from zonalkit import radialexpr as rx
-from zonalkit.ratnum import sqrt_exact
 
 
 def _floor(powers) -> int:
     low = min(powers)
     return low if low < 0 else low & 1
-
-
-def _norm_value(q: Fraction, s: int) -> Fraction:
-    if s < 0 and q == 0:
-        raise rx.PoleError("substitution point at the origin with negative radial power")
-    half, odd = divmod(s, 2)
-    if not odd:
-        return q ** half
-    sq = sqrt_exact(q)
-    if sq is None:
-        raise rx.PoleError(f"odd radial power needs a perfect-square |pt|^2; got {q}")
-    return q ** half * sq
 
 
 def _power(table: list, group: str, i: int) -> rx.RadialExpr:
@@ -40,7 +28,7 @@ def _power(table: list, group: str, i: int) -> rx.RadialExpr:
 
 
 def reference_to_radialexpr(inv, y=None) -> rx.RadialExpr:
-    """``inv`` in coordinates, with y free or fixed at the rational point ``y``."""
+    """``inv`` in coordinates, with y free or fixed at the pole ``y``."""
     n = inv.dim
     qx = [rx.constant(1, n, n)]
     qy = [rx.constant(1, n, n)]
@@ -50,10 +38,10 @@ def reference_to_radialexpr(inv, y=None) -> rx.RadialExpr:
         if len(y) != n:
             raise ValueError(f"point has {len(y)} coordinates, group needs {n}")
         pt = [Fraction(v) for v in y]
+        assert sum(v * v for v in pt) == 1, "the reference fixes y at poles only"
         zeros = (0,) * n
         a = rx.from_terms(n, n, [(tuple(int(i == j) for j in range(n)), zeros, 0, 0, v)
                                  for i, v in enumerate(pt) if v])
-        q = sum(v * v for v in pt)
     groups: dict = {}
     for key, c in inv.terms.items():
         groups.setdefault((key[1] & 1, key[2] & 1), []).append((key, c))
@@ -72,17 +60,14 @@ def reference_to_radialexpr(inv, y=None) -> rx.RadialExpr:
                 if y is None:
                     out = out + _power(qx, "x", i).scale(c) * _power(qy, "y", j)
                 else:
-                    out = out + _power(qx, "x", i).scale(c * q ** j)
+                    out = out + _power(qx, "x", i).scale(c)
         polys.append((r0, s0, out))
     parts = []
     for r0, s0, out in polys:
         if r0:
             out = out * rx.norm_power("x", r0, n, n)
-        if s0:
-            if y is None:
-                out = out * rx.norm_power("y", s0, n, n)
-            else:
-                out = out.scale(_norm_value(q, s0))
+        if s0 and y is None:
+            out = out * rx.norm_power("y", s0, n, n)
         parts.append(out)
     if not parts:
         return rx.RadialExpr.zero(n, n)

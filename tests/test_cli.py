@@ -204,6 +204,15 @@ def test_coeff_beta_tilde_where_the_printed_form_is_undefined(capsys):
                                 "note: the printed closed form is undefined at k + 2m = 0"]
 
 
+def test_coeff_beta_tilde_notes_where_the_printed_form_differs(capsys):
+    code, out, err = run_cli(capsys, "coeff", "betaTilde", "--m", "1", "--k", "1")
+    assert code == 0
+    assert err == ""
+    first, note = out.splitlines()
+    assert first == "betaTilde = -588/5 (~ -117.6)"
+    assert note.startswith("note: printed closed form gives -2/5; ")
+
+
 def test_coeff_beyond_the_float_range(capsys):
     # beta ~ lambda^(2m) overflows a float; the exact value is still printed
     code, out, err = run_cli(capsys, "coeff", "beta", "--m", "1", "--k", "0",

@@ -304,6 +304,17 @@ def test_eval_exact_irrational_radical():
     assert ev.qx == 2
 
 
+def test_eval_exact_positive_norm_power_vanishes_at_the_origin():
+    ev = rx.norm_power("x", 1, NX, NY).eval_exact((0, 0, 0), (1, 0, 0))
+    assert ev.as_tuple() == (0, 0, 0, 0)
+
+
+def test_eval_exact_folds_a_rational_product_of_radicals():
+    # neither sqrt(2) nor sqrt(8) is rational, but sqrt(2) sqrt(8) = 4 is
+    f = rx.norm_power("x", 1, NX, NY) * rx.norm_power("y", 1, NX, NY)
+    assert f.eval_exact((1, 1, 0), (2, 2, 0)).as_tuple() == (4, 0, 0, 0)
+
+
 def test_eval_exact_pole():
     with pytest.raises(rx.PoleError):
         rx.norm_power("x", -2, NX, NY).eval_exact((0, 0, 0), (1, 0, 0))

@@ -8,6 +8,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from zonalkit import radialexpr as rx
 from zonalkit import verify
+from zonalkit import zonalalg as za
 from zonalkit import zonalroutes as zr
 from zonalkit.verify import SUITE_NAMES, SuiteArgs, run_suite
 
@@ -72,6 +73,20 @@ def test_laplacian_suite_reports_printed_form_findings():
     assert "printed_closed_form_mismatch" in kinds
     assert "printed_closed_form_undefined" in kinds
     assert any(f.get("coefficient") == "betaTilde" for f in rep.findings)
+
+
+def test_wrong_invariant_laplacian_fails_the_invariant_cells(monkeypatch):
+    # the m = 3 route cells run only on ZonalInvariant's rules; a doubled rule
+    # must turn each of them red with the exact difference as witness
+    lap = za.ZonalInvariant._lap
+    monkeypatch.setattr(za.ZonalInvariant, "_lap", lambda self, group: lap(self, group).scale(2))
+    rep = run_suite("laplacian", SuiteArgs(mmax=3, kmax=1), threads=1)
+    invariant = [c for c in rep.cells if c.params.get("engine") == "invariant"]
+    assert len(invariant) == 4
+    assert all(c.status == "fail" and c.witness["kind"] == "invariant_diff"
+               and c.witness["terms"] for c in invariant)
+    assert all(c.status == "pass" for c in rep.cells if c.params.get("engine") != "invariant")
+    assert rep.counts() == {"pass": 28, "fail": 4, "error": 0}
 
 
 def test_report_json_deterministic_and_thread_invariant():
