@@ -40,8 +40,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
-from operator import add
+from itertools import chain, combinations, repeat
+from operator import add, itemgetter
 from typing import Callable
 
 from . import radialexpr as rx
@@ -118,9 +118,8 @@ class OrbitForm:
         if not expr._radial_free:
             raise ValueError("orbit form needs a polynomial (no radial powers)")
         n = expr.nx
-        lay = expr._lay
-        pairs = tuple(zip(lay.x_shifts, lay.y_shifts))
-        zero = lay.zero_key
+        pairs = _fields(n)[0]
+        zero = expr._lay.zero_key
         sums: dict[int, int] = {}
         get = sums.get
         for key, c in expr._terms.items():
@@ -238,10 +237,13 @@ class OrbitForm:
 
         The distinct permutations of a representative's pairs are its
         placements: disjoint position sets, one per distinct nonzero pair,
-        of the pair's multiplicity; the (0, 0) pairs fill what is left.  A
-        pair (a, b) on a position set with field sums (xs, ys) adds
-        a * xs + b * ys to the key, computed once per distinct set of its
-        column and picked for each placement by index.
+        of the pair's multiplicity; the (0, 0) pairs fill what is left.  The
+        placements come from the table of the multiplicities sorted, shared
+        by every orbit with the same multiset of them, and each pair takes a
+        column of its multiplicity.  A pair (a, b) on a position set with
+        field sums (xs, ys) adds a * xs + b * ys to the key, computed once
+        per distinct set of its column and picked for each placement by
+        index.
         """
         n = self.dim
         zero = self._lay.zero_key
@@ -252,6 +254,7 @@ class OrbitForm:
             degx = max(degx, dx)
             degy = max(degy, dy)
             keys = [zero]
+            counts = sorted(counts, key=itemgetter(2))
             columns = _placements(n, tuple(m for _, _, m in counts))
             for col, ((a, b, _), (sets, idx)) in enumerate(zip(counts, columns)):
                 vals = [a * xs + b * ys for xs, ys in sets]
@@ -280,23 +283,58 @@ def _representative(key: int, pairs: tuple[tuple[int, int], ...], zero: int) -> 
     return out
 
 
+@lru_cache(maxsize=None)
+def _fields(dim: int) -> tuple[tuple[tuple[int, int], ...], tuple[int, ...]]:
+    """The ``(x shift, y shift)`` of each pair position, and 0!, 1!, .., dim!."""
+    lay = rx._layout(dim, dim)
+    return (tuple(zip(lay.x_shifts, lay.y_shifts)),
+            tuple(math.factorial(m) for m in range(dim + 1)))
+
+
 @lru_cache(maxsize=1 << 16)
 def _orbit(r: int, dim: int) -> tuple[int, int, int, tuple[tuple[int, int, int], ...]]:
     """``(|Stab r|, x degree, y degree, pairs)`` of a representative.
 
     |Stab r| is the product of mult! over the distinct pairs of ``r``, and
-    ``pairs`` lists each distinct pair other than (0, 0) as ``(a, b, mult)``.
+    ``pairs`` lists each distinct pair other than (0, 0) as ``(a, b, mult)``,
+    in decreasing order.  The pairs of a representative are sorted, so equal
+    pairs form runs and the (0, 0) pairs come last: one pass counts the runs
+    and stops at the first (0, 0).
     """
-    lay = rx._layout(dim, dim)
-    counts: dict[tuple[int, int], int] = {}
-    for sx, sy in zip(lay.x_shifts, lay.y_shifts):
-        ab = ((r >> sx) & _MASK, (r >> sy) & _MASK)
-        counts[ab] = counts.get(ab, 0) + 1
-    stab = math.prod(math.factorial(m) for m in counts.values())
-    counts.pop((0, 0), None)
-    return (stab, sum(a * m for (a, _), m in counts.items()),
-            sum(b * m for (_, b), m in counts.items()),
-            tuple((a, b, m) for (a, b), m in counts.items()))
+    fields, fact = _fields(dim)
+    pairs = []
+    stab = 1
+    dx = dy = 0
+    a = b = -1  # the pair of the current run, none yet
+    start = 0  # the position where it began
+    for i, (sx, sy) in enumerate(fields):
+        a2, b2 = (r >> sx) & _MASK, (r >> sy) & _MASK
+        if a2 == a and b2 == b:
+            continue
+        if i:
+            m = i - start
+            pairs.append((a, b, m))
+            stab *= fact[m]
+            dx += a * m
+            dy += b * m
+        if not (a2 or b2):
+            return stab * fact[dim - i], dx, dy, tuple(pairs)
+        a, b, start = a2, b2, i
+    if dim:  # no (0, 0): the last run ends at the last position
+        m = dim - start
+        pairs.append((a, b, m))
+        stab *= fact[m]
+        dx += a * m
+        dy += b * m
+    return stab, dx, dy, tuple(pairs)
+
+
+@lru_cache(maxsize=1 << 14)
+def _choices(free: int, m: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The ``m``-subsets of the position mask ``free``, and the mask each leaves free."""
+    bits = [1 << i for i in range(free.bit_length()) if free >> i & 1]
+    chosen = tuple(map(sum, combinations(bits, m)))
+    return chosen, tuple(map(free.__xor__, chosen))
 
 
 @lru_cache(maxsize=1 << 10)
@@ -304,24 +342,26 @@ def _placements(dim: int, mults: tuple[int, ...]
                 ) -> tuple[tuple[tuple[tuple[int, int], ...], tuple[int, ...]], ...]:
     """Every choice of disjoint position sets of sizes ``mults`` among ``dim``.
 
-    One ``(sets, idx)`` per multiplicity: ``sets`` holds the field sums
-    ``(xs, ys)`` of the column's distinct position sets, a one in each x and
-    each y field of the set's positions, and the i-th choice puts the
-    column's pair on ``sets[idx[i]]``.  Each distinct set has one
-    ``(xs, ys)`` entry, shared by every column that holds it.
+    One ``(sets, idx)`` per multiplicity, in the order of ``mults``: ``sets``
+    holds the field sums ``(xs, ys)`` of the column's distinct position
+    sets, a one in each x and each y field of the set's positions, and the
+    i-th choice puts the column's pair on ``sets[idx[i]]``.  Each distinct
+    set has one ``(xs, ys)`` entry, shared by every column that holds it.
+    Columns of equal multiplicity are interchangeable, so
+    :meth:`OrbitForm.unfold` asks for ``mults`` sorted, one table per
+    multiset.  Each column is built without a Python loop per choice: every
+    partial choice is repeated once per way to place the next column in what
+    it leaves free, and those ways are memoised per (free mask, size).
     """
-    placed = [((), (1 << dim) - 1)]
+    columns: list[list[int]] = []
+    free = [(1 << dim) - 1]
     for m in mults:
-        nxt = []
-        for masks, free in placed:
-            positions = [1 << i for i in range(dim) if free >> i & 1]
-            for chosen in combinations(positions, m):
-                mask = sum(chosen)
-                nxt.append((masks + (mask,), free ^ mask))
-        placed = nxt
-    columns = tuple(zip(*(masks for masks, _ in placed)))
-    lay = rx._layout(dim, dim)
-    fields = list(enumerate(zip(lay.x_shifts, lay.y_shifts)))
+        chosen, rest = zip(*map(_choices, free, repeat(m)))
+        widths = list(map(len, chosen))
+        columns = [list(chain.from_iterable(map(repeat, column, widths))) for column in columns]
+        columns.append(list(chain.from_iterable(chosen)))
+        free = list(chain.from_iterable(rest))
+    fields = list(enumerate(_fields(dim)[0]))
     sums = {mask: (sum(1 << sx for i, (sx, _) in fields if mask >> i & 1),
                    sum(1 << sy for i, (_, sy) in fields if mask >> i & 1))
             for mask in set().union(*columns)}

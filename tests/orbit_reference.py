@@ -8,10 +8,21 @@ representative per orbit by the coordinate expression of <x,y>, Q_x or Q_y
 and folds the product back, re-sorting each output term into its orbit.
 The builder must agree with it on every orbit numerator, the denominator
 and raised errors.
+
+It also keeps the first tables of ``OrbitForm.unfold``: ``reference_orbit``
+counts a representative's pairs in a dict, ``reference_placements`` builds
+the placements one choice at a time in the order the multiplicities are
+given, and ``reference_table_unfold`` unfolds with those two.
 """
+
+import math
+from itertools import combinations
+from operator import add
 
 from zonalkit import radialexpr as rx
 from zonalkit.orbitform import OrbitForm
+
+_MASK = rx._EXP_MASK
 
 
 def reference_from_invariant(inv) -> OrbitForm:
@@ -38,3 +49,71 @@ def reference_from_invariant(inv) -> OrbitForm:
     parts = inv._horner(lambda: OrbitForm.zero(n), lambda f: f.apply(lambda g: g * a),
                         lambda f, i, j, c: f + power(i, j).scale(c))
     return parts[0][2] if parts else OrbitForm.zero(n)
+
+
+def reference_orbit(r: int, dim: int) -> tuple[int, int, int, tuple[tuple[int, int, int], ...]]:
+    """``(|Stab r|, x degree, y degree, pairs)`` of a representative, pairs counted in a dict."""
+    lay = rx._layout(dim, dim)
+    counts: dict[tuple[int, int], int] = {}
+    for sx, sy in zip(lay.x_shifts, lay.y_shifts):
+        ab = ((r >> sx) & _MASK, (r >> sy) & _MASK)
+        counts[ab] = counts.get(ab, 0) + 1
+    stab = math.prod(math.factorial(m) for m in counts.values())
+    counts.pop((0, 0), None)
+    return (stab, sum(a * m for (a, _), m in counts.items()),
+            sum(b * m for (_, b), m in counts.items()),
+            tuple((a, b, m) for (a, b), m in counts.items()))
+
+
+def reference_placements(dim: int, mults: tuple[int, ...]
+                         ) -> tuple[tuple[tuple[tuple[int, int], ...], tuple[int, ...]], ...]:
+    """Every choice of disjoint position sets of sizes ``mults``, one choice at a time.
+
+    The same ``(sets, idx)`` columns as ``orbitform._placements``, in the
+    order of ``mults``.
+    """
+    placed = [((), (1 << dim) - 1)]
+    for m in mults:
+        nxt = []
+        for masks, free in placed:
+            positions = [1 << i for i in range(dim) if free >> i & 1]
+            for chosen in combinations(positions, m):
+                mask = sum(chosen)
+                nxt.append((masks + (mask,), free ^ mask))
+        placed = nxt
+    columns = tuple(zip(*(masks for masks, _ in placed)))
+    lay = rx._layout(dim, dim)
+    fields = list(enumerate(zip(lay.x_shifts, lay.y_shifts)))
+    sums = {mask: (sum(1 << sx for i, (sx, _) in fields if mask >> i & 1),
+                   sum(1 << sy for i, (_, sy) in fields if mask >> i & 1))
+            for mask in set().union(*columns)}
+    out = []
+    for column in columns:
+        distinct = list(dict.fromkeys(column))
+        index = {mask: i for i, mask in enumerate(distinct)}
+        out.append((tuple(map(sums.__getitem__, distinct)), tuple(map(index.__getitem__, column))))
+    return tuple(out)
+
+
+def reference_table_unfold(f: OrbitForm) -> rx.RadialExpr:
+    """``f.unfold()`` with the reference tables, one table per multiplicity order."""
+    n = f.dim
+    zero = rx._layout(n, n).zero_key
+    terms: dict[int, int] = {}
+    degx = degy = 0
+    for r, c in f._orbits.items():
+        _, dx, dy, counts = reference_orbit(r, n)
+        degx = max(degx, dx)
+        degy = max(degy, dy)
+        keys = [zero]
+        columns = reference_placements(n, tuple(m for _, _, m in counts))
+        for col, ((a, b, _), (sets, idx)) in enumerate(zip(counts, columns)):
+            vals = [a * xs + b * ys for xs, ys in sets]
+            if col:
+                keys = list(map(add, keys, map(vals.__getitem__, idx)))
+            else:
+                vals = [zero + v for v in vals]
+                keys = list(map(vals.__getitem__, idx))
+        terms.update(dict.fromkeys(keys, c))
+    return rx.RadialExpr._make(n, n, terms, f._den, degx, degy,
+                               radial_free_hint=True, no_zeros=True)

@@ -7,13 +7,15 @@ from itertools import permutations
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from zonalkit import orbitform
 from zonalkit import radialexpr as rx
 from zonalkit import zonalalg as za
 from zonalkit import zonalroutes as zr
 from zonalkit.gegenbauer import zonal_direct
 from zonalkit.orbitform import OrbitForm
 
-from orbit_reference import reference_from_invariant
+from orbit_reference import (reference_from_invariant, reference_orbit, reference_placements,
+                             reference_table_unfold)
 
 
 def full_laplacians(seed: za.ZonalInvariant, m: int, groups: str) -> rx.RadialExpr:
@@ -86,6 +88,94 @@ def test_fold_inverts_unfold(data):
     assert full == reference_unfold(dim, orbits)
     assert OrbitForm.fold(full) == f
     assert len(full) == sum(orbit_size(p) for p in orbits)
+
+
+def compositions(total: int):
+    """Every tuple of positive integers that sums to ``total``."""
+    if not total:
+        yield ()
+    for first in range(1, total + 1):
+        for rest in compositions(total - first):
+            yield (first,) + rest
+
+
+def placements_of(table, columns: list[int]) -> list[tuple]:
+    """Each placement of ``table`` as the tuple of its sets, column j taken from ``columns[j]``."""
+    picked = [[sets[i] for i in idx] for sets, idx in (table[c] for c in columns)]
+    return list(zip(*picked))
+
+
+def test_one_placement_table_per_multiset_matches_the_reference():
+    cases = [(dim, mults) for dim in range(1, 8) for total in range(dim + 1)
+             for mults in compositions(total)]
+    rng = random.Random(8)
+    for dim in (8, 9):
+        # one choice at a time is slow at dims 8-9: a sample below 8,000 placements each
+        small = [mults for total in range(dim + 1) for mults in compositions(total)
+                 if math.factorial(dim) // math.factorial(dim - sum(mults))
+                 // math.prod(map(math.factorial, mults)) < 8000]
+        cases += [(dim, mults) for mults in rng.sample(small, 25)]
+    for dim, mults in cases:
+        order = sorted(range(len(mults)), key=mults.__getitem__)
+        table = orbitform._placements(dim, tuple(mults[j] for j in order))
+        want = reference_placements(dim, mults)
+        if not mults:
+            assert table == want == ()
+            continue
+        # column j of the reference is column order.index(j) of the shared table
+        got = placements_of(table, [order.index(j) for j in range(len(mults))])
+        assert len(got) == len(set(got)), (dim, mults)
+        assert set(got) == set(placements_of(want, list(range(len(mults))))), (dim, mults)
+
+
+@st.composite
+def representatives(draw):
+    """A representative's dimension and packed key: pairs with repeats, (0, 0) and the cap."""
+    dim = draw(st.integers(0, 9))
+    pool = draw(st.lists(st.tuples(st.sampled_from([0, 1, 2, 5, 127]),
+                                   st.sampled_from([0, 1, 3, 127])), min_size=1, max_size=3))
+    pairs = sorted(draw(st.lists(st.sampled_from(pool), min_size=dim, max_size=dim)),
+                   reverse=True)
+    return dim, rx._layout(dim, dim).pack([a for a, _ in pairs], [b for _, b in pairs], 0, 0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(rep=representatives())
+def test_orbit_data_matches_the_reference(rep):
+    dim, r = rep
+    assert orbitform._orbit.__wrapped__(r, dim) == reference_orbit(r, dim)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), dim=st.integers(1, 7))
+def test_unfold_matches_the_reference_tables(data, dim):
+    # few distinct pairs, so representatives repeat pairs and share multisets of multiplicities
+    pool = data.draw(st.lists(pair, min_size=1, max_size=3))
+    reps = data.draw(st.lists(st.lists(st.sampled_from(pool), min_size=dim, max_size=dim),
+                              max_size=6))
+    coeffs = st.fractions(min_value=-9, max_value=9, max_denominator=6).filter(bool)
+    f = orbit_form(dim, {tuple(sorted(p, reverse=True)): data.draw(coeffs) for p in reps})
+    got, want = f.unfold(), reference_table_unfold(f)
+    assert got._terms == want._terms and got._den == want._den
+    assert (got._degx, got._degy) == (want._degx, want._degy)
+
+
+def test_placement_tables_are_cached_once_per_multiset(monkeypatch):
+    asked = set()
+    table = orbitform._placements
+
+    def spy(dim, mults):
+        asked.add((dim, mults))
+        return table(dim, mults)
+
+    table.cache_clear()
+    monkeypatch.setattr(orbitform, "_placements", spy)
+    for _, seed in route_seeds():
+        OrbitForm.from_invariant(seed).unfold()
+    zr.ladder_route(4, 4)
+    multisets = {(dim, tuple(sorted(mults))) for dim, mults in asked}
+    assert len(asked) == len(multisets) > 10
+    assert table.cache_info().currsize == len(asked)
 
 
 def route_seeds():

@@ -6,6 +6,7 @@ from concurrent.futures import Future
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from zonalkit import orbitform
 from zonalkit import radialexpr as rx
 from zonalkit import verify
 from zonalkit import zonalalg as za
@@ -100,6 +101,17 @@ def test_report_json_deterministic_and_thread_invariant():
     for suite, args in (("kelvin", SuiteArgs(nmax=5, kmax=3)), ("eta", SuiteArgs(mmax=2, kmax=2))):
         assert (run_suite(suite, args, threads=1).to_json()
                 == run_suite(suite, args, threads=2).to_json()), suite
+
+
+def test_pooled_laplacian_report_is_thread_invariant():
+    # workers forked from cleared tables build them cold, each in its own cell order, and
+    # share a placement table among the orbits of one multiset of multiplicities; the
+    # serial run builds them in plan order in this process
+    for table in (orbitform._orbit, orbitform._choices, orbitform._placements):
+        table.cache_clear()
+    args = SuiteArgs(mmax=2, kmax=3)
+    pooled = run_suite("laplacian", args, threads=2).to_json()
+    assert run_suite("laplacian", args, threads=1).to_json() == pooled
 
 
 @pytest.mark.parametrize("suite, args, caches", [
