@@ -6,9 +6,9 @@ the interactive front end.  The kelvin and eta suites are expected to exit
 red on their ``reference_constant`` cells, which check the paper's stated
 constants (see the findings inside the reports).  Any other failing cell, in
 those suites too, and any cell that raised (an ``error`` cell) fail the batch
-with exit 1.  A bad parameter (a worker count below 1, an unknown suite, an
-out-of-range seed or sample count) exits 2 before any suite runs and before
-the output directory is made.
+with exit 1.  A bad parameter (a worker count below 1, an unknown suite,
+``--suites`` with no name, an out-of-range seed or sample count) exits 2
+before any suite runs and before the output directory is made.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ def main() -> int:
     parser.add_argument("--threads", type=int, default=os.cpu_count() or 1)
     parser.add_argument("--samples", type=int, default=None,
                         help="Monte-Carlo samples (default: the reproducing suite's own)")
-    parser.add_argument("--suites", nargs="*", default=list(SUITE_NAMES))
+    parser.add_argument("--suites", nargs="+", default=list(SUITE_NAMES))
     args = parser.parse_args()
 
     sargs = SuiteArgs(seed=args.seed, samples=args.samples)

@@ -4,7 +4,10 @@ Each suite is a list of independent cells.  A cell names its parameters,
 computes both sides of one exact identity (or one numeric check with a
 stated tolerance), and reports pass/fail together with digests of the two
 sides and, on failure, a witness (the nonzero difference or the numeric
-pair).  A cell whose runner raises is reported as ``error`` with the
+pair).  A cell that compares two expressions digests its left side before
+it builds its right side, unless both sides exist already (the kelvin and
+eta cells), so a passing cell never holds both sides and the serialised
+text at once.  A cell whose runner raises is reported as ``error`` with the
 exception as its witness, and the other cells still run; if a pool worker
 dies, every cell left without a result is an ``error`` cell.  Cells share no
 mutable state: the two cells of a kelvin or eta pair may share one immutable
@@ -151,21 +154,30 @@ def _cell(params: dict, ok: bool, lhs_digest: str, rhs_digest: str,
                 None if ok else witness)
 
 
-def _expr_cell(params: dict, lhs: rx.RadialExpr, rhs: rx.RadialExpr) -> Cell:
+def _expr_cell(params: dict, lhs: rx.RadialExpr,
+               rhs: rx.RadialExpr | Callable[[], rx.RadialExpr]) -> Cell:
     """Compare two expressions by canonical form and digest both sides.
 
-    lhs's support is ranked before its digest unless that digest is cached.
-    A passing cell serialises once: an equal rhs takes over lhs's digest
-    through ``equals``.  The canonical order depends only on the support,
-    so a failing cell whose rhs keys are among lhs's hands lhs's order on to
-    rhs's digest and to the witness rows of ``lhs - rhs``, whose keys are
-    then among lhs's too (fewer where a coefficient cancels); otherwise each
-    side ranks its own.  The order is a local of this call: route results
-    sit in one-entry caches, and an order kept on them would outlive the
-    cell.
+    ``rhs`` is the right side, or a function that builds it.  A cell whose
+    rhs does not exist yet digests lhs first and only then builds rhs, so
+    lhs's order and text are freed before rhs's terms are allocated.  A
+    cell given both sides ranks lhs's support before its digest, unless that
+    digest is cached, to share the order if the cell fails.  A passing cell
+    serialises once: an equal rhs takes over lhs's digest through
+    ``equals``.  The canonical order depends only on the support, so a
+    failing cell whose rhs keys are among lhs's hands lhs's order (ranked
+    now if it was not kept) on to rhs's digest and to the witness rows of
+    ``lhs - rhs``, whose keys are then among lhs's too (fewer where a
+    coefficient cancels); otherwise each side ranks its own.  The order is
+    a local of this call: route results sit in one-entry caches, and an
+    order kept on them would outlive the cell.
     """
-    order = lhs._order() if lhs._digest is None else None
-    lhs_digest = lhs.digest(order)
+    if callable(rhs):
+        lhs_digest, order = lhs.digest(), None
+        rhs = rhs()
+    else:
+        order = lhs._order() if lhs._digest is None else None
+        lhs_digest = lhs.digest(order)
     if lhs.equals(rhs):  # an equal rhs takes over lhs's digest
         return _cell(params, True, lhs_digest, rhs.digest(), None)
     shared = rhs._terms.keys() <= lhs._terms.keys()
@@ -322,8 +334,8 @@ def _cells_ladder(args: SuiteArgs) -> list[dict]:
 def _run_ladder(params: dict) -> Cell:
     n, k = params["n"], params["k"]
     lhs = zr.ladder_route(n, k)
-    rhs = zonal_direct_invariant(n, k).scale(zr.ladder_scale(n, k)).to_radialexpr()
-    return _expr_cell(params, lhs, rhs)
+    return _expr_cell(params, lhs, lambda: (
+        zonal_direct_invariant(n, k).scale(zr.ladder_scale(n, k)).to_radialexpr()))
 
 
 def _cells_harmonicity(args: SuiteArgs) -> list[dict]:
@@ -382,13 +394,15 @@ def _run_laplacian(params: dict) -> Cell:
             rhs = zonal_direct_invariant(target_n, k).scale(pref)
             return _invariant_cell(params, lhs, rhs)
         lhs = zr.laplacian_route(parity, m, k)
-        rhs = zonal_direct_invariant(target_n, k).scale(pref).to_radialexpr()
-        return _expr_cell(params, lhs, rhs)
+        return _expr_cell(params, lhs, lambda: (
+            zonal_direct_invariant(target_n, k).scale(pref).to_radialexpr()))
     if params["check"] == "fixed_y":
         out = zr.laplacian_route_fixed_y(parity, m, k)
-        rhs = zonal_direct_invariant(target_n, k) * za.monomial(target_n + 1, 0, 0, 2 * m)
-        rhs = rhs.scale(zr.fixed_y_prefactor(parity, m, k))
-        return _expr_cell(params, out, rhs.to_radialexpr())
+
+        def rhs() -> rx.RadialExpr:
+            z = zonal_direct_invariant(target_n, k) * za.monomial(target_n + 1, 0, 0, 2 * m)
+            return z.scale(zr.fixed_y_prefactor(parity, m, k)).to_radialexpr()
+        return _expr_cell(params, out, rhs)
     if params["check"] == "prefactor_consistency":
         # single-sided prefactor times the |y|-side eigenvalue = two-variable prefactor
         lhs = zr.fixed_y_prefactor(parity, m, k) * zr.lap_c(target_n + 1, m, m, k)
@@ -459,15 +473,15 @@ def _cells_clifford(args: SuiteArgs) -> list[dict]:
 def _run_clifford(params: dict) -> Cell:
     if params["check"] in ("plane_identity", "route"):  # the plane identity is m = 0
         m, k = params.get("m", 0), params["k"]
-        rhs = zonal_direct_invariant(2 * m + 1, k).scale(zr.beta_hat(m, k) / 2).to_radialexpr()
-        return _expr_cell(params, zr.clifford_route(m, k), rhs)
+        return _expr_cell(params, zr.clifford_route(m, k), lambda: (
+            zonal_direct_invariant(2 * m + 1, k).scale(zr.beta_hat(m, k) / 2).to_radialexpr()))
     if params["check"] == "slice_derivative_value":
         # Lap_4 (x^(k+2))_0 = -2 (k+2)/(k+1) Z_k(x, 1) with the unit pole
         k = params["k"]
         one = (1, 0, 0, 0)
         lhs = za.xyc_power_real_invariant(k + 2, 4).to_radialexpr(y=one).laplacian("x")
-        rhs = zonal_direct_invariant(3, k).to_radialexpr(y=one).scale(Fraction(-2 * (k + 2), k + 1))
-        return _expr_cell(params, lhs, rhs)
+        return _expr_cell(params, lhs, lambda: (
+            zonal_direct_invariant(3, k).to_radialexpr(y=one).scale(Fraction(-2 * (k + 2), k + 1))))
     raise ValueError(f"unknown check {params['check']!r}")
 
 
@@ -496,8 +510,9 @@ def _run_kelvin(params: dict) -> Cell:
         name, constant = "observed", zr.kelvin_constant_observed(n, k)
     else:  # plane_reference, reference_constant
         name, constant = "reference", zr.kelvin_constant_reference(n, k)
+    direct = direct.scale(constant)  # the unscaled kernel is freed before the cell digests
     return _expr_cell({**params, name: str(constant), "measured": str(measured)},
-                      result, direct.scale(constant))
+                      result, direct)
 
 
 def _kelvin_findings(args: SuiteArgs) -> list[dict]:
@@ -584,10 +599,9 @@ def _cells_appendix_a(args: SuiteArgs) -> list[dict]:
 def _run_appendix_a(params: dict) -> Cell:
     if params["check"] == "n6_prefactor":
         k = params["k"]
-        f = _lift(k, Fraction(1), 6, k, k).to_radialexpr()
-        lhs = f.laplacian("x").laplacian("y")
-        rhs = _lift(k - 2, Fraction(2), 6, k - 2, k - 2).scale(-16 * (1 + k)).to_radialexpr()
-        return _expr_cell(params, lhs, rhs)
+        lhs = _lift(k, Fraction(1), 6, k, k).to_radialexpr().laplacian("x").laplacian("y")
+        return _expr_cell(params, lhs, lambda: (
+            _lift(k - 2, Fraction(2), 6, k - 2, k - 2).scale(-16 * (1 + k)).to_radialexpr()))
     if params["check"] == "harmonic_iff":
         N, k = params["N"], params["k"]
         matching = Fraction(N - 2, 2)
@@ -602,22 +616,24 @@ def _run_appendix_a(params: dict) -> Cell:
     t1 = Fraction((ell - k) * (N + k + ell - 2))
     if params["check"] == "single_laplacian":
         lhs = _lift(k, lam, N, ell, 0).to_radialexpr().laplacian("x")
-        rhs = (_lift(k - 2, lam + 1, N, ell - 2, 0).scale(two)
-               + _lift(k, lam, N, ell - 2, 0).scale(t1))
-        return _expr_cell(params, lhs, rhs.to_radialexpr())
+        return _expr_cell(params, lhs, lambda: (
+            _lift(k - 2, lam + 1, N, ell - 2, 0).scale(two)
+            + _lift(k, lam, N, ell - 2, 0).scale(t1)).to_radialexpr())
     if params["check"] == "double_laplacian":
-        f = _lift(k, lam, N, ell, ell).to_radialexpr()
-        lhs = f.laplacian("x").laplacian("y")
-        rhs = za.ZonalInvariant(N)
-        pieces = [
-            (t1 * two, (k - 2, lam + 1)),
-            (t1 * t1, (k, lam)),
-            (two * (2 * lam + 2) * (2 * lam + 4 - N), (k - 4, lam + 2)),
-            (two * (ell - k + 2) * (N + k + ell - 4), (k - 2, lam + 1)),
-        ]
-        for c, (kk, mu) in pieces:
-            rhs = rhs + _lift(kk, mu, N, ell - 2, ell - 2).scale(c)
-        return _expr_cell(params, lhs, rhs.to_radialexpr())
+        lhs = _lift(k, lam, N, ell, ell).to_radialexpr().laplacian("x").laplacian("y")
+
+        def rhs() -> rx.RadialExpr:
+            out = za.ZonalInvariant(N)
+            pieces = [
+                (t1 * two, (k - 2, lam + 1)),
+                (t1 * t1, (k, lam)),
+                (two * (2 * lam + 2) * (2 * lam + 4 - N), (k - 4, lam + 2)),
+                (two * (ell - k + 2) * (N + k + ell - 4), (k - 2, lam + 1)),
+            ]
+            for c, (kk, mu) in pieces:
+                out = out + _lift(kk, mu, N, ell - 2, ell - 2).scale(c)
+            return out.to_radialexpr()
+        return _expr_cell(params, lhs, rhs)
     raise ValueError(f"unknown check {params['check']!r}")
 
 
@@ -673,14 +689,14 @@ def _run_appendix_b(params: dict) -> Cell:
     k = params["k"]
     if check == "spherical_derivative":
         lhs = ca.xyc_spherical_derivative(k + 1, nvars)
-        rhs = zonal_lift_invariant(gegenbauer(k, Fraction(1)), nvars, k, k).to_radialexpr()
-        return _expr_cell(params, lhs, rhs)
+        return _expr_cell(params, lhs, lambda: (
+            zonal_lift_invariant(gegenbauer(k, Fraction(1)), nvars, k, k).to_radialexpr()))
     if check == "real_from_derivatives":
         lhs = ca.xyc_power_real(k, nvars)
-        rhs = ca.xyc_spherical_derivative(k + 1, nvars) \
+        return _expr_cell(params, lhs, lambda: (
+            ca.xyc_spherical_derivative(k + 1, nvars)
             - rx.inner_xy(nvars) * (ca.xyc_spherical_derivative(k, nvars)
-                                    if k else rx.RadialExpr.zero(nvars, nvars))
-        return _expr_cell(params, lhs, rhs)
+                                    if k else rx.RadialExpr.zero(nvars, nvars))))
     if check == "product_decomposition":
         # (x y^c)^(k+1) = x y^c Z_k/(k+1) - Q_x Q_y Z_(k-1)/k at blade level
         xy = ca.xyc_multivector(nvars)

@@ -1,8 +1,9 @@
 """The per-side reference for a cell that compares two RadialExprs.
 
-``verify._expr_cell`` ranks the left side's support once and hands that
-order to the right side's digest and to the witness rows when their keys
-are the same.  This module keeps the comparison without any shared order:
+``verify._expr_cell`` digests the left side before it builds a right side
+given as a function, and hands the left side's support order to the right
+side's digest and to the witness rows when a failing cell's keys allow it.
+This module keeps the comparison without any shared order or build order:
 each side is serialised and hashed on its own, and the witness lists the
 terms of a freshly built ``lhs - rhs`` sorted by ``(xexp, yexp, px, py)``
 with each coefficient as a reduced Fraction.  The cell must equal it.

@@ -604,6 +604,19 @@ def test_batch_driver_checks_the_whole_request_first(tmp_path, monkeypatch, caps
     assert not out_dir.exists()
 
 
+def test_batch_driver_without_suite_names_exit_2(tmp_path, monkeypatch, capsys):
+    # `--suites` naming no suite would check nothing, and such a run must not pass
+    driver = _batch_driver()
+    out_dir = tmp_path / "reports"
+    monkeypatch.setattr(sys, "argv", ["run_verification.py", "--out-dir", str(out_dir),
+                                      "--suites"])
+    with pytest.raises(SystemExit) as exc:
+        driver.main()
+    assert exc.value.code == 2
+    assert "--suites" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
 def _one_failing_cell_report(suite, args, threads):
     check = {"kelvin": "observed_constant", "eta": "reference_constant"}[suite]
     cells = [verify.Cell({"check": "reference_constant", "n": 3, "k": 1}, "fail", "a", "b", {}),

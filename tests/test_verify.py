@@ -1,7 +1,9 @@
 import concurrent.futures
 import hashlib
 import json
+import tracemalloc
 from concurrent.futures import Future
+from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -266,12 +268,13 @@ _KINDS = ("equal", "proportional", "same support", "cancelling", "one key more",
 
 @settings(max_examples=120, deadline=None)
 @given(items=st.lists(_TERM, max_size=30), kind=st.sampled_from(_KINDS),
-       warm=st.booleans(), data=st.data())
-def test_expr_cell_matches_the_per_side_reference(items, kind, warm, data):
+       warm=st.booleans(), built=st.booleans(), data=st.data())
+def test_expr_cell_matches_the_per_side_reference(items, kind, warm, built, data):
     """A cell that shares lhs's support order gives the bytes of each side
     serialised on its own: equal, proportional, same-support, cancelling and
     one-key-apart sides, Laurent terms, den != 1, a zero side, supports past
-    the 24-row witness cap, and an lhs whose digest is already cached."""
+    the 24-row witness cap, an lhs whose digest is already cached, and an rhs
+    that the cell builds only after lhs's digest."""
     lhs = rx.from_terms(3, 3, items)
     rhs = _sides("zero rhs" if kind == "zero lhs" else kind, lhs, data)
     if kind == "zero lhs":
@@ -280,7 +283,7 @@ def test_expr_cell_matches_the_per_side_reference(items, kind, warm, data):
     expected = reference_expr_cell(params, lhs, rhs)
     if warm:
         lhs.digest()
-    assert verify._expr_cell(params, lhs, rhs) == expected
+    assert verify._expr_cell(params, lhs, (lambda: rhs) if built else rhs) == expected
 
 
 @pytest.mark.parametrize("kind, orders", [
@@ -312,3 +315,65 @@ def test_failing_cell_shares_one_order(monkeypatch, kind, orders):
     cell = verify._expr_cell({}, lhs, rhs)
     assert cell.status == ("pass" if kind == "equal" else "fail")
     assert len(calls) == orders
+
+
+# -- digest-first cells ------------------------------------------------------------
+
+@pytest.mark.parametrize("constant, run, params", [
+    ("ladder_scale", verify._run_ladder, {"n": 3, "k": 2}),
+    ("beta_hat", verify._run_laplacian,
+     {"check": "route", "parity": "even", "m": 1, "k": 2, "engine": "coordinate"}),
+    ("fixed_y_prefactor", verify._run_laplacian,
+     {"check": "fixed_y", "parity": "odd", "m": 1, "k": 2}),
+    ("beta_hat", verify._run_clifford, {"check": "route", "m": 1, "k": 2}),
+    ("beta_hat", verify._run_clifford, {"check": "plane_identity", "k": 3}),
+], ids=["ladder", "laplacian route", "laplacian fixed_y", "clifford route", "clifford plane"])
+def test_failing_digest_first_cell_matches_the_per_side_reference(monkeypatch, constant,
+                                                                   run, params):
+    # a right-side constant off by 1001/1000: the cell digests lhs alone, then
+    # builds rhs, fails, and ranks lhs again to share the order with rhs's
+    # digest and the witness; the bytes are those of each side on its own
+    scaled = getattr(zr, constant)
+    monkeypatch.setattr(zr, constant, lambda *a: scaled(*a) * Fraction(1001, 1000))
+    sides = []
+    expr_cell = verify._expr_cell
+
+    def spy(params, lhs, build):
+        assert callable(build)  # rhs does not exist before lhs's digest
+
+        def recorded():
+            sides[:] = [lhs, build()]
+            return sides[1]
+        return expr_cell(params, lhs, recorded)
+    monkeypatch.setattr(verify, "_expr_cell", spy)
+    cell = run(params)
+    assert cell.status == "fail"
+    assert cell == reference_expr_cell(params, *sides)
+
+
+def _traced_peak(run, params) -> tuple[verify.Cell, int]:
+    tracemalloc.start()
+    try:
+        return run(params), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_ladder_cell_frees_lhs_text_before_rhs():
+    # the n=6, k=6 cell holds lhs (about 2.5 MB) and rhs (about 3.1 MB), but
+    # not lhs's order and serialised text as well: that read 9.9 MB
+    for k in range(6):
+        verify._run_ladder({"n": 6, "k": k})
+    cell, peak = _traced_peak(verify._run_ladder, {"n": 6, "k": 6})
+    assert cell.status == "pass"
+    assert peak < 8 * 2**20
+
+
+def test_fixed_y_cell_frees_lhs_text_before_rhs():
+    # the largest default fixed_y cell, run warm; holding lhs's text while
+    # rhs was built read 7.1 MB
+    params = {"check": "fixed_y", "parity": "odd", "m": 2, "k": 4}
+    verify._run_laplacian(params)
+    cell, peak = _traced_peak(verify._run_laplacian, params)
+    assert cell.status == "pass"
+    assert peak < 6 * 2**20
