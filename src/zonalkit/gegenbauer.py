@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from . import radialexpr as rx
 from .ratnum import factorial, pochhammer
@@ -42,8 +43,13 @@ class GegenbauerPoly:
         return tuple((j + 1) * self.coeffs[j + 1] for j in range(self.degree))
 
 
+@lru_cache(maxsize=1024)
 def gegenbauer(k: int, lam) -> GegenbauerPoly:
-    """C_k^lam from the explicit sum; lam > -1/2 and lam != 0 (use chebyshev_T)."""
+    """C_k^lam from the explicit sum; lam > -1/2 and lam != 0 (use chebyshev_T).
+
+    Memoised, as is ``chebyshev_T``: the identity suites ask for each (k, lam)
+    many times, and the frozen result holds k + 1 fractions.
+    """
     lam = Fraction(lam)
     if k < 0:
         raise ValueError("degree must be nonnegative")
@@ -59,6 +65,7 @@ def gegenbauer(k: int, lam) -> GegenbauerPoly:
     return GegenbauerPoly(k, lam, tuple(coeffs))
 
 
+@lru_cache(maxsize=1024)
 def chebyshev_T(k: int) -> GegenbauerPoly:
     """First-kind Chebyshev T_k by the recurrence T_{k+1} = 2t T_k - T_{k-1}."""
     if k < 0:

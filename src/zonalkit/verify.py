@@ -8,16 +8,23 @@ pair).  A cell that compares two expressions digests its left side before
 it builds its right side, unless both sides exist already (the kelvin and
 eta cells), so a passing cell never holds both sides and the serialised
 text at once.  A cell whose runner raises is reported as ``error`` with the
-exception as its witness, and the other cells still run; if a pool worker
-dies, every cell left without a result is an ``error`` cell.  Cells share no
-mutable state: the two cells of a kelvin or eta pair may share one immutable
-route result (the one-entry route caches of ``zonalroutes``), and every
-other cell computes its own.  So the runner may fan the cells out across a
-process pool, splitting a pair or not; reports are merged in construction
-order, which makes the JSON output deterministic for a fixed seed.
+exception as its witness, and the other cells still run.  Cells share no
+mutable state, only immutable route inputs and results in the one-entry
+caches of ``zonalroutes`` (a kelvin or eta pair's route, a ladder chain's
+last step, a Laplacian seed) and the orbit tables of ``orbitform``; a cell
+computes the same bytes whether it finds them cached or not.
+
+The runner groups the cells into tasks that share those caches: cells with
+the same affinity key form one task, which runs on one worker in the order
+its suite declares, and every other cell is a task of its own.  The serial
+run and the process pool follow the same schedule.  If a pool worker dies,
+every cell of its task is an ``error`` cell.  Cells go back into plan order,
+which makes the JSON output deterministic for a fixed seed and independent
+of the worker count.
 
 Every suite is declared once, in ``_SUITES`` at the end of this module: its
-default ranges, its cell builder, its cell runner and its optional findings.
+default ranges, its cell builder, its cell runner, its optional findings and
+its optional affinity.
 
 Two families of constants get special treatment.  The printed closed forms
 for the iterated-Laplacian prefactor and for the inversion-route/bridge
@@ -37,7 +44,7 @@ import time
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import islice
-from typing import Callable
+from typing import Callable, Hashable
 
 from . import cliffordalg as ca
 from . import radialexpr as rx
@@ -816,22 +823,37 @@ def _run_reproducing(params: dict) -> Cell:
 
 @dataclass(frozen=True)
 class _Suite:
-    """One suite: its default ranges, cell builder, cell runner and findings."""
+    """One suite: its default ranges, cell builder, cell runner, findings and
+    affinity.
+
+    ``affinity`` maps a cell's params to ``(task key, rank)``: the cells of
+    one key run as one task, by rank, ties in plan order.  Without it each
+    cell is a task of its own.
+    """
 
     defaults: dict[str, int]
     cells: Callable[[SuiteArgs], list[dict]]
     run: Callable[[dict], Cell]
     findings: Callable[[SuiteArgs], list[dict]] | None = None
+    affinity: Callable[[dict], tuple[Hashable, int]] | None = None
 
 
 _SUITES: dict[str, _Suite] = {
     "gegenbauer": _Suite({"kmax": 20}, _cells_gegenbauer, _run_gegenbauer),
-    "ladder": _Suite({"nmax": 6, "kmax": 8}, _cells_ladder, _run_ladder),
+    # one chain per n: each cell takes one step of the cached ladder form
+    "ladder": _Suite({"nmax": 6, "kmax": 8}, _cells_ladder, _run_ladder,
+                     affinity=lambda p: (p["n"], p["k"])),
+    # one task per (parity, m), which fixes the dimension of the orbit tables; by k,
+    # so the cells of one (parity, m, k) share the cached seed
     "laplacian": _Suite({"mmax": 3, "kmax": 6}, _cells_laplacian, _run_laplacian,
-                        _laplacian_findings),
+                        _laplacian_findings,
+                        affinity=lambda p: ((p["parity"], p["m"]), p["k"])),
     "clifford": _Suite({"mmax": 2, "kmax": 6}, _cells_clifford, _run_clifford),
-    "kelvin": _Suite({"nmax": 7, "kmax": 6}, _cells_kelvin, _run_kelvin, _kelvin_findings),
-    "eta": _Suite({"mmax": 2, "kmax": 6}, _cells_eta, _run_eta, _eta_findings),
+    # a case's reference and observed cells share the cached route
+    "kelvin": _Suite({"nmax": 7, "kmax": 6}, _cells_kelvin, _run_kelvin, _kelvin_findings,
+                     affinity=lambda p: ((p["n"], p["k"]), 0)),
+    "eta": _Suite({"mmax": 2, "kmax": 6}, _cells_eta, _run_eta, _eta_findings,
+                  affinity=lambda p: ((p.get("m"), p["k"]), 0)),
     "poisson": _Suite({"nmax": 4}, _cells_poisson, _run_poisson),
     "appendixA": _Suite({"kmax": 8}, _cells_appendix_a, _run_appendix_a),
     "appendixB": _Suite({"kmax": 6}, _cells_appendix_b, _run_appendix_b),
@@ -858,6 +880,22 @@ def _execute(item: tuple[str, dict]) -> Cell:
         cell = _error_cell(params, exc)
     cell.elapsed_ms = (time.perf_counter() - t0) * 1000.0
     return cell
+
+
+def _execute_task(task: list[tuple[str, dict]]) -> list[Cell]:
+    """One task's cells, run in order in this process."""
+    return [_execute(item) for item in task]
+
+
+def _tasks(items: list[tuple[str, dict]]) -> list[list[int]]:
+    """The plan's items grouped by their suites' affinities, as lists of plan
+    indices in run order; the tasks are in the plan order of their first items."""
+    tasks: dict[tuple, list[tuple]] = {}
+    for i, (name, params) in enumerate(items):
+        affinity = _SUITES[name].affinity
+        key, rank = affinity(params) if affinity else (i, 0)
+        tasks.setdefault((name, key), []).append((rank, i))
+    return [[i for _, i in sorted(task)] for task in tasks.values()]
 
 
 def _filled(name: str, args: SuiteArgs) -> SuiteArgs:
@@ -906,22 +944,27 @@ def run_suite(suite: str, args: SuiteArgs | None = None, threads: int = 1) -> Ve
     check_threads(threads)
     args = args or SuiteArgs()
     items = plan_suite(suite, args)
-    workers = min(threads, len(items), os.cpu_count() or 1)
+    tasks = _tasks(items)
+    workers = min(threads, len(tasks), os.cpu_count() or 1)
     if workers > 1:
         # loaded here, so that a run in this process never imports multiprocessing
         from concurrent.futures import ProcessPoolExecutor
         from concurrent.futures.process import BrokenProcessPool
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_execute, it) for it in items]
-        cells = []
-        for (_, params), future in zip(items, futures):
+            futures = [pool.submit(_execute_task, [items[i] for i in task]) for task in tasks]
+        done = []
+        for task, future in zip(tasks, futures):
             try:
-                cells.append(future.result())
-            except BrokenProcessPool as exc:  # a worker died: no result for this cell
-                cells.append(_error_cell(params, exc))
+                done.append(future.result())
+            except BrokenProcessPool as exc:  # a worker died: no result for this task
+                done.append([_error_cell(items[i][1], exc) for i in task])
     else:
-        cells = [_execute(it) for it in items]
+        done = [_execute_task([items[i] for i in task]) for task in tasks]
+    cells = [None] * len(items)
+    for task, task_cells in zip(tasks, done):
+        for i, cell in zip(task, task_cells):
+            cells[i] = cell
     if suite == "all":
         for (name, _), cell in zip(items, cells):
             cell.params = {"suite": name, **cell.params}

@@ -45,10 +45,15 @@ expression, and a call with other arguments replaces it.  The ladder core
 ``_ladder_form`` is one too: step k is step k - 1 of the cache, so the
 ladder cells, which run n-major with k ascending, take one step each; any
 other call steps on from the cached form when it is below, or else from
-the constant 1.  The caches are not scoped to a run, and each holds at
-most one result, an immutable ``RadialExpr`` or ``OrbitForm`` that the
-cells sharing it cannot disturb.  The public routes stay plain functions,
-and ``zonal_direct`` is never memoised.
+the constant 1.  ``_seed_form`` holds the orbit form of the lifted seed
+that ``laplacian_route`` and ``laplacian_route_fixed_y`` both start from, so
+the route and fixed-y cells of one (parity, m, k), which the laplacian
+suite runs adjacently, build it once; the seed is a route input, not a
+result, so the two routes still apply their own Laplacians.  The caches are
+not scoped to a run, and each holds at most one result, an immutable
+``RadialExpr`` or ``OrbitForm`` that the cells sharing it cannot disturb.
+The public routes stay plain functions, and ``zonal_direct`` is never
+memoised.
 
 Coefficient conventions.  The iterated-Laplacian prefactor is *defined* as
 the composition alpha * c^2 of the telescoping coefficient with the squared
@@ -317,13 +322,19 @@ def _laplacian_seed(parity: Parity, m: int, k: int) -> za.ZonalInvariant:
     return za.ZonalInvariant(dim, zonal_direct_invariant(low_n, k + 2 * m).terms)
 
 
-def _iterated_laplacians(seed: za.ZonalInvariant, m: int, groups: str) -> rx.RadialExpr:
+@lru_cache(maxsize=1)
+def _seed_form(parity: Parity, m: int, k: int) -> OrbitForm:
+    """``_laplacian_seed`` in orbit form: laplacian_route and its fixed-y variant."""
+    return OrbitForm.from_invariant(_laplacian_seed(parity, m, k))
+
+
+def _iterated_laplacians(seed: OrbitForm, m: int, groups: str) -> rx.RadialExpr:
     """(Lap_groups[-1] ... Lap_groups[0])^m of a polynomial seed, in coordinates.
 
     The seed is symmetric under permuting the pairs (x_i, y_i), so the
     Laplacians run in orbit form and only the result is unfolded.
     """
-    out = OrbitForm.from_invariant(seed)
+    out = seed
     for _ in range(m):
         for group in groups:
             out = out.apply(methodcaller("laplacian", group))
@@ -337,7 +348,7 @@ def laplacian_route(parity: Parity, m: int, k: int) -> rx.RadialExpr:
     (odd) or beta_hat(m, k) (even) times zonal_direct(target n, k), with
     target n = 2m+2 (odd) or 2m+1 (even).
     """
-    return _iterated_laplacians(_laplacian_seed(parity, m, k), m, "xy")
+    return _iterated_laplacians(_seed_form(parity, m, k), m, "xy")
 
 
 def laplacian_route_invariant(parity: Parity, m: int, k: int) -> za.ZonalInvariant:
@@ -365,7 +376,7 @@ def laplacian_route_fixed_y(parity: Parity, m: int, k: int) -> rx.RadialExpr:
     fixed_y_prefactor(parity, m, k) * Q_y^m * zonal_direct(target n, k); the
     Q_y^m factor is the |y|-degree correction that disappears on |y| = 1.
     """
-    return _iterated_laplacians(_laplacian_seed(parity, m, k), m, "x")
+    return _iterated_laplacians(_seed_form(parity, m, k), m, "x")
 
 
 def clifford_route(m: int, k: int) -> rx.RadialExpr:
@@ -381,7 +392,8 @@ def clifford_route(m: int, k: int) -> rx.RadialExpr:
 @lru_cache(maxsize=1)
 def _paravector_laplacians(m: int, k: int) -> rx.RadialExpr:
     """(Lap_y Lap_x)^m ((x y^c)^(k+2m))_0 over R^(2m+2): clifford and the bridge's lhs."""
-    return _iterated_laplacians(za.xyc_power_real_invariant(k + 2 * m, 2 * m + 2), m, "xy")
+    seed = OrbitForm.from_invariant(za.xyc_power_real_invariant(k + 2 * m, 2 * m + 2))
+    return _iterated_laplacians(seed, m, "xy")
 
 
 def kelvin_route(n: int, k: int) -> rx.RadialExpr:

@@ -6,6 +6,7 @@ import os
 import resource
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -88,6 +89,22 @@ def test_expand_term_budget_guard(capsys):
                            "--m", "3", "--max-terms", "1000")
     assert code == 2
     assert "terms" in err
+
+
+@pytest.mark.parametrize("cap, code", [(2043, 2), (2044, 0)])
+def test_expand_term_budget_counts_the_ambient_variables(capsys, cap, code):
+    # zonal_direct(3, 6) has 1,016 terms over n + 1 = 4 variables per group; the
+    # estimate with 4 is 2,044, while one with n = 3 variables would read 479
+    got, _, err = run_cli(capsys, "expand", "--route", "direct", "--n", "3", "--k", "6",
+                          "--max-terms", str(cap))
+    assert got == code
+    assert ("~2044 terms (cap 2043)" in err) == bool(code)
+
+
+def test_term_estimate_bounds_the_direct_kernel():
+    for n in range(1, 5):
+        for k in range(7):
+            assert len(zonal_direct(n, k)) <= cli._estimate_zonal_terms(n + 1, k), (n, k)
 
 
 @pytest.mark.parametrize("k, code", [(127, 0), (128, 2)])
@@ -350,6 +367,41 @@ def test_verify_dead_worker_gives_error_cells_exit_4(monkeypatch, capsys):
     assert cells[1]["status"] == "error"
     assert cells[1]["witness"]["kind"] == "exception"
     assert cells[1]["witness"]["type"] == "BrokenProcessPool"
+
+
+def test_verify_dead_worker_fails_its_whole_task_exit_4(monkeypatch, tmp_path, capsys):
+    # a worker ends inside the n = 3 ladder chain once the n = 2 chain has returned: the
+    # chain is one task, so each of its cells is an error cell, computed or not
+    spec = verify._SUITES["ladder"]
+    parent = os.getpid()
+    marker = tmp_path / "n2_returned"
+
+    def runner(params):
+        if (params["n"], params["k"]) == (3, 2) and os.getpid() != parent:
+            for _ in range(600):  # the other worker runs the n = 2 task
+                if marker.exists():
+                    break
+                time.sleep(0.05)
+            time.sleep(0.5)  # its result reaches the parent before this worker ends
+            os._exit(1)
+        cell = spec.run(params)
+        if (params["n"], params["k"]) == (2, 3):
+            marker.touch()
+        return cell
+
+    monkeypatch.setitem(verify._SUITES, "ladder", dataclasses.replace(spec, run=runner))
+    monkeypatch.setattr(verify.os, "cpu_count", lambda: 2)  # a pool of two workers
+    code, out, _ = run_cli(capsys, "verify", "--suite", "ladder", "--nmax", "3", "--kmax", "3",
+                           "--threads", "2", "--json", "-")
+    assert code == 4
+    assert "pass=4 fail=0 error=4" in out
+    cells = json.loads(out[out.index("\n{\n") + 1:])["cells"]
+    assert [(c["params"]["n"], c["params"]["k"]) for c in cells] == [
+        (n, k) for n in (2, 3) for k in range(4)]
+    assert [c["status"] for c in cells] == ["pass"] * 4 + ["error"] * 4
+    assert all(c["witness"] == {"kind": "exception", "type": "BrokenProcessPool",
+                                "message": cells[4]["witness"]["message"]}
+               for c in cells[4:])
 
 
 def test_verify_json_report_deterministic(tmp_path, capsys):

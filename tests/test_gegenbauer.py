@@ -49,6 +49,17 @@ def test_chebyshev_values():
     assert chebyshev_T(5).coeffs == (0, 5, 0, -20, 0, 16)
 
 
+def test_memoised_vectors_are_the_builders_values():
+    # the suites certify the builder through its memo: every cached vector is the
+    # one the builder computes, whatever form the order was given in
+    for k in range(12):
+        for lam in (HALF, 1, Fraction(3, 2), "5/2"):
+            assert gegenbauer(k, lam) == gegenbauer.__wrapped__(k, lam)
+            assert gegenbauer(k, lam).order == Fraction(lam)
+        assert chebyshev_T(k) == chebyshev_T.__wrapped__(k)
+    assert gegenbauer(3, HALF) is gegenbauer(3, HALF)
+
+
 def test_chebyshev_from_order_one_difference():
     # 2 T_k = C_k^1 - C_{k-2}^1
     for k in range(2, 12):

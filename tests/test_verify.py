@@ -99,21 +99,130 @@ def test_report_json_deterministic_and_thread_invariant():
     data = json.loads(a)
     assert set(data) == {"suite", "seed", "passed", "cells", "findings"}
     assert "elapsed_ms" not in data["cells"][0]
-    # two workers may split a (reference, observed) pair that shares one route result
+    # a (reference, observed) pair shares one route result, on one worker
     for suite, args in (("kelvin", SuiteArgs(nmax=5, kmax=3)), ("eta", SuiteArgs(mmax=2, kmax=2))):
         assert (run_suite(suite, args, threads=1).to_json()
                 == run_suite(suite, args, threads=2).to_json()), suite
 
 
 def test_pooled_laplacian_report_is_thread_invariant():
-    # workers forked from cleared tables build them cold, each in its own cell order, and
+    # workers forked from cleared tables build them cold, each in its own task order, and
     # share a placement table among the orbits of one multiset of multiplicities; the
-    # serial run builds them in plan order in this process
-    for table in (orbitform._orbit, orbitform._choices, orbitform._placements):
-        table.cache_clear()
+    # serial run builds them in task order in this process
+    for suite, args in (("laplacian", SuiteArgs(mmax=3, kmax=4)), ("ladder", SuiteArgs(kmax=6))):
+        for table in (orbitform._orbit, orbitform._choices, orbitform._placements):
+            table.cache_clear()
+        pooled = run_suite(suite, args, threads=2).to_json()
+        assert run_suite(suite, args, threads=1).to_json() == pooled, suite
+
+
+# -- the task schedule -------------------------------------------------------------
+
+@pytest.mark.parametrize("suite", SUITE_NAMES + ("all",))
+def test_every_planned_item_is_in_exactly_one_task(suite):
+    items = verify.plan_suite(suite)
+    tasks = verify._tasks(items)
+    assert sorted(i for task in tasks for i in task) == list(range(len(items)))
+    assert all(tasks)
+    if verify._SUITES.get(suite) and verify._SUITES[suite].affinity is None:
+        assert tasks == [[i] for i in range(len(items))]
+
+
+@pytest.mark.parametrize("suite", ["kelvin", "eta", "ladder", "laplacian", "all"])
+def test_pairs_and_chains_share_a_task(suite):
+    items = verify.plan_suite(suite)
+    for task in verify._tasks(items):
+        (name,) = {items[i][0] for i in task}
+        params = [items[i][1] for i in task]
+        checks = [p.get("check") for p in params]
+        if name == "ladder":  # one chain: one n, k ascending from 0
+            assert {p["n"] for p in params} == {params[0]["n"]}
+            assert [p["k"] for p in params] == list(range(len(params)))
+        elif name == "laplacian":  # one (parity, m), by k
+            assert len({(p["parity"], p["m"]) for p in params}) == 1
+            assert [p["k"] for p in params] == sorted(p["k"] for p in params)
+        elif "reference_constant" in checks:  # one kelvin or eta case
+            assert checks == ["reference_constant", "observed_constant"]
+            assert params[0] == {**params[1], "check": "reference_constant"}
+        else:
+            assert len(task) == 1, params
+
+
+def test_laplacian_cells_of_one_parity_m_k_run_adjacently():
+    # so the route and fixed_y cells of one (parity, m, k) build its seed once
     args = SuiteArgs(mmax=2, kmax=3)
-    pooled = run_suite("laplacian", args, threads=2).to_json()
-    assert run_suite("laplacian", args, threads=1).to_json() == pooled
+    zr._seed_form.cache_clear()
+    run_suite("laplacian", args)
+    assert zr._seed_form.cache_info().misses == 2 * 2 * 4
+    items = verify.plan_suite("laplacian")
+    order = [items[i][1] for task in verify._tasks(items) for i in task]
+    groups = [(p["parity"], p["m"], p["k"]) for p in order]
+    runs = [g for i, g in enumerate(groups) if i == 0 or groups[i - 1] != g]
+    assert len(runs) == len(set(groups))  # each (parity, m, k) is one run of cells
+    for g in set(groups):
+        checks = [p["check"] for p in order if (p["parity"], p["m"], p["k"]) == g]
+        assert checks in (["route", "fixed_y", "prefactor_consistency"],
+                          ["route", "prefactor_consistency"])
+
+
+class InlinePool:
+    """Stands in for ProcessPoolExecutor: records the worker count, maps inline."""
+
+    sizes: list[int] = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, item):
+        future = Future()
+        future.set_result(fn(item))
+        return future
+
+
+_ROUTE_CACHES = (zr._seed_form, zr._inversion_route, zr._paravector_laplacians,
+                 zr._ladder_form)
+
+
+@pytest.mark.parametrize("suite, args", [
+    ("laplacian", SuiteArgs(mmax=2, kmax=3)),
+    ("ladder", SuiteArgs(nmax=4, kmax=4)),
+    ("kelvin", SuiteArgs(nmax=5, kmax=3)),
+    ("eta", SuiteArgs(mmax=2, kmax=2)),
+    ("all", SuiteArgs(nmax=3, kmax=2, mmax=2, samples=2_000)),
+])
+def test_pooled_tasks_take_the_serial_route_cache_misses(monkeypatch, suite, args):
+    # each task starts from empty route caches, as it may on a worker that ran any
+    # other task before it: the misses add up to the serial run's only if the cells
+    # that share a cached result share a task
+    def misses():
+        return [cache.cache_info().misses for cache in _ROUTE_CACHES]
+
+    for cache in _ROUTE_CACHES:
+        cache.cache_clear()
+    serial = run_suite(suite, args).to_json()
+    expected = misses()
+    pooled = [0] * len(_ROUTE_CACHES)
+
+    class ColdPool(InlinePool):
+        def submit(self, fn, item):
+            for cache in _ROUTE_CACHES:
+                cache.cache_clear()
+            future = super().submit(fn, item)
+            pooled[:] = map(sum, zip(pooled, misses()))
+            return future
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", ColdPool)
+    monkeypatch.setattr(InlinePool, "sizes", [])
+    monkeypatch.setattr(verify.os, "cpu_count", lambda: 2)
+    assert run_suite(suite, args, threads=2).to_json() == serial
+    assert ColdPool.sizes == [2]
+    assert pooled == expected
 
 
 @pytest.mark.parametrize("suite, args, caches", [
@@ -191,37 +300,19 @@ def test_suite_report_bytes_are_pinned(suite, args, digest):
 
 
 @pytest.mark.parametrize("threads, cpus, expected", [
-    (64, 8, [3]),   # capped by the cell count (monogenic, kmax=2: 3 cells)
+    (64, 8, [3]),   # capped by the task count (monogenic, kmax=2: 3 one-cell tasks)
     (64, 2, [2]),   # capped by the CPU count
     (2, 8, [2]),    # as asked
     (64, 1, []),    # one worker: serial, no pool
     (1, 8, []),
 ])
 def test_worker_count_is_capped(monkeypatch, threads, cpus, expected):
-    sizes = []
-
-    class InlinePool:
-        """Stands in for ProcessPoolExecutor: records the worker count, maps inline."""
-
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def submit(self, fn, item):
-            future = Future()
-            future.set_result(fn(item))
-            return future
-
     # run_suite imports the pool class from concurrent.futures when it starts one
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(InlinePool, "sizes", [])
     monkeypatch.setattr(verify.os, "cpu_count", lambda: cpus)
     rep = run_suite("monogenic", SuiteArgs(kmax=2), threads=threads)
-    assert sizes == expected
+    assert InlinePool.sizes == expected
     assert rep.to_json() == run_suite("monogenic", SuiteArgs(kmax=2)).to_json()
 
 
