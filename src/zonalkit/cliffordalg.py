@@ -18,6 +18,7 @@ count is harmless.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Literal, Union
@@ -137,17 +138,22 @@ class Multivector:
 
     __hash__ = None  # type: ignore[assignment]
 
-    def to_json_dict(self) -> dict:
-        comps = []
-        for b in sorted(self.comps):
-            c = self.comps[b]
-            blade = [i + 1 for i in range(self.n) if b >> i & 1]
-            if isinstance(c, rx.RadialExpr):
-                coeff = c.to_json_dict()
-            else:
-                coeff = {"num": str(c.numerator), "den": str(c.denominator)}
-            comps.append({"blade": blade, "coeff": coeff})
-        return {"n": self.n, "comps": comps}
+    def digest(self) -> str:
+        """sha256 of ``json.dumps({"comps": …, "n": n}, sort_keys=True)``, streamed: per
+        blade in bitmask order ``{"blade": [generators], "coeff": …}``, a Fraction as
+        ``{"den": "…", "num": "…"}``, a RadialExpr as its ``to_json`` text with a space
+        after each ``,`` and ``:``.  Exact: there those characters are only separators
+        (the keys are fixed names, the values integers or decimal-digit strings)."""
+        h = hashlib.sha256(b'{"comps": [')
+        for i, b in enumerate(sorted(self.comps)):
+            c, blade = self.comps[b], [j + 1 for j in range(self.n) if b >> j & 1]
+            h.update(f'{", " if i else ""}{{"blade": {blade}, "coeff": '.encode())
+            for chunk in (c._json_chunks() if isinstance(c, rx.RadialExpr)
+                          else [f'{{"den":"{c.denominator}","num":"{c.numerator}"}}']):
+                h.update(chunk.replace(",", ", ").replace(":", ": ").encode())
+            h.update(b"}")
+        h.update(f'], "n": {self.n}}}'.encode())
+        return h.hexdigest()
 
     def __repr__(self) -> str:
         return f"<Multivector n={self.n} blades={len(self.comps)}>"

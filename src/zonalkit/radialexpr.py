@@ -800,18 +800,11 @@ class RadialExpr:
         return [(xe, ye, px, py, Fraction(num, den))
                 for xe, ye, px, py, num, den in self._rows()]
 
-    def to_json_dict(self) -> dict:
-        """The canonical serialisation as a dict; see :meth:`to_json`."""
-        return {"nx": self.nx, "ny": self.ny, "terms": [
-            {"xexp": list(xe), "yexp": list(ye), "px": px, "py": py,
-             "num": str(num), "den": str(den)}
-            for xe, ye, px, py, num, den in self._rows()]}
-
     def to_json(self) -> str:
         """The canonical serialisation that :meth:`digest` hashes: the bytes of
-        ``json.dumps(self.to_json_dict(), sort_keys=True, separators=(",", ":"))``,
-        one ``{"den","num","px","py","xexp","yexp"}`` object per term with the
-        coefficient in lowest terms as decimal strings, in (xexp, yexp, px, py) order."""
+        ``json.dumps({"nx": nx, "ny": ny, "terms": rows}, sort_keys=True,
+        separators=(",", ":"))``, one ``{"den","num","px","py","xexp","yexp"}`` row
+        per term of :meth:`sorted_terms`, its Fraction as decimal strings."""
         return "".join(self._json_chunks())
 
     def digest(self, order: tuple | None = None) -> str:

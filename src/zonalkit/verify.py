@@ -207,9 +207,9 @@ def _invariant_cell(params: dict, lhs: za.ZonalInvariant, rhs: za.ZonalInvariant
 
 
 def _mv_cell(params: dict, lhs: ca.Multivector, rhs: ca.Multivector) -> Cell:
-    def mv_digest(mv: ca.Multivector) -> str:
-        return _digest_text(json.dumps(mv.to_json_dict(), sort_keys=True))
-    return _cell(params, lhs == rhs, mv_digest(lhs), mv_digest(rhs),
+    # a passing cell serialises lhs only: equal multivectors have equal bytes
+    ok, lhs_digest = lhs == rhs, lhs.digest()
+    return _cell(params, ok, lhs_digest, lhs_digest if ok else rhs.digest(),
                  {"kind": "multivector_mismatch"})
 
 
@@ -678,18 +678,17 @@ def _run_appendix_b(params: dict) -> Cell:
         nvars = n + 1
         xy = ca.xyc_multivector(nvars)
         p = xy.power(k)
-        real = ca.xyc_power_real(k, nvars)
         if check == "conjugate_real_parts":
-            yx = ca.xyc_multivector(nvars).conjugate()
-            lhs = p.scalar_part() + yx.power(k).scalar_part()
+            lhs = p.scalar_part() + xy.conjugate().power(k).scalar_part()
             if isinstance(lhs, Fraction):
                 lhs = rx.constant(lhs, nvars, nvars)
-            return _expr_cell(params, lhs, real.scale(2))
+            return _expr_cell(params, lhs, lambda: ca.xyc_power_real(k, nvars).scale(2))
         if k == 0:
             got = p.scalar_part()
             ok = (got == Fraction(1)) and p.imaginary_part().is_zero()
             return _cell(params, ok, _digest_text(str(got)), _digest_text("1"),
                          {"kind": "multivector_mismatch"})
+        real = ca.xyc_power_real(k, nvars)
         sph = ca.xyc_spherical_derivative(k, nvars)
         return _mv_cell(params, p, ca.scalar_mv(n, real) + xy.imaginary_part().scale(sph))
     nvars = 4

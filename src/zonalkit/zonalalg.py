@@ -225,8 +225,10 @@ class ZonalInvariant:
 
         parts = []
         for r0, s0, acc in self._horner(lambda: _Numerators(den0), times_inner, add_quadratic):
+            for key in [key for key, v in acc.terms.items() if not v]:
+                del acc.terms[key]  # in place: _make would copy the dict to drop them
             out = rx.RadialExpr._make(n, n, acc.terms, acc.den, acc.degx, acc.degy,
-                                      radial_free_hint=True)
+                                      radial_free_hint=True, no_zeros=True)
             if r0:
                 out = out * rx.norm_power("x", r0, n, n)
             if s0 and y is None:

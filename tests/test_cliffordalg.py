@@ -1,7 +1,10 @@
+import hashlib
+import json
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from zonalkit import cliffordalg as ca
 from zonalkit import radialexpr as rx
@@ -144,8 +147,55 @@ def test_monogenicity_check():
         ca.monogenicity_check(2, 4)
 
 
-def test_multivector_serialization():
-    xy = ca.xyc_multivector(3)
-    data = xy.to_json_dict()
-    assert data["n"] == 2
-    assert all(isinstance(c["blade"], list) for c in data["comps"])
+def reference_mv_json(mv):
+    """The multivector serialisation by its definition: Fraction rows and blade
+    lists through json.dumps with its default separators."""
+    comps = []
+    for b in sorted(mv.comps):
+        c = mv.comps[b]
+        if isinstance(c, rx.RadialExpr):
+            coeff = {"nx": c.nx, "ny": c.ny, "terms": [
+                {"xexp": list(xe), "yexp": list(ye), "px": px, "py": py,
+                 "num": str(q.numerator), "den": str(q.denominator)}
+                for xe, ye, px, py, q in sorted(c.terms(), key=lambda t: t[:4])]}
+        else:
+            coeff = {"num": str(c.numerator), "den": str(c.denominator)}
+        comps.append({"blade": [i + 1 for i in range(mv.n) if b >> i & 1], "coeff": coeff})
+    return json.dumps({"n": mv.n, "comps": comps}, sort_keys=True)
+
+
+_Q = st.fractions(min_value=-40, max_value=40, max_denominator=6)
+
+
+@st.composite
+def multivectors(draw):
+    """Blades over up to 3 generators with Fraction or RadialExpr coefficients:
+    Laurent terms, negative numerators, shared denominators."""
+    n, nx, ny = draw(st.integers(0, 3)), draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    term = st.tuples(st.tuples(*[st.integers(0, 3)] * nx), st.tuples(*[st.integers(0, 3)] * ny),
+                     st.integers(-5, 5), st.integers(-5, 5), _Q)
+    expr = st.lists(term, max_size=6).map(lambda items: rx.from_terms(nx, ny, items))
+    return ca.Multivector(n, draw(st.dictionaries(st.integers(0, (1 << n) - 1),
+                                                  st.one_of(_Q, expr), max_size=1 << n)))
+
+
+_MV_CASES = {
+    "empty": lambda: ca.Multivector(3, {}),
+    "rational paravector": lambda: ca.paravector(2, [Fraction(1, 3), Fraction(-2), 5]),
+    "xy^c": lambda: ca.xyc_multivector(3),
+    "(xy^c)^3": lambda: ca.xyc_multivector(3).power(3),
+    "laurent": lambda: ca.scalar_mv(1, rx.from_terms(2, 2, [
+        ((1, 0), (0, 2), -3, 1, Fraction(7, 3)), ((0, 1), (1, 0), 1, -5, Fraction(-2, 9))])),
+}
+
+
+@pytest.mark.parametrize("make", list(_MV_CASES.values()), ids=list(_MV_CASES))
+def test_multivector_digest_matches_reference_serialisation(make):
+    mv = make()
+    assert mv.digest() == hashlib.sha256(reference_mv_json(mv).encode()).hexdigest()
+
+
+@settings(max_examples=80, deadline=None)
+@given(mv=multivectors())
+def test_multivector_digest_matches_reference_serialisation_hypothesis(mv):
+    assert mv.digest() == hashlib.sha256(reference_mv_json(mv).encode()).hexdigest()

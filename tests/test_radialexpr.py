@@ -478,12 +478,12 @@ def test_float_evaluation_takes_one_y_point(shape):
 def test_json_roundtrip_and_term_order():
     f = power(rx.inner_xy(NX), 2) - rx.quadratic_form("x", NX, NY).scale(Fraction(1, 3)) \
         + rx.norm_power("y", -1, NX, NY)
-    data = f.to_json_dict()
+    data = json.loads(f.to_json())
     keys = [(tuple(t["xexp"]), tuple(t["yexp"]), t["px"], t["py"]) for t in data["terms"]]
     assert keys == sorted(keys)
     back = rx.from_terms(data["nx"], data["ny"], [
         (t["xexp"], t["yexp"], t["px"], t["py"], Fraction(int(t["num"]), int(t["den"])))
-        for t in json.loads(json.dumps(data))["terms"]])
+        for t in data["terms"]])
     assert back.equals(f)
     assert back.digest() == f.digest()
 
@@ -520,7 +520,7 @@ _SERIALISATION_CASES = {
 def test_to_json_matches_reference_serialisation(make):
     f = make()
     assert f.to_json() == reference_to_json(f)
-    assert json.dumps(f.to_json_dict(), sort_keys=True, separators=(",", ":")) \
+    assert json.dumps(json.loads(f.to_json()), sort_keys=True, separators=(",", ":")) \
         == reference_to_json(f)
     assert f.sorted_terms() == sorted(f.terms(), key=lambda t: t[:4])
 
@@ -528,7 +528,7 @@ def test_to_json_matches_reference_serialisation(make):
 def test_shared_denominator_case_reduces_per_term():
     f = _SERIALISATION_CASES["shared denominator"]()
     assert f._den == 12
-    assert {t["den"] for t in f.to_json_dict()["terms"]} == {"12", "6", "4", "3", "2", "1"}
+    assert {t["den"] for t in json.loads(f.to_json())["terms"]} == {"12", "6", "4", "3", "2", "1"}
 
 
 def _chunk_case(count, integral):

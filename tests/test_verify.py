@@ -292,6 +292,11 @@ def test_all_suite_concatenates_with_suite_tags():
     # the test polynomial is the kernel with y fixed at a rational pole
     ("reproducing", SuiteArgs(nmax=4, kmax=4, samples=20_000, seed=7),
      "58bcc95b82c4f401d3734dc0403f07453cdc30fa50fe6bb50896cb4bf69f561f"),
+    # the multivector digests; kmax 3 runs both multivector checks
+    ("appendixB", SuiteArgs(kmax=3),
+     "22681f55e814e3cd6746d7d445ff1f14495ac9ab157bf3144da0577b2a7ad764"),
+    ("appendixB", SuiteArgs(),
+     "ddf1542f4c8395e85cc5226e45fb9bc73d7faae66b2fb38f06c70b3e13823e12"),
 ])
 def test_suite_report_bytes_are_pinned(suite, args, digest):
     # the routes may change engine; the cells, verdicts, digests and findings may not

@@ -176,6 +176,25 @@ def test_expander_of_route_seeds_matches_the_reference():
                 == _expansion(reference_to_radialexpr, inv, p), (inv, p)
 
 
+@pytest.mark.parametrize("inv, y", [
+    (zonal_direct_invariant(4, 6), None),  # 60 coordinate terms cancel in the Horner sum
+    (za.ZonalInvariant(3, {(1, 0, 2): Fraction(3), (1, 0, 0): Fraction(-3)}), (1, 0, 0)),
+], ids=["kernel", "pole"])
+def test_expander_drops_cancelled_terms_before_make(monkeypatch, inv, y):
+    # the expander deletes zeros from the dict it owns, so _make neither scans nor copies it
+    make = rx.RadialExpr._make.__func__
+    calls = []
+
+    def spy(cls, nx, ny, terms, *args, **kwargs):
+        calls.append((sum(not v for v in terms.values()), kwargs.get("no_zeros", False)))
+        return make(cls, nx, ny, terms, *args, **kwargs)
+
+    monkeypatch.setattr(rx.RadialExpr, "_make", classmethod(spy))
+    f = inv.to_radialexpr(y=y)
+    assert calls == [(0, True)]
+    assert 0 not in f._terms.values()
+
+
 def test_expander_names_a_radial_floor_outside_the_range():
     # the floor |x|^-2049 used to borrow from the |y| field and fail in canonicalisation
     with pytest.raises(rx.RadialOverflow, match="radial exponent out of range"):
