@@ -361,13 +361,21 @@ def _placements(dim: int, mults: tuple[int, ...]
         columns = [list(chain.from_iterable(map(repeat, column, widths))) for column in columns]
         columns.append(list(chain.from_iterable(chosen)))
         free = list(chain.from_iterable(rest))
-    fields = list(enumerate(_fields(dim)[0]))
-    sums = {mask: (sum(1 << sx for i, (sx, _) in fields if mask >> i & 1),
-                   sum(1 << sy for i, (_, sy) in fields if mask >> i & 1))
-            for mask in set().union(*columns)}
+    bits = {1 << i: (1 << sx, 1 << sy) for i, (sx, sy) in enumerate(_fields(dim)[0])}
+    sums = {0: (0, 0)}
+
+    def field_sums(mask: int) -> tuple[int, int]:
+        # the sums of the mask without its lowest bit, plus that bit's fields
+        out = sums.get(mask)
+        if out is None:
+            low = mask & -mask
+            (xs, ys), (bx, by) = field_sums(mask ^ low), bits[low]
+            out = sums[mask] = (xs + bx, ys + by)
+        return out
+
     out = []
     for column in columns:
         distinct = list(dict.fromkeys(column))
         index = {mask: i for i, mask in enumerate(distinct)}
-        out.append((tuple(map(sums.__getitem__, distinct)), tuple(map(index.__getitem__, column))))
+        out.append((tuple(map(field_sums, distinct)), tuple(map(index.__getitem__, column))))
     return tuple(out)

@@ -843,7 +843,8 @@ _SUITES: dict[str, _Suite] = {
     "ladder": _Suite({"nmax": 6, "kmax": 8}, _cells_ladder, _run_ladder,
                      affinity=lambda p: (p["n"], p["k"])),
     # one task per (parity, m), which fixes the dimension of the orbit tables; by k,
-    # so the cells of one (parity, m, k) share the cached seed
+    # so the route and fixed_y cells of one (parity, m, k) share the cached Lap_x of
+    # their seed, each cell applying the rest of its own Laplacians
     "laplacian": _Suite({"mmax": 3, "kmax": 6}, _cells_laplacian, _run_laplacian,
                         _laplacian_findings,
                         affinity=lambda p: ((p["parity"], p["m"]), p["k"])),

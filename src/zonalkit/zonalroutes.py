@@ -45,11 +45,16 @@ expression, and a call with other arguments replaces it.  The ladder core
 ``_ladder_form`` is one too: step k is step k - 1 of the cache, so the
 ladder cells, which run n-major with k ascending, take one step each; any
 other call steps on from the cached form when it is below, or else from
-the constant 1.  ``_seed_form`` holds the orbit form of the lifted seed
-that ``laplacian_route`` and ``laplacian_route_fixed_y`` both start from, so
-the route and fixed-y cells of one (parity, m, k), which the laplacian
-suite runs adjacently, build it once; the seed is a route input, not a
-result, so the two routes still apply their own Laplacians.  The caches are
+the constant 1.  ``_seed_form`` holds Lap_x of the lifted seed's orbit
+form (the seed itself at m = 0), the first step of both
+``laplacian_route`` and ``laplacian_route_fixed_y``, so the route and
+fixed-y cells of one (parity, m, k), which the laplacian suite runs
+adjacently, take it once; the route goes on with Lap_y, Lap_x, ..., the
+fixed-y variant with m - 1 more Lap_x.  The shared step is the
+coordinate-level Laplacian under test, not a second implementation of it,
+and each cell still compares its own result with the independent
+expander, so a wrong Laplacian fails both cells whichever runs first (as
+``_ladder_form`` shares step k - 1 among the ladder cells).  The caches are
 not scoped to a run, and each holds at most one result, an immutable
 ``RadialExpr`` or ``OrbitForm`` that the cells sharing it cannot disturb.
 The public routes stay plain functions, and ``zonal_direct`` is never
@@ -324,21 +329,24 @@ def _laplacian_seed(parity: Parity, m: int, k: int) -> za.ZonalInvariant:
 
 @lru_cache(maxsize=1)
 def _seed_form(parity: Parity, m: int, k: int) -> OrbitForm:
-    """``_laplacian_seed`` in orbit form: laplacian_route and its fixed-y variant."""
-    return OrbitForm.from_invariant(_laplacian_seed(parity, m, k))
+    """Lap_x of ``_laplacian_seed`` in orbit form, or the seed itself at m = 0.
+
+    laplacian_route and its fixed-y variant both take Lap_x first, and
+    both go on from here.
+    """
+    seed = OrbitForm.from_invariant(_laplacian_seed(parity, m, k))
+    return seed.apply(methodcaller("laplacian", "x")) if m else seed
 
 
-def _iterated_laplacians(seed: OrbitForm, m: int, groups: str) -> rx.RadialExpr:
-    """(Lap_groups[-1] ... Lap_groups[0])^m of a polynomial seed, in coordinates.
+def _iterated_laplacians(form: OrbitForm, groups: str) -> rx.RadialExpr:
+    """Lap_g for each g of ``groups`` in turn on a polynomial, unfolded to coordinates.
 
-    The seed is symmetric under permuting the pairs (x_i, y_i), so the
+    The form is symmetric under permuting the pairs (x_i, y_i), so the
     Laplacians run in orbit form and only the result is unfolded.
     """
-    out = seed
-    for _ in range(m):
-        for group in groups:
-            out = out.apply(methodcaller("laplacian", group))
-    return out.unfold()
+    for group in groups:
+        form = form.apply(methodcaller("laplacian", group))
+    return form.unfold()
 
 
 def laplacian_route(parity: Parity, m: int, k: int) -> rx.RadialExpr:
@@ -348,7 +356,8 @@ def laplacian_route(parity: Parity, m: int, k: int) -> rx.RadialExpr:
     (odd) or beta_hat(m, k) (even) times zonal_direct(target n, k), with
     target n = 2m+2 (odd) or 2m+1 (even).
     """
-    return _iterated_laplacians(_seed_form(parity, m, k), m, "xy")
+    # Lap_y, then (Lap_x, Lap_y) m - 1 times, after the cached Lap_x
+    return _iterated_laplacians(_seed_form(parity, m, k), ("yx" * m)[:-1])
 
 
 def laplacian_route_invariant(parity: Parity, m: int, k: int) -> za.ZonalInvariant:
@@ -376,7 +385,7 @@ def laplacian_route_fixed_y(parity: Parity, m: int, k: int) -> rx.RadialExpr:
     fixed_y_prefactor(parity, m, k) * Q_y^m * zonal_direct(target n, k); the
     Q_y^m factor is the |y|-degree correction that disappears on |y| = 1.
     """
-    return _iterated_laplacians(_seed_form(parity, m, k), m, "x")
+    return _iterated_laplacians(_seed_form(parity, m, k), "x" * (m - 1))
 
 
 def clifford_route(m: int, k: int) -> rx.RadialExpr:
@@ -393,7 +402,7 @@ def clifford_route(m: int, k: int) -> rx.RadialExpr:
 def _paravector_laplacians(m: int, k: int) -> rx.RadialExpr:
     """(Lap_y Lap_x)^m ((x y^c)^(k+2m))_0 over R^(2m+2): clifford and the bridge's lhs."""
     seed = OrbitForm.from_invariant(za.xyc_power_real_invariant(k + 2 * m, 2 * m + 2))
-    return _iterated_laplacians(seed, m, "xy")
+    return _iterated_laplacians(seed, "xy" * m)
 
 
 def kelvin_route(n: int, k: int) -> rx.RadialExpr:

@@ -4,6 +4,7 @@ import json
 import tracemalloc
 from concurrent.futures import Future
 from fractions import Fraction
+from operator import methodcaller
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -13,6 +14,7 @@ from zonalkit import radialexpr as rx
 from zonalkit import verify
 from zonalkit import zonalalg as za
 from zonalkit import zonalroutes as zr
+from zonalkit.orbitform import OrbitForm
 from zonalkit.verify import SUITE_NAMES, SuiteArgs, run_suite
 
 from expr_cell_reference import reference_expr_cell
@@ -148,12 +150,29 @@ def test_pairs_and_chains_share_a_task(suite):
             assert len(task) == 1, params
 
 
-def test_laplacian_cells_of_one_parity_m_k_run_adjacently():
-    # so the route and fixed_y cells of one (parity, m, k) build its seed once
-    args = SuiteArgs(mmax=2, kmax=3)
+_ROUTE_CACHES = (zr._seed_form, zr._inversion_route, zr._paravector_laplacians,
+                 zr._ladder_form)
+
+
+def test_laplacian_cells_of_one_parity_m_k_run_adjacently(monkeypatch):
+    # so the route and fixed_y cells of one (parity, m, k) take the seed's Lap_x once
+    seeds, ops = [], []
+    build, apply = OrbitForm.from_invariant.__func__, OrbitForm.apply
+
+    def from_invariant(cls, inv):
+        seeds.append(build(cls, inv))
+        return seeds[-1]
+
+    def spy(self, op):
+        if any(self is seed for seed in seeds):
+            ops.append(repr(op))
+        return apply(self, op)
+
+    monkeypatch.setattr(OrbitForm, "from_invariant", classmethod(from_invariant))
+    monkeypatch.setattr(OrbitForm, "apply", spy)
     zr._seed_form.cache_clear()
-    run_suite("laplacian", args)
-    assert zr._seed_form.cache_info().misses == 2 * 2 * 4
+    run_suite("laplacian", SuiteArgs(mmax=2, kmax=3))
+    assert ops == [repr(methodcaller("laplacian", "x"))] * (2 * 2 * 4)
     items = verify.plan_suite("laplacian")
     order = [items[i][1] for task in verify._tasks(items) for i in task]
     groups = [(p["parity"], p["m"], p["k"]) for p in order]
@@ -163,6 +182,61 @@ def test_laplacian_cells_of_one_parity_m_k_run_adjacently():
         checks = [p["check"] for p in order if (p["parity"], p["m"], p["k"]) == g]
         assert checks in (["route", "fixed_y", "prefactor_consistency"],
                           ["route", "prefactor_consistency"])
+
+
+@pytest.mark.parametrize("parity", ["odd", "even"])
+def test_laplacian_routes_at_m_0_return_the_lifted_seed(parity):
+    for k in range(4):
+        seed = zr._laplacian_seed(parity, 0, k).to_radialexpr()
+        for route in (zr.laplacian_route, zr.laplacian_route_fixed_y):
+            zr._seed_form.cache_clear()
+            assert route(parity, 0, k).digest() == seed.digest(), (route.__name__, k)
+
+
+@pytest.mark.parametrize("parity, m, k", [("odd", 2, 2), ("even", 2, 3), ("odd", 1, 0)])
+def test_laplacian_routes_do_not_depend_on_call_order(parity, m, k):
+    def cold(route):
+        zr._seed_form.cache_clear()
+        return route(parity, m, k).digest()
+
+    routes = (zr.laplacian_route, zr.laplacian_route_fixed_y)
+    want = {route: cold(route) for route in routes}
+    for first, second in (routes, routes[::-1]):
+        # the second call takes the first one's cached Lap_x
+        assert {first: cold(first), second: second(parity, m, k).digest()} == want
+
+
+@pytest.fixture
+def cold_route_caches():
+    """Empty route caches before and after, so no cached result leaks between tests."""
+    for cache in _ROUTE_CACHES:
+        cache.cache_clear()
+    yield
+    for cache in _ROUTE_CACHES:
+        cache.cache_clear()
+
+
+def test_a_wrong_laplacian_fails_every_route_and_fixed_y_cell(monkeypatch, cold_route_caches):
+    # the route and fixed_y cells of one (parity, m, k) share their first Lap_x; a
+    # Laplacian that doubles its result must still fail both, whichever runs first
+    lap = rx.RadialExpr.laplacian
+    monkeypatch.setattr(rx.RadialExpr, "laplacian", lambda self, group: lap(self, group).scale(2))
+    args = SuiteArgs(mmax=2, kmax=2)
+    checked = [c for c in run_suite("laplacian", args).cells
+               if c.params.get("engine") == "coordinate" or c.params["check"] == "fixed_y"]
+    assert len(checked) == 2 * 2 * 3 * 2
+    for cell in checked:
+        assert cell.status == "fail" and cell.witness["kind"] == "expr_diff", cell.params
+    # the other order: fixed_y before route, from a cold cache for each (parity, m, k)
+    for parity in ("odd", "even"):
+        for m in (1, 2):
+            for k in range(3):
+                zr._seed_form.cache_clear()
+                for check, extra in (("fixed_y", {}), ("route", {"engine": "coordinate"})):
+                    cell = verify._run_laplacian(
+                        {"check": check, "parity": parity, "m": m, "k": k, **extra})
+                    assert cell.status == "fail", cell.params
+                    assert cell.witness["kind"] == "expr_diff", cell.params
 
 
 class InlinePool:
@@ -183,10 +257,6 @@ class InlinePool:
         future = Future()
         future.set_result(fn(item))
         return future
-
-
-_ROUTE_CACHES = (zr._seed_form, zr._inversion_route, zr._paravector_laplacians,
-                 zr._ladder_form)
 
 
 @pytest.mark.parametrize("suite, args", [
