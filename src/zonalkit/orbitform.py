@@ -167,8 +167,9 @@ class OrbitForm:
         c_r * mult_r'(w) is added to c_r'.  Since w sorts before v, r' keeps
         r's pairs before the first one below w, then w, then the pairs from
         there to the first v moved one position on.  Raises
-        ``RadialOverflow`` where the coordinate product does: when the
-        form's degree bound plus ``da`` (or ``db``) exceeds ``MAX_DEGREE``.
+        ``RadialOverflow`` where the coordinate product does: when ``da``
+        (or ``db``) is positive and an orbit's degree in x (or y) plus it
+        exceeds ``MAX_DEGREE``.
         """
         n = self.dim
         lay = self._lay
@@ -221,15 +222,9 @@ class OrbitForm:
         ``ValueError`` otherwise.
         """
         full = math.factorial(self.dim)
-        degx = degy = 0
-        terms = {}
-        for r, c in self._orbits.items():
-            stab, dx, dy, _ = _orbit(r, self.dim)
-            terms[r] = c * (full // stab)
-            degx = max(degx, dx)
-            degy = max(degy, dy)
-        g = rx.RadialExpr._make(self.dim, self.dim, terms, self._den * full, degx, degy,
-                                radial_free_hint=True, no_zeros=True)
+        terms = {r: c * (full // _orbit(r, self.dim)[0]) for r, c in self._orbits.items()}
+        g = rx.RadialExpr._make(self.dim, self.dim, terms, self._den * full,
+                                radial_free_hint=True)
         return OrbitForm._summed(op(g))
 
     def unfold(self) -> rx.RadialExpr:
@@ -248,13 +243,9 @@ class OrbitForm:
         n = self.dim
         zero = self._lay.zero_key
         terms: dict[int, int] = {}
-        degx = degy = 0
         for r, c in self._orbits.items():
-            _, dx, dy, counts = _orbit(r, n)
-            degx = max(degx, dx)
-            degy = max(degy, dy)
             keys = [zero]
-            counts = sorted(counts, key=itemgetter(2))
+            counts = sorted(_orbit(r, n)[3], key=itemgetter(2))
             columns = _placements(n, tuple(m for _, _, m in counts))
             for col, ((a, b, _), (sets, idx)) in enumerate(zip(counts, columns)):
                 vals = [a * xs + b * ys for xs, ys in sets]
@@ -264,8 +255,7 @@ class OrbitForm:
                     vals = [zero + v for v in vals]
                     keys = list(map(vals.__getitem__, idx))
             terms.update(dict.fromkeys(keys, c))
-        return rx.RadialExpr._make(n, n, terms, self._den, degx, degy,
-                                   radial_free_hint=True, no_zeros=True)
+        return rx.RadialExpr._make(n, n, terms, self._den, radial_free_hint=True)
 
     def __repr__(self) -> str:
         return f"<OrbitForm dim={self.dim} orbits={len(self._orbits)}>"

@@ -31,12 +31,14 @@ Performance notes
 -----------------
 Exponent vectors are packed into a single integer key (7 bits per exponent,
 12-bit biased fields for the radial powers) and coefficients are stored as
-integer numerators over one shared denominator.  The identity suites push
-polynomials with ~10^6 terms through repeated Laplacians, so the hot loops
-below deliberately stay on plain dict/int operations.  The four coordinate
-operators share one loop (:meth:`RadialExpr._slice_map`) that decodes each
-distinct bit slice they read once into ``(key delta, factor)`` pairs; their
-per-term forms are the test reference ``tests/operator_reference.py``.
+integer numerators over one shared denominator.  The largest coordinate
+Laplacian input of a default-range suite is the kernel zonal_direct(6, 8),
+218,799 terms (the Laplacian routes apply theirs to orbit representatives),
+so the hot loops below deliberately stay on plain dict/int operations.  The
+four coordinate operators share one loop (:meth:`RadialExpr._slice_map`)
+that decodes each distinct bit slice they read once into ``(key delta,
+factor)`` pairs; their per-term forms are the test reference
+``tests/operator_reference.py``.
 """
 
 from __future__ import annotations
@@ -70,7 +72,13 @@ _JSON_CHUNK = 4096
 
 
 class RadialOverflow(OverflowError):
-    """An exponent left the packed-field range (degree > 127 or |radial| > 2047)."""
+    """An exponent left the packed-field range (degree > 127 or |radial| > 2047).
+
+    A product checks the degree cap on what its factors hold: it raises when,
+    in one group, both factors have a positive largest monomial degree and
+    the two sum above ``MAX_DEGREE``.  Below that no monomial field can
+    overflow, so a product that fits is not refused.
+    """
 
 
 class PoleError(ZeroDivisionError):
@@ -340,8 +348,7 @@ class RadialExpr:
     expression, so sharing across threads or worker processes is safe.
     """
 
-    __slots__ = ("nx", "ny", "_terms", "_den", "_lay", "_radial_free", "_degx", "_degy",
-                 "_digest")
+    __slots__ = ("nx", "ny", "_terms", "_den", "_lay", "_radial_free", "_deg", "_digest")
 
     def __init__(self, *args, **kwargs):
         raise TypeError("use the module constructors (constant, coordinate, ...) or from_terms")
@@ -350,18 +357,12 @@ class RadialExpr:
 
     @classmethod
     def _make(cls, nx: int, ny: int, terms: dict[int, int], den: int,
-              degx: int, degy: int, radial_free_hint: bool = False,
-              no_zeros: bool = False) -> "RadialExpr":
-        """Wrap a term dict; ``no_zeros`` says it holds no zero coefficient.
-
-        Without it the values are scanned, and the dict is copied to drop
-        zeros only when the scan finds one.  Callers whose terms cannot
-        cancel (a nonzero scale, negation, Kelvin's one-to-one key map) pass
-        ``no_zeros=True`` and skip the scan.
-        """
+              radial_free_hint: bool = False) -> "RadialExpr":
+        """Wrap a term dict.  Its values are scanned, and the dict is copied
+        to drop zeros only when the scan finds one."""
         self = object.__new__(cls)
         lay = _layout(nx, ny)
-        if not no_zeros and 0 in terms.values():
+        if 0 in terms.values():
             terms = {k: v for k, v in terms.items() if v}
         if radial_free_hint:
             radial_free = True
@@ -374,14 +375,13 @@ class RadialExpr:
         self._den = den
         self._lay = lay
         self._radial_free = radial_free
-        self._degx = degx
-        self._degy = degy
+        self._deg = None
         self._digest = None
         return self
 
     @classmethod
     def zero(cls, nx: int, ny: int) -> "RadialExpr":
-        return cls._make(nx, ny, {}, 1, 0, 0, radial_free_hint=True)
+        return cls._make(nx, ny, {}, 1, radial_free_hint=True)
 
     # -- basic state -------------------------------------------------------
 
@@ -439,16 +439,14 @@ class RadialExpr:
         for k, v in badd.items():
             out[k] = get(k, 0) + v * ma
         pure = self._radial_free and other._radial_free
-        return RadialExpr._make(self.nx, self.ny, out, den,
-                                max(self._degx, other._degx), max(self._degy, other._degy),
-                                radial_free_hint=pure)
+        return RadialExpr._make(self.nx, self.ny, out, den, radial_free_hint=pure)
 
     __radd__ = __add__
 
     def __neg__(self) -> "RadialExpr":
         out = {k: -v for k, v in self._terms.items()}
-        return RadialExpr._make(self.nx, self.ny, out, self._den, self._degx, self._degy,
-                                radial_free_hint=self._radial_free, no_zeros=True)
+        return RadialExpr._make(self.nx, self.ny, out, self._den,
+                                radial_free_hint=self._radial_free)
 
     def __sub__(self, other) -> "RadialExpr":
         if isinstance(other, (int, Fraction)):
@@ -463,8 +461,8 @@ class RadialExpr:
             return RadialExpr.zero(self.nx, self.ny)
         num, cd = c.numerator, c.denominator
         out = {k: v * num for k, v in self._terms.items()}
-        return RadialExpr._make(self.nx, self.ny, out, self._den * cd, self._degx, self._degy,
-                                radial_free_hint=self._radial_free, no_zeros=True)
+        return RadialExpr._make(self.nx, self.ny, out, self._den * cd,
+                                radial_free_hint=self._radial_free)
 
     def __mul__(self, other) -> "RadialExpr":
         if isinstance(other, (int, Fraction)):
@@ -472,8 +470,13 @@ class RadialExpr:
         if not isinstance(other, RadialExpr):
             return NotImplemented
         self._require_same_shape(other)
-        if self._degx + other._degx > MAX_DEGREE or self._degy + other._degy > MAX_DEGREE:
-            raise RadialOverflow("product would exceed the packed degree cap")
+        big, small = (self, other) if len(self._terms) >= len(other._terms) else (other, self)
+        # a group's fields overflow only if both factors have degree in it
+        sx, sy = small._degrees()
+        if sx or sy:
+            bx, by = big._degrees()
+            if (sx and bx and sx + bx > MAX_DEGREE) or (sy and by and sy + by > MAX_DEGREE):
+                raise RadialOverflow("product would exceed the packed degree cap")
         if not (self._radial_free or other._radial_free):
             # a radial sum outside its field would borrow from the next field
             for shift, group in ((0, "x"), (_RAD_BITS, "y")):
@@ -484,21 +487,16 @@ class RadialExpr:
                         f"product radial exponent |{group}|^{lo if lo < _RAD_MIN else hi} "
                         f"is outside the radial range {_RAD_MIN}..{_RAD_MAX}")
         zero_key = self._lay.zero_key
-        if len(self._terms) >= len(other._terms):
-            big, small = self._terms, other._terms
-        else:
-            big, small = other._terms, self._terms
         out: dict[int, int] = {}
         get = out.get
-        for k2, c2 in small.items():
+        for k2, c2 in small._terms.items():
             k2z = k2 - zero_key
-            for k1, c1 in big.items():
+            for k1, c1 in big._terms.items():
                 k = k1 + k2z
                 v = get(k, 0) + c1 * c2
                 out[k] = v
         pure = self._radial_free and other._radial_free
         return RadialExpr._make(self.nx, self.ny, out, self._den * other._den,
-                                self._degx + other._degx, self._degy + other._degy,
                                 radial_free_hint=pure)
 
     __rmul__ = __mul__
@@ -506,7 +504,7 @@ class RadialExpr:
     # -- calculus -----------------------------------------------------------
 
     def _slice_map(self, mask: int, rule: Callable[[int], list[tuple[int, int]]],
-                   degx: int, degy: int, **make) -> "RadialExpr":
+                   radial_free_hint: bool = False) -> "RadialExpr":
         """The image of an operator that maps each term by the bit slice ``key & mask``.
 
         ``rule(s)`` gives slice ``s``'s ``(key delta, factor)`` pairs, and a term
@@ -524,7 +522,7 @@ class RadialExpr:
             for delta, f in pairs:
                 k2 = key + delta
                 out[k2] = get(k2, 0) + c * f
-        return RadialExpr._make(self.nx, self.ny, out, self._den, degx, degy, **make)
+        return RadialExpr._make(self.nx, self.ny, out, self._den, radial_free_hint)
 
     def partial(self, group: VarGroup, i: int) -> "RadialExpr":
         """Exact partial derivative in coordinate i of the given group."""
@@ -546,8 +544,7 @@ class RadialExpr:
                 pairs.append(((1 << at) - (2 << rad_shift), field - _RAD_BIAS))
             return pairs
 
-        return self._slice_map(mask, rule, self._degx + (group == "x"),
-                               self._degy + (group == "y"), radial_free_hint=self._radial_free)
+        return self._slice_map(mask, rule, self._radial_free)
 
     def laplacian(self, group: VarGroup) -> "RadialExpr":
         """Sum of second partials over every coordinate of the group.
@@ -575,8 +572,7 @@ class RadialExpr:
                 pairs.append((-(2 << rad_shift), f))
             return pairs
 
-        return self._slice_map(mask, rule, self._degx, self._degy,
-                               radial_free_hint=self._radial_free)
+        return self._slice_map(mask, rule, self._radial_free)
 
     def dir_deriv(self) -> "RadialExpr":
         """The operator <y, grad_x>: sum_j y_j * d/dx_j."""
@@ -603,8 +599,7 @@ class RadialExpr:
                     pairs.append(((1 << sx) + (1 << sy) - 2, p))
             return pairs
 
-        return self._slice_map(lay.pair_mask, rule, self._degx + 1, self._degy + 1,
-                               radial_free_hint=self._radial_free)
+        return self._slice_map(lay.pair_mask, rule, self._radial_free)
 
     def kelvin(self, group: VarGroup = "x") -> "RadialExpr":
         """Kelvin inversion in the given group: f -> |x|^(1-n) f(x/|x|^2).
@@ -622,8 +617,7 @@ class RadialExpr:
                 raise RadialOverflow(f"Kelvin image radial power {p2} out of range")
             return [((p2 - p) << rad_shift, 1)]
 
-        # the key map is one-to-one, so no coefficient cancels
-        return self._slice_map(mask, rule, self._degx, self._degy, no_zeros=True)
+        return self._slice_map(mask, rule)
 
     # -- structure ----------------------------------------------------------
 
@@ -638,6 +632,16 @@ class RadialExpr:
                    + sum((key >> s) & _EXP_MASK for s in shifts)
                    for key in {key & mask for key in self._terms}}
         return degrees.pop() if len(degrees) == 1 else None
+
+    def _degrees(self) -> tuple[int, int]:
+        """The largest monomial degree of a term in x and in y, 0 when none;
+        each distinct group slice is decoded once, and the pair is cached."""
+        if self._deg is None:
+            self._deg = tuple(
+                max((sum((s >> at) & _EXP_MASK for at in shifts)
+                     for s in {key & mask for key in self._terms}), default=0)
+                for shifts, _, _, mask in self._lay.groups.values())
+        return self._deg
 
     # -- evaluation ---------------------------------------------------------
 
@@ -942,17 +946,13 @@ def from_terms(nx: int, ny: int,
     """Build an expression from (xexp, yexp, px, py, coefficient) entries."""
     lay = _layout(nx, ny)
     acc: dict[int, Fraction] = {}
-    degx = degy = 0
     for xe, ye, px, py, coef in items:
         key = lay.pack(xe, ye, px, py)
         acc[key] = acc.get(key, Fraction(0)) + Fraction(coef)
-        degx = max(degx, sum(xe) + max(px, 0))
-        degy = max(degy, sum(ye) + max(py, 0))
     den = 1
     for coef in acc.values():
         den = den * coef.denominator // math.gcd(den, coef.denominator)
-    return RadialExpr._make(nx, ny, {k: int(coef * den) for k, coef in acc.items()},
-                            den, degx, degy)
+    return RadialExpr._make(nx, ny, {k: int(coef * den) for k, coef in acc.items()}, den)
 
 
 def constant(c, nx: int, ny: int) -> RadialExpr:
@@ -960,7 +960,7 @@ def constant(c, nx: int, ny: int) -> RadialExpr:
     if c == 0:
         return RadialExpr.zero(nx, ny)
     lay = _layout(nx, ny)
-    return RadialExpr._make(nx, ny, {lay.zero_key: c.numerator}, c.denominator, 0, 0,
+    return RadialExpr._make(nx, ny, {lay.zero_key: c.numerator}, c.denominator,
                             radial_free_hint=True)
 
 
@@ -970,8 +970,7 @@ def coordinate(group: VarGroup, i: int, nx: int, ny: int) -> RadialExpr:
     if not 0 <= i < n:
         raise ValueError(f"coordinate index {i} out of range")
     key = lay.zero_key | (1 << shifts[i])
-    return RadialExpr._make(nx, ny, {key: 1}, 1, int(group == "x"), int(group == "y"),
-                            radial_free_hint=True)
+    return RadialExpr._make(nx, ny, {key: 1}, 1, radial_free_hint=True)
 
 
 def norm_power(group: VarGroup, p: int, nx: int, ny: int) -> RadialExpr:
@@ -981,9 +980,7 @@ def norm_power(group: VarGroup, p: int, nx: int, ny: int) -> RadialExpr:
     if not _RAD_MIN <= p <= _RAD_MAX:
         # the biased field would carry into its neighbour
         raise RadialOverflow(f"radial exponent out of range: |{group}|^{p}")
-    deg = max(p, 0)
-    return RadialExpr._make(nx, ny, {lay.zero_key + (p << rad_shift): 1}, 1,
-                            deg * (group == "x"), deg * (group == "y"))
+    return RadialExpr._make(nx, ny, {lay.zero_key + (p << rad_shift): 1}, 1)
 
 
 def quadratic_form(group: VarGroup, nx: int, ny: int) -> RadialExpr:
@@ -991,8 +988,7 @@ def quadratic_form(group: VarGroup, nx: int, ny: int) -> RadialExpr:
     lay = _layout(nx, ny)
     shifts, _, _, _ = lay.group(group)
     terms = {lay.zero_key | (2 << s): 1 for s in shifts}
-    return RadialExpr._make(nx, ny, terms, 1, 2 * (group == "x"), 2 * (group == "y"),
-                            radial_free_hint=True)
+    return RadialExpr._make(nx, ny, terms, 1, radial_free_hint=True)
 
 
 def inner_xy(nx: int) -> RadialExpr:
@@ -1000,4 +996,4 @@ def inner_xy(nx: int) -> RadialExpr:
     lay = _layout(nx, nx)
     terms = {lay.zero_key | (1 << sx) | (1 << sy): 1
              for sx, sy in zip(lay.x_shifts, lay.y_shifts)}
-    return RadialExpr._make(nx, nx, terms, 1, 1, 1, radial_free_hint=True)
+    return RadialExpr._make(nx, nx, terms, 1, radial_free_hint=True)

@@ -134,12 +134,15 @@ class ZonalInvariant:
         numerators over one denominator: a Horner level multiplies it by
         <x,y> with integer coefficients into a fresh dict, and each
         c Q_x^i Q_y^j is added into it from Q powers built once per call.
-        Zeros are dropped once, when the dict becomes a
+        Cancelled numerators are deleted once, before the dict becomes a
         :class:`~zonalkit.radialexpr.RadialExpr`; only the radial floor
         |x|^r0 |y|^s0 and the sum over groups use ``RadialExpr`` arithmetic.
-        The degree bounds and the ``RadialOverflow`` raised at the packed
-        degree cap are those of the same plan written with ``RadialExpr``
-        products and sums.
+        The ``RadialOverflow`` at the packed degree cap is raised before each
+        step that could pass it: a level raises the x and y degrees by one,
+        and adding c Q_x^i Q_y^j lifts them to at least 2i and 2j.  For
+        N >= 2, <x,y>, Q_x and Q_y are algebraically independent, so no sum
+        cancels its top degree: these are the degrees the same plan written
+        with ``RadialExpr`` products and sums reaches.
 
         With a pole ``y`` = p, a rational point with |p| = 1 such as e_0 or
         (3/5, 4/5, 0, ...), the y group is fixed at p during the expansion:
@@ -225,10 +228,10 @@ class ZonalInvariant:
 
         parts = []
         for r0, s0, acc in self._horner(lambda: _Numerators(den0), times_inner, add_quadratic):
+            # deleted in place, so _make's zero scan finds none and copies nothing
             for key in [key for key, v in acc.terms.items() if not v]:
-                del acc.terms[key]  # in place: _make would copy the dict to drop them
-            out = rx.RadialExpr._make(n, n, acc.terms, acc.den, acc.degx, acc.degy,
-                                      radial_free_hint=True, no_zeros=True)
+                del acc.terms[key]
+            out = rx.RadialExpr._make(n, n, acc.terms, acc.den, radial_free_hint=True)
             if r0:
                 out = out * rx.norm_power("x", r0, n, n)
             if s0 and y is None:
@@ -292,8 +295,8 @@ class _Numerators:
     """One group's Horner sum in coordinates: integer numerators over ``den``.
 
     ``terms`` maps packed keys to numerators and may hold zeros until the sum
-    becomes a ``RadialExpr``; ``degx`` and ``degy`` are the degree bounds it
-    will carry.
+    becomes a ``RadialExpr``; ``degx`` and ``degy`` bound the degrees of its
+    terms, read before each step to guard the packed degree cap.
     """
 
     __slots__ = ("terms", "den", "degx", "degy")

@@ -6,8 +6,7 @@ integer numerators.  This module keeps the same plan written with whole
 level is a product with <x,y> (or <x,p> at a pole p, where Q_y and |y| are
 1), every c Q_x^i Q_y^j is built as its own expression from Q powers
 multiplied one factor at a time, and every partial sum goes through ``+``.
-The expander must agree with it on terms, denominator, degree bounds and
-raised errors.
+The expander must agree with it on terms, denominator and raised errors.
 """
 
 from fractions import Fraction

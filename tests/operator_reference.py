@@ -63,10 +63,7 @@ def reference_partial(f: rx.RadialExpr, group, i: int) -> rx.RadialExpr:
             if p:
                 k2 = key + (1 << s) - rad_dec
                 out[k2] = get(k2, 0) + c * p
-    dx = f._degx + (1 if group == "x" else 0)
-    dy = f._degy + (1 if group == "y" else 0)
-    return rx.RadialExpr._make(f.nx, f.ny, out, f._den, dx, dy,
-                               radial_free_hint=radial_free)
+    return rx.RadialExpr._make(f.nx, f.ny, out, f._den, radial_free_hint=radial_free)
 
 
 def reference_laplacian(f: rx.RadialExpr, group) -> rx.RadialExpr:
@@ -114,8 +111,7 @@ def reference_laplacian(f: rx.RadialExpr, group) -> rx.RadialExpr:
                 if fac:
                     k2 = key - rad_dec
                     out[k2] = get(k2, 0) + c * fac
-    return rx.RadialExpr._make(f.nx, f.ny, out, f._den, f._degx, f._degy,
-                               radial_free_hint=f._radial_free)
+    return rx.RadialExpr._make(f.nx, f.ny, out, f._den, radial_free_hint=f._radial_free)
 
 
 def reference_dir_deriv(f: rx.RadialExpr) -> rx.RadialExpr:
@@ -150,8 +146,7 @@ def reference_dir_deriv(f: rx.RadialExpr) -> rx.RadialExpr:
             if p:
                 k2 = key + (1 << sx) + (1 << sy) - rad_dec
                 out[k2] = get(k2, 0) + c * p
-    return rx.RadialExpr._make(f.nx, f.ny, out, f._den, f._degx + 1, f._degy + 1,
-                               radial_free_hint=f._radial_free)
+    return rx.RadialExpr._make(f.nx, f.ny, out, f._den, radial_free_hint=f._radial_free)
 
 
 def reference_kelvin(f: rx.RadialExpr, group="x") -> rx.RadialExpr:
@@ -173,5 +168,4 @@ def reference_kelvin(f: rx.RadialExpr, group="x") -> rx.RadialExpr:
         if not (_RAD_MIN <= p2 <= _RAD_MAX):
             raise RadialOverflow(f"Kelvin image radial power {p2} out of range")
         out[(key & rad_clear) | ((p2 + _RAD_BIAS) << rad_shift)] = c
-    return rx.RadialExpr._make(f.nx, f.ny, out, f._den, f._degx, f._degy,
-                               no_zeros=True)
+    return rx.RadialExpr._make(f.nx, f.ny, out, f._den)

@@ -100,11 +100,8 @@ def reference_table_unfold(f: OrbitForm) -> rx.RadialExpr:
     n = f.dim
     zero = rx._layout(n, n).zero_key
     terms: dict[int, int] = {}
-    degx = degy = 0
     for r, c in f._orbits.items():
-        _, dx, dy, counts = reference_orbit(r, n)
-        degx = max(degx, dx)
-        degy = max(degy, dy)
+        counts = reference_orbit(r, n)[3]
         keys = [zero]
         columns = reference_placements(n, tuple(m for _, _, m in counts))
         for col, ((a, b, _), (sets, idx)) in enumerate(zip(counts, columns)):
@@ -115,5 +112,4 @@ def reference_table_unfold(f: OrbitForm) -> rx.RadialExpr:
                 vals = [zero + v for v in vals]
                 keys = list(map(vals.__getitem__, idx))
         terms.update(dict.fromkeys(keys, c))
-    return rx.RadialExpr._make(n, n, terms, f._den, degx, degy,
-                               radial_free_hint=True, no_zeros=True)
+    return rx.RadialExpr._make(n, n, terms, f._den, radial_free_hint=True)

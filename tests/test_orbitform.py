@@ -157,7 +157,6 @@ def test_unfold_matches_the_reference_tables(data, dim):
     f = orbit_form(dim, {tuple(sorted(p, reverse=True)): data.draw(coeffs) for p in reps})
     got, want = f.unfold(), reference_table_unfold(f)
     assert got._terms == want._terms and got._den == want._den
-    assert (got._degx, got._degy) == (want._degx, want._degy)
 
 
 def test_placement_tables_are_cached_once_per_multiset(monkeypatch):

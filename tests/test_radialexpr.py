@@ -80,6 +80,17 @@ def test_cancelled_terms_leave_no_zero_coefficient():
     assert cases[1][0].equals(x0 * x0 - y0 * y0)
 
 
+@pytest.mark.parametrize("hint", [False, True])
+def test_make_keeps_a_zero_free_dict_and_drops_zeros(hint):
+    lay = rx._layout(2, 2)
+    keys = [lay.pack((i, 0), (0, 1), 0, 0) for i in range(3)]
+    terms = dict(zip(keys, (3, -1, 2)))
+    # no zero and no common factor with the denominator: the dict is kept as it is
+    assert rx.RadialExpr._make(2, 2, terms, 5, radial_free_hint=hint)._terms is terms
+    got = rx.RadialExpr._make(2, 2, {**terms, keys[1]: 0}, 5, radial_free_hint=hint)
+    assert got._terms == {keys[0]: 3, keys[2]: 2}
+
+
 def test_canonical_form_unique_across_constructions():
     # Q_x Q_y |x|^-2 |y|^-2 built two ways
     q = rx.quadratic_form("x", NX, NY) * rx.quadratic_form("y", NX, NY)
@@ -661,23 +672,6 @@ def test_laplacian_raises_instead_of_borrowing():
     assert got.equals(rx.from_terms(3, 3, [((0, 0, 0), (0, 0, 0), -2047, 0, 2)]))
 
 
-@settings(max_examples=60, deadline=None)
-@given(e=expr_strategy(), c=st.fractions(min_value=-9, max_value=9, max_denominator=5))
-def test_copy_free_constructors_match_the_zero_dropping_path(e, c):
-    # scale by a nonzero, negation and Kelvin cannot make a zero coefficient,
-    # so skipping the zero-dropping copy leaves their outputs unchanged
-    ops = [lambda f: -f, lambda f: f.kelvin("x"), lambda f: f.kelvin("y")]
-    if c:
-        ops.append(lambda f: f.scale(c))
-    fast = [op(e) for op in ops]
-    make = rx.RadialExpr._make.__func__
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(rx.RadialExpr, "_make", classmethod(
-            lambda cls, *args, no_zeros=False, **kw: make(cls, *args, **kw)))
-        slow = [op(e) for op in ops]
-    assert fast == slow
-
-
 # -- the operators against the per-term reference ------------------------------
 
 # (exponent, radial power) alphabets: polynomials, small odd and negative
@@ -710,23 +704,20 @@ def operator_inputs(draw):
             pass
     lay = rx._layout(nx, ny)
     terms = {lay.pack(xe, ye, px, py): c for xe, ye, px, py, c in items}
-    f = rx.RadialExpr._make(nx, ny, terms, den,
-                            max((sum(t[0]) + max(t[2], 0) for t in items), default=0),
-                            max((sum(t[1]) + max(t[3], 0) for t in items), default=0),
-                            radial_free_hint=True)
+    f = rx.RadialExpr._make(nx, ny, terms, den, radial_free_hint=True)
     f._radial_free = all((k & rx._RAD_MASK) == ((k >> rx._RAD_BITS) & rx._RAD_MASK) == rx._RAD_BIAS
                          for k in f._terms)
     return f
 
 
 def _outcome(call):
-    """What a call gives: its expression's terms, denominator, radial-free flag
-    and degrees, or the type and message of what it raised."""
+    """What a call gives: its expression's terms, denominator and radial-free
+    flag, or the type and message of what it raised."""
     try:
         g = call()
     except (ArithmeticError, ValueError) as exc:
         return type(exc), str(exc)
-    return g._terms, g._den, g._radial_free, g._degx, g._degy
+    return g._terms, g._den, g._radial_free
 
 
 @settings(max_examples=400, deadline=None)
@@ -741,3 +732,73 @@ def test_operators_match_the_per_term_reference(f, group, i):
     ]
     for new, ref in pairs:
         assert _outcome(new) == _outcome(ref)
+
+
+# -- the degree cap on products ------------------------------------------------
+
+def _x0(e: int, c=1) -> rx.RadialExpr:
+    return rx.from_terms(2, 2, [((e, 0), (0, 0), 0, 0, c)])
+
+
+@pytest.mark.parametrize("f, g, want", [
+    # Lap_x x0^100 = 9900 x0^98: the cap reads the degree the Laplacian leaves, 98
+    (_x0(100).laplacian("x"), _x0(28), _x0(126, 9900)),
+    (_x0(101).laplacian("x"), _x0(28), _x0(127, 10100)),
+    # |x|^3 = (x0^2 + x1^2) |x| has monomial degree 2, not 3
+    (rx.norm_power("x", 3, 2, 2), _x0(125),
+     rx.from_terms(2, 2, [((127, 0), (0, 0), 1, 0, 1), ((125, 2), (0, 0), 1, 0, 1)])),
+], ids=["laplacian", "laplacian_at_the_cap", "norm_power"])
+def test_products_that_fit_the_degree_cap_compute(f, g, want):
+    assert (f * g).equals(want)
+    assert (g * f).equals(want)
+
+
+@pytest.mark.parametrize("f, g", [
+    (_x0(102).laplacian("x"), _x0(28)),
+    (_x0(101).laplacian("x"), _x0(29)),
+    (rx.norm_power("x", 3, 2, 2) * rx.coordinate("x", 1, 2, 2), _x0(125)),
+    (rx.norm_power("x", 3, 2, 2), _x0(126)),
+], ids=["laplacian", "laplacian_other", "norm_power", "norm_power_other"])
+def test_products_one_degree_past_the_cap_raise(f, g):
+    for a, b in ((f, g), (g, f)):
+        with pytest.raises(rx.RadialOverflow, match="packed degree cap"):
+            a * b
+
+
+@st.composite
+def radial_free_pair(draw):
+    """Two polynomials of the same group sizes.  Each group of each takes its
+    exponent fields from one of the operator alphabets (0-3, or 0-2 with the
+    cap fields 126 and 127) or is absent, so one factor's degree can pass the
+    cap in a group where the other has none."""
+    nx, ny = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    alphabets = st.sampled_from([st.just(0)] + [exps for exps, _ in _ALPHABETS])
+
+    def poly():
+        ex, ey = draw(alphabets), draw(alphabets)
+        return draw(st.lists(st.tuples(st.tuples(*[ex] * nx), st.tuples(*[ey] * ny),
+                                       st.integers(-5, 5).filter(bool)), max_size=4))
+
+    return nx, ny, poly(), poly()
+
+
+@settings(max_examples=300, deadline=None)
+@given(pair=radial_free_pair())
+def test_product_raises_exactly_when_both_degrees_pass_the_cap(pair):
+    nx, ny, f_items, g_items = pair
+    f, g = (rx.from_terms(nx, ny, [(xe, ye, 0, 0, c) for xe, ye, c in items])
+            for items in (f_items, g_items))
+
+    def degrees(h):
+        return [max((sum(t[i]) for t in h.terms()), default=0) for i in (0, 1)]
+
+    over = any(a and b and a + b > rx.MAX_DEGREE for a, b in zip(degrees(f), degrees(g)))
+    if over:
+        with pytest.raises(rx.RadialOverflow, match="packed degree cap"):
+            f * g
+        return
+    want = rx.from_terms(nx, ny, [(tuple(map(sum, zip(xf, xg))), tuple(map(sum, zip(yf, yg))),
+                                   0, 0, cf * cg)
+                                  for xf, yf, _, _, cf in f.terms()
+                                  for xg, yg, _, _, cg in g.terms()])
+    assert (f * g).equals(want)

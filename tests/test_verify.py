@@ -543,3 +543,28 @@ def test_fixed_y_cell_frees_lhs_text_before_rhs():
     cell, peak = _traced_peak(verify._run_laplacian, params)
     assert cell.status == "pass"
     assert peak < 6 * 2**20
+
+
+@pytest.mark.parametrize("suite, params, sizes", [
+    # the kelvin route multiplies each orbit term by its radial weight |x|^(-2k), one term
+    ("kelvin", {"check": "reference_constant", "n": 5, "k": 4}, {1}),
+    ("laplacian", {"check": "route", "parity": "odd", "m": 2, "k": 4, "engine": "coordinate"},
+     set()),
+    ("ladder", {"n": 4, "k": 4}, set()),
+], ids=["kelvin", "laplacian", "ladder"])
+def test_benchmark_cells_read_degrees_of_one_term_factors_at_most(monkeypatch, suite, params,
+                                                                  sizes):
+    # a product reads its larger factor's degrees only when the smaller one has a degree
+    for name in ("_ladder_form", "_seed_form", "_paravector_laplacians", "_inversion_route"):
+        getattr(zr, name).cache_clear()
+    degrees = rx.RadialExpr._degrees
+    computed = []
+
+    def spy(self):
+        if self._deg is None:
+            computed.append(len(self))
+        return degrees(self)
+
+    monkeypatch.setattr(rx.RadialExpr, "_degrees", spy)
+    assert verify._execute((suite, params)).status != "error"
+    assert set(computed) == sizes
