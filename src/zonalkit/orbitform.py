@@ -62,10 +62,11 @@ class OrbitForm:
         """Wrap integer numerators over ``den`` keyed by representatives.
 
         The keys must already be representatives: pairs in decreasing order.
+        Zeros are deleted from ``orbits`` in place: the caller hands it over.
         """
         self.dim = dim
         self._lay = rx._layout(dim, dim)
-        self._orbits, self._den = rx._gcd_reduce({r: c for r, c in orbits.items() if c}, den)
+        self._orbits, self._den = rx._gcd_reduce(rx._drop_zeros(orbits), den)
 
     @classmethod
     def zero(cls, dim: int) -> "OrbitForm":
@@ -78,7 +79,9 @@ class OrbitForm:
         Each product by <x,y>, Q_x or Q_y is :meth:`_times` on the orbit
         coefficients; no coordinate expression is built.  Only polynomials
         have an orbit form here: a term with a negative or odd radial power
-        raises ``ValueError``.
+        raises ``ValueError``, and then :meth:`ZonalInvariant._horner` raises
+        ``RadialOverflow`` before the first product when a product would
+        pass the packed degree cap.
         """
         for A, R, S in inv.terms:
             if R < 0 or S < 0 or R % 2 or S % 2:
@@ -125,7 +128,7 @@ class OrbitForm:
         for key, c in expr._terms.items():
             r = _representative(key, pairs, zero)
             sums[r] = get(r, 0) + c
-        return cls(n, {r: c * _orbit(r, n)[0] for r, c in sums.items() if c}, expr._den)
+        return cls(n, {r: c * _orbit(r, n)[0] for r, c in sums.items()}, expr._den)
 
     # -- state ----------------------------------------------------------------
 
@@ -166,10 +169,10 @@ class OrbitForm:
         r has one, r' is r with one v raised to w = v + (da, db), and
         c_r * mult_r'(w) is added to c_r'.  Since w sorts before v, r' keeps
         r's pairs before the first one below w, then w, then the pairs from
-        there to the first v moved one position on.  Raises
-        ``RadialOverflow`` where the coordinate product does: when ``da``
-        (or ``db``) is positive and an orbit's degree in x (or y) plus it
-        exceeds ``MAX_DEGREE``.
+        there to the first v moved one position on.  Nothing here guards
+        the packed degree cap: in :meth:`from_invariant`, the only caller,
+        the Horner plan checks the degrees its products reach before the
+        first one.
         """
         n = self.dim
         lay = self._lay
@@ -179,9 +182,7 @@ class OrbitForm:
         out: dict[int, int] = {}
         get = out.get
         for r, c in self._orbits.items():
-            _, dx, dy, counts = _orbit(r, n)
-            if dx + da > rx.MAX_DEGREE or dy + db > rx.MAX_DEGREE:
-                raise rx.RadialOverflow("product would exceed the packed degree cap")
+            counts = _orbit(r, n)[1]
             i = 0  # the position of the first v
             for j, (a, b, m) in enumerate(counts + _ZERO_PAIR):
                 if i == n:
@@ -245,7 +246,7 @@ class OrbitForm:
         terms: dict[int, int] = {}
         for r, c in self._orbits.items():
             keys = [zero]
-            counts = sorted(_orbit(r, n)[3], key=itemgetter(2))
+            counts = sorted(_orbit(r, n)[1], key=itemgetter(2))
             columns = _placements(n, tuple(m for _, _, m in counts))
             for col, ((a, b, _), (sets, idx)) in enumerate(zip(counts, columns)):
                 vals = [a * xs + b * ys for xs, ys in sets]
@@ -282,8 +283,8 @@ def _fields(dim: int) -> tuple[tuple[tuple[int, int], ...], tuple[int, ...]]:
 
 
 @lru_cache(maxsize=1 << 16)
-def _orbit(r: int, dim: int) -> tuple[int, int, int, tuple[tuple[int, int, int], ...]]:
-    """``(|Stab r|, x degree, y degree, pairs)`` of a representative.
+def _orbit(r: int, dim: int) -> tuple[int, tuple[tuple[int, int, int], ...]]:
+    """``(|Stab r|, pairs)`` of a representative.
 
     |Stab r| is the product of mult! over the distinct pairs of ``r``, and
     ``pairs`` lists each distinct pair other than (0, 0) as ``(a, b, mult)``,
@@ -294,7 +295,6 @@ def _orbit(r: int, dim: int) -> tuple[int, int, int, tuple[tuple[int, int, int],
     fields, fact = _fields(dim)
     pairs = []
     stab = 1
-    dx = dy = 0
     a = b = -1  # the pair of the current run, none yet
     start = 0  # the position where it began
     for i, (sx, sy) in enumerate(fields):
@@ -305,18 +305,14 @@ def _orbit(r: int, dim: int) -> tuple[int, int, int, tuple[tuple[int, int, int],
             m = i - start
             pairs.append((a, b, m))
             stab *= fact[m]
-            dx += a * m
-            dy += b * m
         if not (a2 or b2):
-            return stab * fact[dim - i], dx, dy, tuple(pairs)
+            return stab * fact[dim - i], tuple(pairs)
         a, b, start = a2, b2, i
     if dim:  # no (0, 0): the last run ends at the last position
         m = dim - start
         pairs.append((a, b, m))
         stab *= fact[m]
-        dx += a * m
-        dy += b * m
-    return stab, dx, dy, tuple(pairs)
+    return stab, tuple(pairs)
 
 
 @lru_cache(maxsize=1 << 14)

@@ -143,6 +143,14 @@ def _layout(nx: int, ny: int) -> _Layout:
     return lay
 
 
+def _drop_zeros(terms: dict) -> dict:
+    """Delete the zero values of ``terms`` in place, after one C-level scan for one."""
+    if 0 in terms.values():
+        for k in [k for k, v in terms.items() if not v]:
+            del terms[k]
+    return terms
+
+
 def _gcd_reduce(terms: dict[int, int], den: int) -> tuple[dict[int, int], int]:
     if not terms:
         return terms, 1
@@ -168,7 +176,7 @@ def _mul_quadratic(terms: dict[int, int], shifts: tuple[int, ...], j: int) -> di
             for s in shifts:
                 k2 = key + (2 << s)
                 out[k2] = get(k2, 0) + c
-        terms = {k: v for k, v in out.items() if v}
+        terms = _drop_zeros(out)
     return terms
 
 
@@ -236,7 +244,7 @@ def _normalize_sector(lay: _Layout, members: list[tuple[int, int]],
             piece = _mul_quadratic(piece, lay.y_shifts, (py - ty) // 2)
         for kk, cc in piece.items():
             work[kk] = work.get(kk, 0) + cc
-    work = {k: v for k, v in work.items() if v}
+    _drop_zeros(work)
     while tx < 0 and work:
         q = _divide_quadratic(work, lay.x_shifts)
         if q is None:
@@ -278,7 +286,7 @@ def _canonicalize(lay: _Layout, terms: dict[int, int]) -> tuple[dict[int, int], 
     for sid, members in sectors.items():
         for k, v in _normalize_sector(lay, members, sid & 1, sid >> 1).items():
             out[k] = out.get(k, 0) + v
-    out = {k: v for k, v in out.items() if v}
+    _drop_zeros(out)
     radial_free = all(
         (key & _RAD_MASK) == lo and ((key >> _RAD_BITS) & _RAD_MASK) == lo for key in out
     )
@@ -358,12 +366,11 @@ class RadialExpr:
     @classmethod
     def _make(cls, nx: int, ny: int, terms: dict[int, int], den: int,
               radial_free_hint: bool = False) -> "RadialExpr":
-        """Wrap a term dict.  Its values are scanned, and the dict is copied
-        to drop zeros only when the scan finds one."""
+        """Wrap a term dict the caller hands over.  Zeros are deleted from it
+        in place (:func:`_drop_zeros`), so it is not copied to drop them."""
         self = object.__new__(cls)
         lay = _layout(nx, ny)
-        if 0 in terms.values():
-            terms = {k: v for k, v in terms.items() if v}
+        _drop_zeros(terms)
         if radial_free_hint:
             radial_free = True
         else:

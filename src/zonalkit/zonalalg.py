@@ -134,26 +134,23 @@ class ZonalInvariant:
         numerators over one denominator: a Horner level multiplies it by
         <x,y> with integer coefficients into a fresh dict, and each
         c Q_x^i Q_y^j is added into it from Q powers built once per call.
-        Cancelled numerators are deleted once, before the dict becomes a
-        :class:`~zonalkit.radialexpr.RadialExpr`; only the radial floor
-        |x|^r0 |y|^s0 and the sum over groups use ``RadialExpr`` arithmetic.
-        The ``RadialOverflow`` at the packed degree cap is raised before each
-        step that could pass it: a level raises the x and y degrees by one,
-        and adding c Q_x^i Q_y^j lifts them to at least 2i and 2j.  For
-        N >= 2, <x,y>, Q_x and Q_y are algebraically independent, so no sum
-        cancels its top degree: these are the degrees the same plan written
-        with ``RadialExpr`` products and sums reaches.
+        ``RadialExpr._make`` deletes the cancelled numerators in place; only
+        the radial floor |x|^r0 |y|^s0 and the sum over groups use
+        ``RadialExpr`` arithmetic.  :meth:`_horner` raises ``RadialOverflow``
+        before anything is built when a step would pass the packed degree
+        cap.
 
         With a pole ``y`` = p, a rational point with |p| = 1 such as e_0 or
-        (3/5, 4/5, 0, ...), the y group is fixed at p during the expansion:
-        <x,y> becomes the linear form <x,p>, and Q_y and the y radial floor
-        |y|^s0 are 1, odd and negative s0 included, so no y monomial is ever
-        built.  The result equals the term-by-term substitution of p into
-        ``to_radialexpr()``: the same terms over the same denominator.  Any
-        other point raises ``ValueError`` before the expansion starts.
+        (3/5, 4/5, 0, ...), every |y|^S is 1: the terms are first collapsed
+        to one per (A, R, S mod 2), summed over S, and <x,y> becomes the
+        linear form <x,p>, so no y monomial is ever built.  The result
+        equals the term-by-term substitution of p into ``to_radialexpr()``:
+        the same terms over the same denominator.  Any other point raises
+        ``ValueError`` before the expansion starts.
         """
         n = self.dim
         lay = rx._layout(n, n)
+        inv = self
         if y is None:
             # <x,y> raises one x and one y field per coordinate pair
             inner = [((1 << sx) + (1 << sy), 1) for sx, sy in zip(lay.x_shifts, lay.y_shifts)]
@@ -168,16 +165,17 @@ class ZonalInvariant:
             # <x,p> = (1/d) sum P_i x_i with integers P_i
             d = math.lcm(*(v.denominator for v in pt))
             inner = [(1 << s, int(v * d)) for s, v in zip(lay.x_shifts, pt) if v]
-        # one factor of <x,y> raises the x degree by 1, and the y degree unless y is fixed
-        step_y = int(y is None)
-        den0 = math.lcm(*(c.denominator for c in self.terms.values()))
+            # |y|^S = 1: keep S's parity, so each parity group keeps its x floor
+            collapsed: dict[Key, Fraction] = {}
+            for (A, R, S), c in self.terms.items():
+                collapsed[A, R, S & 1] = collapsed.get((A, R, S & 1), 0) + c
+            inv = ZonalInvariant(n, collapsed)
+        den0 = math.lcm(*(c.denominator for c in inv.terms.values()))
         powers = {"x": [{0: 1}], "y": [{0: 1}]}
 
         def power(group: rx.VarGroup, i: int) -> dict[int, int]:
             """Q^i as {key offset: coefficient}, one factor of Q at a time."""
             table = powers[group]
-            if 2 * i > rx.MAX_DEGREE:
-                raise rx.RadialOverflow("product would exceed the packed degree cap")
             shifts = [2 << s for s in lay.group(group)[0]]
             while len(table) <= i:
                 out: dict[int, int] = {}
@@ -189,10 +187,6 @@ class ZonalInvariant:
             return table[i]
 
         def times_inner(acc: _Numerators) -> _Numerators:
-            if acc.degx + 1 > rx.MAX_DEGREE or acc.degy + step_y > rx.MAX_DEGREE:
-                raise rx.RadialOverflow("product would exceed the packed degree cap")
-            acc.degx += 1
-            acc.degy += step_y
             terms = acc.terms
             # the first shift maps keys one to one; a coefficient 1 is not multiplied
             (shift, c), *rest = inner
@@ -209,13 +203,7 @@ class ZonalInvariant:
             return acc
 
         def add_quadratic(acc: _Numerators, i: int, j: int, c: Fraction) -> _Numerators:
-            qx = power("x", i)
-            if y is None:
-                qy = power("y", j)
-                acc.degy = max(acc.degy, 2 * j)
-            else:
-                qy = powers["y"][0]  # Q_y = 1 at a pole
-            acc.degx = max(acc.degx, 2 * i)
+            qx, qy = power("x", i), power("y", j)  # j = 0 at a pole
             # acc.den is den0 times powers of d, so c's denominator divides it
             num = c.numerator * (acc.den // c.denominator)
             terms = acc.terms
@@ -227,10 +215,7 @@ class ZonalInvariant:
             return acc
 
         parts = []
-        for r0, s0, acc in self._horner(lambda: _Numerators(den0), times_inner, add_quadratic):
-            # deleted in place, so _make's zero scan finds none and copies nothing
-            for key in [key for key, v in acc.terms.items() if not v]:
-                del acc.terms[key]
+        for r0, s0, acc in inv._horner(lambda: _Numerators(den0), times_inner, add_quadratic):
             out = rx.RadialExpr._make(n, n, acc.terms, acc.den, radial_free_hint=True)
             if r0:
                 out = out * rx.norm_power("x", r0, n, n)
@@ -254,17 +239,29 @@ class ZonalInvariant:
         factors in disjoint variables.  Returns one ``(r0, s0, polynomial)``
         per group; the coordinate expander and the orbit form share this
         loop.
+
+        The packed degree cap is checked once, before anything is built: a
+        term is built at x degree A + R - r0 and y degree A + S - s0, and no
+        partial sum cancels its top degree, since for N >= 2 <x,y>, Q_x and
+        Q_y are algebraically independent (and so are <x,p> and Q_x at a
+        pole).  So ``RadialOverflow`` is raised exactly where some step
+        would pass the cap.
         """
         groups: dict[tuple[int, int], list[tuple[Key, Fraction]]] = {}
         for key, c in self.terms.items():
             groups.setdefault((key[1] & 1, key[2] & 1), []).append((key, c))
-        parts = []
+        plans = []
         for members in groups.values():
             r0 = _radial_floor(R for (_, R, _), _ in members)
             s0 = _radial_floor(S for (_, _, S), _ in members)
             by_a: dict[int, list[tuple[int, int, Fraction]]] = {}
             for (A, R, S), c in members:
+                if A + max(R - r0, S - s0) > rx.MAX_DEGREE:
+                    raise rx.RadialOverflow("product would exceed the packed degree cap")
                 by_a.setdefault(A, []).append(((R - r0) // 2, (S - s0) // 2, c))
+            plans.append((r0, s0, by_a))
+        parts = []
+        for r0, s0, by_a in plans:
             out = start()
             for A in range(max(by_a), -1, -1):
                 if out:
@@ -294,17 +291,15 @@ class ZonalInvariant:
 class _Numerators:
     """One group's Horner sum in coordinates: integer numerators over ``den``.
 
-    ``terms`` maps packed keys to numerators and may hold zeros until the sum
-    becomes a ``RadialExpr``; ``degx`` and ``degy`` bound the degrees of its
-    terms, read before each step to guard the packed degree cap.
+    ``terms`` maps packed keys to numerators and may hold zeros until
+    ``RadialExpr._make`` deletes them.
     """
 
-    __slots__ = ("terms", "den", "degx", "degy")
+    __slots__ = ("terms", "den")
 
     def __init__(self, den: int):
         self.terms: dict[int, int] = {}
         self.den = den
-        self.degx = self.degy = 0
 
     def __bool__(self) -> bool:
         return any(self.terms.values())

@@ -51,8 +51,8 @@ def reference_from_invariant(inv) -> OrbitForm:
     return parts[0][2] if parts else OrbitForm.zero(n)
 
 
-def reference_orbit(r: int, dim: int) -> tuple[int, int, int, tuple[tuple[int, int, int], ...]]:
-    """``(|Stab r|, x degree, y degree, pairs)`` of a representative, pairs counted in a dict."""
+def reference_orbit(r: int, dim: int) -> tuple[int, tuple[tuple[int, int, int], ...]]:
+    """``(|Stab r|, pairs)`` of a representative, pairs counted in a dict."""
     lay = rx._layout(dim, dim)
     counts: dict[tuple[int, int], int] = {}
     for sx, sy in zip(lay.x_shifts, lay.y_shifts):
@@ -60,9 +60,7 @@ def reference_orbit(r: int, dim: int) -> tuple[int, int, int, tuple[tuple[int, i
         counts[ab] = counts.get(ab, 0) + 1
     stab = math.prod(math.factorial(m) for m in counts.values())
     counts.pop((0, 0), None)
-    return (stab, sum(a * m for (a, _), m in counts.items()),
-            sum(b * m for (_, b), m in counts.items()),
-            tuple((a, b, m) for (a, b), m in counts.items()))
+    return stab, tuple((a, b, m) for (a, b), m in counts.items())
 
 
 def reference_placements(dim: int, mults: tuple[int, ...]
@@ -101,7 +99,7 @@ def reference_table_unfold(f: OrbitForm) -> rx.RadialExpr:
     zero = rx._layout(n, n).zero_key
     terms: dict[int, int] = {}
     for r, c in f._orbits.items():
-        counts = reference_orbit(r, n)[3]
+        counts = reference_orbit(r, n)[1]
         keys = [zero]
         columns = reference_placements(n, tuple(m for _, _, m in counts))
         for col, ((a, b, _), (sets, idx)) in enumerate(zip(counts, columns)):

@@ -335,10 +335,12 @@ def test_times_hand_cases():
                                  ((3, 3), (2, 0), (0, 1)): Fraction(1),
                                  ((2, 1), (2, 0), (1, 3)): Fraction(1)})
     assert OrbitForm.zero(4)._times(1, 1) == OrbitForm.zero(4)
-    # at the degree cap: x degree 127 takes no more x, and y is still free
-    f = orbit_form(2, {((127, 0), (0, 0)): Fraction(1)})
+    # at the degree cap: from_invariant builds x degree 127 and refuses 128, and y is still free
+    assert OrbitForm.from_invariant(za.monomial(2, 1, 126, 0)).unfold().homogeneous_degree("x") \
+        == 127
     with pytest.raises(rx.RadialOverflow, match="packed degree cap"):
-        f._times(1, 0)
+        OrbitForm.from_invariant(za.monomial(2, 2, 126, 0))
+    f = orbit_form(2, {((127, 0), (0, 0)): Fraction(1)})
     assert f._times(0, 127) == orbit_form(2, {((127, 127), (0, 0)): Fraction(1),
                                               ((127, 0), (0, 127)): Fraction(1)})
 
@@ -351,6 +353,17 @@ def test_products_raise_at_the_degree_cap_where_the_detour_does(key):
     assert got == _build(reference_from_invariant, inv)
     if max(key[0] + key[1], key[0] + key[2]) > rx.MAX_DEGREE:
         assert got == (rx.RadialOverflow, "product would exceed the packed degree cap")
+
+
+@pytest.mark.parametrize("key", [(0, 128, 0), (2, 0, 126), (65, 64, 0)])
+def test_from_invariant_checks_the_cap_before_any_product(monkeypatch, key):
+    # the degrees the Horner plan reaches are read off the terms, not tracked product by product
+    calls = []
+    times = OrbitForm._times
+    monkeypatch.setattr(OrbitForm, "_times", lambda f, *d: calls.append(d) or times(f, *d))
+    with pytest.raises(rx.RadialOverflow, match="packed degree cap"):
+        OrbitForm.from_invariant(za.monomial(3, *key) + za.monomial(3, 1, 0, 2))
+    assert calls == []
 
 
 def fresh_ladder(n: int, k: int) -> rx.RadialExpr:

@@ -87,7 +87,10 @@ def test_make_keeps_a_zero_free_dict_and_drops_zeros(hint):
     terms = dict(zip(keys, (3, -1, 2)))
     # no zero and no common factor with the denominator: the dict is kept as it is
     assert rx.RadialExpr._make(2, 2, terms, 5, radial_free_hint=hint)._terms is terms
-    got = rx.RadialExpr._make(2, 2, {**terms, keys[1]: 0}, 5, radial_free_hint=hint)
+    # zeros are deleted from the dict it is handed, not from a copy
+    with_zero = {**terms, keys[1]: 0}
+    got = rx.RadialExpr._make(2, 2, with_zero, 5, radial_free_hint=hint)
+    assert got._terms is with_zero
     assert got._terms == {keys[0]: 3, keys[2]: 2}
 
 

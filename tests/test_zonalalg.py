@@ -178,21 +178,43 @@ def test_expander_of_route_seeds_matches_the_reference():
 
 @pytest.mark.parametrize("inv, y", [
     (zonal_direct_invariant(4, 6), None),  # 60 coordinate terms cancel in the Horner sum
-    (za.ZonalInvariant(3, {(1, 0, 2): Fraction(3), (1, 0, 0): Fraction(-3)}), (1, 0, 0)),
+    # at e_0, <x,y>^2 |y|^2 - |x|^2 is x_0^2 - x_0^2 - x_1^2: x_0^2 cancels
+    (za.ZonalInvariant(2, {(2, 0, 2): Fraction(1), (0, 2, 0): Fraction(-1)}), (1, 0)),
 ], ids=["kernel", "pole"])
 def test_expander_drops_cancelled_terms_before_make(monkeypatch, inv, y):
-    # the expander deletes zeros from the dict it owns, so _make's scan finds none to copy
+    # the Horner sum hands _make its dict with the zeros in it, and _make deletes them in place
     make = rx.RadialExpr._make.__func__
     calls = []
 
     def spy(cls, nx, ny, terms, *args, **kwargs):
-        calls.append(sum(not v for v in terms.values()))
-        return make(cls, nx, ny, terms, *args, **kwargs)
+        zeros = sum(not v for v in terms.values())
+        out = make(cls, nx, ny, terms, *args, **kwargs)
+        calls.append((zeros, 0 in terms.values(), out._terms is terms))
+        return out
 
     monkeypatch.setattr(rx.RadialExpr, "_make", classmethod(spy))
     f = inv.to_radialexpr(y=y)
-    assert calls == [0]
+    assert len(calls) == 1
+    zeros, left, same = calls[0]
+    assert zeros > 0 and not left and same
     assert 0 not in f._terms.values()
+
+
+@pytest.mark.parametrize("y", [(1, 0), (Fraction(3, 5), Fraction(4, 5))])
+def test_pole_collapses_the_y_norms_before_the_cap_check(y):
+    # |y|^2 - 1 is 0 at a pole: the terms cancel before Q_x^100 is ever built
+    inv = za.ZonalInvariant(2, {(0, 200, 2): Fraction(1), (0, 200, 0): Fraction(-1)})
+    assert inv.to_radialexpr(y=y).is_zero()
+    with pytest.raises(rx.RadialOverflow, match="packed degree cap"):
+        inv.to_radialexpr()
+
+
+@pytest.mark.parametrize("y", [None, (1, 0), (Fraction(3, 5), Fraction(4, 5))])
+def test_radial_floor_lifts_the_degree_the_cap_check_reads(y):
+    # |x|^125 + |x|^-3 is |x|^-3 (Q_x^64 + 1): the floor -3 lifts the build to degree 128
+    inv = za.ZonalInvariant(2, {(0, 125, 0): Fraction(1), (0, -3, 0): Fraction(1)})
+    with pytest.raises(rx.RadialOverflow, match="packed degree cap"):
+        inv.to_radialexpr(y=y)
 
 
 def test_expander_names_a_radial_floor_outside_the_range():
