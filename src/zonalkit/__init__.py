@@ -23,7 +23,7 @@ from .radialexpr import (
     quadratic_form,
 )
 from .ratnum import binomial, factorial, pochhammer
-from .verify import SuiteArgs, VerificationReport, run_suite
+from .verify import SuiteArgs, VerificationReport, run_suite, run_suites
 
 __version__ = "0.1.0"
 
@@ -33,6 +33,6 @@ __all__ = [
     "constant", "coordinate", "inner_xy", "norm_power", "quadratic_form",
     "from_terms",
     "gegenbauer", "chebyshev_T", "zonal_direct",
-    "run_suite", "SuiteArgs", "VerificationReport",
+    "run_suite", "run_suites", "SuiteArgs", "VerificationReport",
     "__version__",
 ]

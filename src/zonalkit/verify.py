@@ -14,13 +14,17 @@ caches of ``zonalroutes`` (a kelvin or eta pair's route, a ladder chain's
 last step, a Laplacian seed) and the orbit tables of ``orbitform``; a cell
 computes the same bytes whether it finds them cached or not.
 
-The runner groups the cells into tasks that share those caches: cells with
+One runner, :func:`run_suites`, runs any set of suites as one plan.  It
+checks every name and range before any cell runs.  It groups the cells of
+all the suites into tasks that share those caches: cells of one suite with
 the same affinity key form one task, which runs on one worker in the order
 its suite declares, and every other cell is a task of its own.  The serial
-run and the process pool follow the same schedule.  If a pool worker dies,
-every cell of its task is an ``error`` cell.  Cells go back into plan order,
-which makes the JSON output deterministic for a fixed seed and independent
-of the worker count.
+run and the process pool follow the same schedule, and one pool drains the
+tasks of every suite, so a free worker takes the next task whatever its
+suite.  If a pool worker dies, every cell of its task is an ``error`` cell.
+Cells go back into plan order, one report per suite, which makes the JSON
+output deterministic for a fixed seed and independent of the worker count.
+:func:`run_suite` runs one suite, or 'all' with the reports merged into one.
 
 Every suite is declared once, in ``_SUITES`` at the end of this module: its
 default ranges, its cell builder, its cell runner, its optional findings and
@@ -44,7 +48,7 @@ import time
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import islice
-from typing import Callable, Hashable
+from typing import Callable, Hashable, Iterable
 
 from . import cliffordalg as ca
 from . import radialexpr as rx
@@ -904,6 +908,11 @@ def _filled(name: str, args: SuiteArgs) -> SuiteArgs:
                             if getattr(args, key) is None})
 
 
+def _names(suite: str) -> tuple[str, ...]:
+    """The suites a request for ``suite`` covers: every suite for 'all'."""
+    return SUITE_NAMES if suite == "all" else (suite,)
+
+
 def plan_suite(suite: str, args: SuiteArgs | None = None) -> list[tuple[str, dict]]:
     """The ``(suite name, cell params)`` items a run of one suite (or 'all') evaluates.
 
@@ -911,7 +920,7 @@ def plan_suite(suite: str, args: SuiteArgs | None = None) -> list[tuple[str, dic
     cell runs here, so a caller can reject bad ranges before it acts on them.
     """
     args = args or SuiteArgs()
-    names = list(SUITE_NAMES) if suite == "all" else [suite]
+    names = _names(suite)
     for name in names:
         if name not in _SUITES:
             raise ValueError(f"unknown suite {name!r}")
@@ -937,13 +946,19 @@ def check_threads(threads: int) -> None:
         raise ValueError(f"threads={threads} is out of range; the worker count must be >= 1")
 
 
-def run_suite(suite: str, args: SuiteArgs | None = None, threads: int = 1) -> VerificationReport:
-    """Run one named suite (or 'all') on up to ``threads`` workers and return
-    the merged report; raises ValueError as :func:`plan_suite` and
-    :func:`check_threads` do."""
+def run_suites(names: Iterable[str], args: SuiteArgs | None = None,
+               threads: int = 1) -> list[VerificationReport]:
+    """Run the named suites as one plan on up to ``threads`` workers and return
+    one report per suite, in the order the names first appear.
+
+    'all' names every suite, and a name given twice runs once.  Every name
+    and range is checked, as :func:`plan_suite` and :func:`check_threads` do,
+    before any cell runs; a bad one raises ValueError.
+    """
     check_threads(threads)
     args = args or SuiteArgs()
-    items = plan_suite(suite, args)
+    names = dict.fromkeys(name for suite in names for name in _names(suite))
+    items = [item for name in names for item in plan_suite(name, args)]
     tasks = _tasks(items)
     workers = min(threads, len(tasks), os.cpu_count() or 1)
     if workers > 1:
@@ -965,11 +980,31 @@ def run_suite(suite: str, args: SuiteArgs | None = None, threads: int = 1) -> Ve
     for task, task_cells in zip(tasks, done):
         for i, cell in zip(task, task_cells):
             cells[i] = cell
-    if suite == "all":
-        for (name, _), cell in zip(items, cells):
-            cell.params = {"suite": name, **cell.params}
-    findings: list[dict] = []
-    for name in dict.fromkeys(name for name, _ in items):
-        if _SUITES[name].findings is not None:
-            findings.extend(_SUITES[name].findings(_filled(name, args)))
-    return VerificationReport(suite=suite, seed=args.seed, cells=cells, findings=findings)
+    by_suite: dict[str, list[Cell]] = {name: [] for name in names}
+    for (name, _), cell in zip(items, cells):
+        by_suite[name].append(cell)
+    reports = []
+    for name, suite_cells in by_suite.items():
+        findings = _SUITES[name].findings
+        reports.append(VerificationReport(name, args.seed, suite_cells,
+                                          findings(_filled(name, args)) if findings else []))
+    return reports
+
+
+def run_suite(suite: str, args: SuiteArgs | None = None, threads: int = 1) -> VerificationReport:
+    """Run one named suite (or 'all') on up to ``threads`` workers; raises
+    ValueError as :func:`run_suites` does.
+
+    The report of 'all' is every suite's report merged: the cells in plan
+    order, each tagged with its suite, then the findings in the same order.
+    """
+    reports = run_suites([suite], args, threads)
+    if len(reports) == 1:
+        return reports[0]
+    cells = []
+    for report in reports:
+        for cell in report.cells:
+            cell.params = {"suite": report.suite, **cell.params}
+            cells.append(cell)
+    return VerificationReport(suite, reports[0].seed, cells,
+                              [finding for report in reports for finding in report.findings])

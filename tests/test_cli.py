@@ -669,12 +669,15 @@ def test_batch_driver_without_suite_names_exit_2(tmp_path, monkeypatch, capsys):
     assert not out_dir.exists()
 
 
-def _one_failing_cell_report(suite, args, threads):
-    check = {"kelvin": "observed_constant", "eta": "reference_constant"}[suite]
-    cells = [verify.Cell({"check": "reference_constant", "n": 3, "k": 1}, "fail", "a", "b", {}),
-             verify.Cell({"check": check, "n": 3, "k": 1}, "fail", "a", "b", {}),
-             verify.Cell({"check": "plane_reference", "n": 1, "k": 1}, "pass", "a", "a")]
-    return verify.VerificationReport(suite, args.seed, cells)
+def _one_failing_cell_reports(names, args, threads):
+    reports = []
+    for suite in names:
+        check = {"kelvin": "observed_constant", "eta": "reference_constant"}[suite]
+        cells = [verify.Cell({"check": "reference_constant", "n": 3, "k": 1}, "fail", "a", "b", {}),
+                 verify.Cell({"check": check, "n": 3, "k": 1}, "fail", "a", "b", {}),
+                 verify.Cell({"check": "plane_reference", "n": 1, "k": 1}, "pass", "a", "a")]
+        reports.append(verify.VerificationReport(suite, args.seed, cells))
+    return reports
 
 
 @pytest.mark.parametrize("suite, code", [("kelvin", 1), ("eta", 0)],
@@ -682,7 +685,7 @@ def _one_failing_cell_report(suite, args, threads):
 def test_batch_driver_fails_only_on_unexpected_cells(tmp_path, monkeypatch, capsys, suite, code):
     # only the stated-constant cells of kelvin and eta may fail
     driver = _batch_driver()
-    monkeypatch.setattr(driver, "run_suite", _one_failing_cell_report)
+    monkeypatch.setattr(driver, "run_suites", _one_failing_cell_reports)
     monkeypatch.setattr(sys, "argv", ["run_verification.py", "--out-dir", str(tmp_path),
                                       "--suites", suite])
     assert driver.main() == code
@@ -691,8 +694,8 @@ def test_batch_driver_fails_only_on_unexpected_cells(tmp_path, monkeypatch, caps
 
 def test_batch_driver_accepts_the_real_kelvin_and_eta_reports(tmp_path, monkeypatch):
     driver = _batch_driver()
-    monkeypatch.setattr(driver, "run_suite", lambda suite, args, threads: verify.run_suite(
-        suite, dataclasses.replace(args, kmax=2), threads=1))
+    monkeypatch.setattr(driver, "run_suites", lambda names, args, threads: verify.run_suites(
+        names, dataclasses.replace(args, kmax=2), threads=1))
     monkeypatch.setattr(sys, "argv", ["run_verification.py", "--out-dir", str(tmp_path),
                                       "--suites", "kelvin", "eta"])
     assert driver.main() == 0
@@ -701,6 +704,84 @@ def test_batch_driver_accepts_the_real_kelvin_and_eta_reports(tmp_path, monkeypa
         assert not report["passed"]
         assert {c["params"]["check"] for c in report["cells"] if c["status"] == "fail"} \
             == {"reference_constant"}
+
+
+def _small_ladder(monkeypatch):
+    # the driver takes no range flags: shrink the ladder's defaults instead
+    spec = verify._SUITES["ladder"]
+    monkeypatch.setitem(verify._SUITES, "ladder",
+                        dataclasses.replace(spec, defaults={"nmax": 3, "kmax": 3}))
+
+
+def test_batch_driver_runs_a_repeated_suite_once(tmp_path, monkeypatch, capsys):
+    # a name given twice is planned once: one report, one summary line, and the bytes
+    # of a single ladder run; twice in one plan, every cell would be in it twice
+    _small_ladder(monkeypatch)
+    driver = _batch_driver()
+    lines = {}
+    for name, suites in (("once", ["ladder"]), ("twice", ["ladder", "ladder"])):
+        monkeypatch.setattr(sys, "argv", ["run_verification.py", "--out-dir",
+                                          str(tmp_path / name), "--threads", "1",
+                                          "--suites", *suites])
+        assert driver.main() == 0
+        lines[name] = capsys.readouterr().out.splitlines()
+        assert [p.name for p in (tmp_path / name).iterdir()] == ["ladder.json"]
+    assert len(lines["twice"]) == len(lines["once"]) == 2  # the suite and the wall time
+    assert lines["twice"][0].startswith("ladder ")
+    single = verify.run_suite("ladder").to_json()
+    assert (tmp_path / "twice" / "ladder.json").read_text() == single
+    assert (tmp_path / "once" / "ladder.json").read_text() == single
+    [report] = verify.run_suites(["ladder", "ladder"])
+    assert report.to_json() == single
+
+
+def test_batch_driver_makes_one_pool(tmp_path, monkeypatch, capsys):
+    # every requested suite runs on one process pool, not one pool per suite
+    import concurrent.futures
+
+    made = []
+
+    class CountingPool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            made.append(kwargs)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
+    monkeypatch.setattr(verify.os, "cpu_count", lambda: 2)  # a pool of two workers
+    _small_ladder(monkeypatch)
+    driver = _batch_driver()
+    suites = ["monogenic", "ladder", "clifford", "gegenbauer"]
+    monkeypatch.setattr(sys, "argv", ["run_verification.py", "--out-dir", str(tmp_path),
+                                      "--threads", "2", "--suites", *suites])
+    assert driver.main() == 0
+    assert made == [{"max_workers": 2}]
+    for suite in suites:
+        assert (tmp_path / f"{suite}.json").read_text() == verify.run_suite(suite).to_json()
+
+
+def test_batch_driver_one_worker_loads_no_pool(tmp_path):
+    # at one worker the driver runs every suite in its own process and never loads
+    # multiprocessing, as `zonalkit verify --threads 1` does not
+    root = Path(__file__).resolve().parents[1]
+    script = (
+        "import runpy, sys\n"
+        "path, out = sys.argv[1:]\n"
+        "sys.argv = [path, '--out-dir', out, '--threads', '1',\n"
+        "            '--suites', 'monogenic', 'clifford', 'gegenbauer']\n"
+        "try:\n"
+        "    runpy.run_path(path, run_name='__main__')\n"
+        "except SystemExit as exc:\n"
+        "    assert exc.code == 0, exc.code\n"
+        "assert 'multiprocessing' not in sys.modules\n"
+        "assert 'concurrent.futures.process' not in sys.modules\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    done = subprocess.run([sys.executable, "-c", script,
+                           str(root / "scripts" / "run_verification.py"), str(tmp_path)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "clifford.json", "gegenbauer.json", "monogenic.json"]
 
 
 @pytest.mark.parametrize("flags", [

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -9,6 +10,7 @@ from zonalkit.gegenbauer import (
     gegenbauer,
     telescoping_coefficients,
     zonal_direct,
+    zonal_direct_invariant,
     zonal_lift_invariant,
 )
 from zonalkit.ratnum import factorial, pochhammer
@@ -88,6 +90,16 @@ def test_zonal_direct_examples():
     a = rx.inner_xy(2)
     q = rx.quadratic_form("x", 2, 2) * rx.quadratic_form("y", 2, 2)
     assert z.equals((a * a).scale(4) - q.scale(2))
+
+
+def test_zonal_direct_on_the_diagonal_is_dim_H_k():
+    # at x = y = a unit vector <x,y> = |x| = |y| = 1, so the coefficients sum to
+    # Z_k(y, y) = dim H_k(R^N) = C(N+k-1, k) - C(N+k-3, k-2) with N = n + 1
+    for n in range(1, 15):
+        N = n + 1
+        for k in range(17):
+            dim_hk = math.comb(N + k - 1, k) - (math.comb(N + k - 3, k - 2) if k >= 2 else 0)
+            assert sum(zonal_direct_invariant(n, k).terms.values()) == dim_hk, (n, k)
 
 
 def test_zonal_direct_is_polynomial_and_symmetric_degree():

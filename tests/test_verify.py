@@ -342,6 +342,33 @@ def test_all_suite_concatenates_with_suite_tags():
         assert digest == "c40198330a1ca24130ed74179f1833e602bbb708410057413361d15919372b27"
 
 
+@pytest.mark.parametrize("threads", [1, 2])
+def test_one_plan_gives_each_suite_its_own_bytes(monkeypatch, threads):
+    # every suite in one plan and one pool: each report is the suite's own run, byte for byte
+    monkeypatch.setattr(verify.os, "cpu_count", lambda: 2)  # a pool of two workers
+    reports = verify.run_suites(SUITE_NAMES, SMALL, threads=threads)
+    assert [r.suite for r in reports] == list(SUITE_NAMES)
+    for report in reports:
+        assert report.to_json() == run_suite(report.suite, SMALL).to_json(), report.suite
+
+
+def test_one_plan_resolves_all_and_runs_each_suite_once(monkeypatch):
+    monkeypatch.setattr(verify, "_execute", lambda item: verify.Cell(item[1], "pass", "a", "a"))
+    reports = verify.run_suites(["ladder", "all", "ladder"], SMALL)
+    assert [r.suite for r in reports] == ["ladder"] + [s for s in SUITE_NAMES if s != "ladder"]
+    for report in reports:
+        assert [c.params for c in report.cells] == [
+            params for _, params in verify.plan_suite(report.suite, SMALL)]
+
+
+def test_one_plan_checks_every_name_before_any_cell_runs(monkeypatch):
+    monkeypatch.setattr(verify, "_execute", lambda item: pytest.fail("a cell ran"))
+    with pytest.raises(ValueError, match="unknown suite 'bogus'"):
+        verify.run_suites(["monogenic", "bogus"], SMALL)
+    with pytest.raises(ValueError, match="samples=1 is out of range"):
+        verify.run_suites(["monogenic", "reproducing"], SuiteArgs(samples=1))
+
+
 @pytest.mark.parametrize("suite, args, digest", [
     ("laplacian", SuiteArgs(mmax=2, kmax=4),
      "f75b13ceb65d795e23624e934fe2ee77ec82257f814c96f4bbca5e6097dffe75"),
@@ -382,7 +409,7 @@ def test_suite_report_bytes_are_pinned(suite, args, digest):
     (1, 8, []),
 ])
 def test_worker_count_is_capped(monkeypatch, threads, cpus, expected):
-    # run_suite imports the pool class from concurrent.futures when it starts one
+    # run_suites imports the pool class from concurrent.futures when it starts one
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
     monkeypatch.setattr(InlinePool, "sizes", [])
     monkeypatch.setattr(verify.os, "cpu_count", lambda: cpus)
