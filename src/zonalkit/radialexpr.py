@@ -863,6 +863,17 @@ def _log2_cap(u: float, h: float) -> float:
     return max(0.0, h * math.log2(u))
 
 
+def _powers(base: np.ndarray, top: int) -> Iterator[np.ndarray]:
+    """Yield base, base^2, ..., base^top, each base^(d-1) * base: correctly
+    rounded products, bit for bit those of pure Python on any CPU, unlike
+    numpy's SIMD-dispatched ``x ** e`` for e >= 3."""
+    power = base
+    yield power
+    for _ in range(top - 1):
+        power = power * base
+        yield power
+
+
 def _float_plan(jobs: Sequence[tuple[RadialExpr, np.ndarray]]
                ) -> Callable[[np.ndarray], list[np.ndarray]]:
     """Float evaluation of polynomials, each with its y group fixed at one point.
@@ -873,11 +884,14 @@ def _float_plan(jobs: Sequence[tuple[RadialExpr, np.ndarray]]
     here: each term's value c/den, its x factors and its y powers.  The
     returned function takes an X of s rows and returns, for each job, its s
     values.  Each call builds one table of the distinct x powers of all
-    jobs, shared by every term.  Each term starts from its value and
-    multiplies by its x powers, then its y powers, in coordinate order, and
-    the terms are summed in sorted key order, so the values are those of a
-    term-by-term evaluation, bit for bit, and do not depend on the
-    construction that built the expression.
+    jobs, shared by every term, from one :func:`_powers` chain per column
+    (x_i^d = x_i^(d-1) * x_i, never ``**``); y powers are the same chains.
+    Each term starts from its value and multiplies by its x powers, then
+    its y powers, in coordinate order, and the terms are summed in sorted
+    key order, so the values are those of a term-by-term evaluation, bit
+    for bit, and do not depend on the construction that built the
+    expression.  Every step is an IEEE multiply or add, so neither do they
+    depend on the CPU or on numpy's SIMD dispatch.
 
     A term with an exact 0.0 y factor (a zero pole coordinate) is skipped.
     A total starts at +0.0 and so is never -0.0, and adding +0.0 or -0.0 to
@@ -885,19 +899,21 @@ def _float_plan(jobs: Sequence[tuple[RadialExpr, np.ndarray]]
     signed zero and not NaN.  It is taken only when a bound on every partial
     product of the term, from its value, its y factors and the largest
     |x_i| of the call's rows, is below 2^1000: no factor or partial product
-    can then be inf or NaN, so no inf * 0 is hidden.
+    can then be inf or NaN, so no inf * 0 is hidden.  That covers every
+    partial power of a chain: |x_i^d| <= max(1, |x_i|)^e for d <= e, up to
+    a rounding factor far below the margin from 2^1000 to 2^1024.
     """
     import numpy as np
 
     # per job, per term: its value, x factors (column, exponent), y powers
-    # (one-element arrays, raised by the same array power as a column) and,
+    # (one-element arrays, chained by the same products as a column) and,
     # for a term with a 0.0 y power, the log2 bound of its value and y
     # powers and its x degree
     plans = []
     for expr, y in jobs:
         if not expr._radial_free:
             raise ValueError("float evaluation needs a polynomial (no radial powers)")
-        y = np.asarray(y, dtype=float)
+        y = np.array(y, dtype=float)  # a copy: a y power may be a view of it
         if y.shape not in ((expr.ny,), (1, expr.ny)):
             raise ValueError(f"y must be one point of {expr.ny} coordinates, "
                              f"got an array of shape {y.shape}")
@@ -909,7 +925,7 @@ def _float_plan(jobs: Sequence[tuple[RadialExpr, np.ndarray]]
             value = c / den
             x_factors = [(i, e) for i, s in enumerate(lay.x_shifts)
                          if (e := (key >> s) & _EXP_MASK)]
-            y_powers = [y[j:j + 1] ** e for j, s in enumerate(lay.y_shifts)
+            y_powers = [[*_powers(y[j:j + 1], e)][-1] for j, s in enumerate(lay.y_shifts)
                         if (e := (key >> s) & _EXP_MASK)]
             bound = None
             if any(p[0] == 0.0 for p in y_powers):
@@ -931,8 +947,18 @@ def _float_plan(jobs: Sequence[tuple[RadialExpr, np.ndarray]]
                     for plan in plans]
         totals = [np.zeros(rows) for _ in kept]
         v = np.empty(rows)
-        distinct = {f for plan in kept for term in plan for f in term[1]}
-        table = {f: X[:, f[0]] ** f[1] for f in distinct}
+        needed = {f for plan in kept for term in plan for f in term[1]}
+        top: dict[int, int] = {}
+        for i, e in needed:
+            top[i] = max(top.get(i, 0), e)
+        # x_i^1 is copied only where a term takes it; a power no term takes is
+        # dropped once the next one is built, so no peak above the needed powers
+        table = {}
+        for i, e in top.items():
+            base = X[:, i].copy() if (i, 1) in needed else X[:, i]
+            for d, p in enumerate(_powers(base, e), 1):
+                if (i, d) in needed:
+                    table[i, d] = p
         for total, plan in zip(totals, kept):
             for value, x_factors, y_powers, _ in plan:
                 v.fill(value)

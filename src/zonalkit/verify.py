@@ -177,11 +177,13 @@ def _expr_cell(params: dict, lhs: rx.RadialExpr,
     serialises once: an equal rhs takes over lhs's digest through
     ``equals``.  The canonical order depends only on the support, so a
     failing cell whose rhs keys are among lhs's hands lhs's order (ranked
-    now if it was not kept) on to rhs's digest and to the witness rows of
-    ``lhs - rhs``, whose keys are then among lhs's too (fewer where a
-    coefficient cancels); otherwise each side ranks its own.  The order is
-    a local of this call: route results sit in one-entry caches, and an
-    order kept on them would outlive the cell.
+    now if it was not kept) on to rhs's digest, and on to the witness rows
+    of ``lhs - rhs`` when its keys are among lhs's too.  They need not be:
+    canonicalisation can merge a difference's terms into a key neither side
+    has (|x| |y|^-1 (1 + Q_y) minus |x| |y|^-1 (1 + 8 Q_y) is -7 |x| |y|).
+    Otherwise each side ranks its own.  The order is a local of this call:
+    route results sit in one-entry caches, and an order kept on them would
+    outlive the cell.
     """
     if callable(rhs):
         lhs_digest, order = lhs.digest(), None
@@ -193,8 +195,9 @@ def _expr_cell(params: dict, lhs: rx.RadialExpr,
         return _cell(params, True, lhs_digest, rhs.digest(), None)
     shared = rhs._terms.keys() <= lhs._terms.keys()
     order = (order or lhs._order()) if shared else None
+    diff = lhs - rhs
     return _cell(params, False, lhs_digest, rhs.digest(order),
-                 _expr_witness(lhs - rhs, order))
+                 _expr_witness(diff, order if diff._terms.keys() <= lhs._terms.keys() else None))
 
 
 def _invariant_cell(params: dict, lhs: za.ZonalInvariant, rhs: za.ZonalInvariant) -> Cell:
@@ -800,13 +803,25 @@ def _cells_reproducing(args: SuiteArgs) -> list[dict]:
             for n in range(2, args.nmax + 1) for k in range(args.kmax + 1)]
 
 
+def _dim_harmonics(n: int, k: int) -> Fraction:
+    """dim H_k(R^N), N = n + 1: C(N+k-1, k) - C(N+k-3, k-2), from binomials alone."""
+    N = n + 1
+    return binomial(N + k - 1, k) - binomial(N + k - 3, k - 2)
+
+
 def _run_reproducing(params: dict) -> Cell:
+    """The Monte-Carlo check, anchored exactly: Z_k(y, y) = dim H_k at |y| = 1,
+    so the kernel's invariant coefficients must sum to dim H_k; the sampled
+    check alone passes a kernel off by 1 + 1/1000."""
     import numpy as np
 
     n, k = params["n"], params["k"]
     dim = n + 1
     pole = _RATIONAL_UNITS[dim]
-    test_poly = zonal_direct_invariant(n, k).to_radialexpr(y=pole)
+    kernel = zonal_direct_invariant(n, k)
+    coefficient_sum = sum(kernel.terms.values(), Fraction(0))
+    dim_harmonics = _dim_harmonics(n, k)
+    test_poly = kernel.to_radialexpr(y=pole)
     if not test_poly.laplacian("x").is_zero():
         raise AssertionError("test polynomial must be harmonic")
     y = np.array([float(Fraction(v)) for v in pole])
@@ -814,10 +829,12 @@ def _run_reproducing(params: dict) -> Cell:
     return _cell({**params, "estimate": res.estimate, "target": res.target,
                   "stderr": res.stderr, "three_sigma": res.three_sigma,
                   "rel_error": res.rel_error},
-                 res.rel_error <= params["rel_tol"],
+                 res.rel_error <= params["rel_tol"] and coefficient_sum == dim_harmonics,
                  _digest_float(res.estimate), _digest_float(res.target),
                  {"kind": "float_pair", "lhs": res.estimate, "rhs": res.target,
-                  "rel_error": res.rel_error, "three_sigma": res.three_sigma})
+                  "rel_error": res.rel_error, "three_sigma": res.three_sigma,
+                  "coefficient_sum": str(coefficient_sum),
+                  "dim_harmonics": str(dim_harmonics)})
 
 
 # ---------------------------------------------------------------------------

@@ -607,7 +607,10 @@ def reproducing_mc(n: int, k: int, test_poly: rx.RadialExpr, y,
     stream in parts, sampling and evaluation work row by row, and a term the
     evaluator skips in some blocks only is a signed zero there, so the
     products, and the mean and standard error over them, have the bits of
-    drawing and evaluating all samples at once.
+    drawing and evaluating all samples at once.  Powers are chained
+    products, x^d = x^(d-1) * x, never ``**``, and every step is an IEEE
+    product, sum, square root or division, so the bits do not depend on the
+    CPU or on numpy's SIMD dispatch.
     """
     import numpy as np
 

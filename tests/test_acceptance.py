@@ -244,5 +244,5 @@ def test_criterion_11_reproducing_property():
         assert cell.params["samples"] == 1_000_000
     # the 10^6-sample float path, bit for bit: estimates, errors and digests
     assert hashlib.sha256(rep.to_json().encode()).hexdigest() == \
-        "a299ecdf36582383e3cd29da2efab6269d666513ebaabf928e211911ec7cd648"
+        "bc6bd438f20091b275c14630c36df41dccead3d9918a9304a858de517ee41102"
     assert elapsed < 120.0

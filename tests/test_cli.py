@@ -586,6 +586,32 @@ def test_exact_commands_leave_numpy_unloaded():
     assert done.returncode == 0, done.stderr
 
 
+def test_reproducing_bytes_do_not_depend_on_numpy_simd_dispatch():
+    # the float path is IEEE products and sums: a run that numpy limits to its
+    # baseline CPU features writes the bytes of a run with every feature it finds;
+    # at seed 3, powers from numpy's x ** e gave other bytes under the two
+    # dispatches (numpy 2.4.6 on an AVX-512 CPU)
+    umath = pytest.importorskip("numpy._core._multiarray_umath")
+    found = [x for x in umath.__cpu_dispatch__ if umath.__cpu_features__[x]]
+    if not found:
+        pytest.skip("numpy finds no CPU feature beyond its baseline")
+    argv = [sys.executable, "-m", "zonalkit", "verify", "--suite", "reproducing",
+            "--nmax", "3", "--kmax", "4", "--samples", "20000", "--seed", "3",
+            "--threads", "1", "--json"]
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    env.pop("NPY_DISABLE_CPU_FEATURES", None)
+    reports = []
+    for extra in ({}, {"NPY_DISABLE_CPU_FEATURES": " ".join(found)}):
+        done = subprocess.run(argv, env={**env, **extra}, capture_output=True, text=True,
+                              timeout=120)
+        # 1: a cell failed; at 20,000 samples some miss the 1% bound by chance
+        assert done.returncode in (0, 1), done.stderr
+        reports.append(done.stdout)
+    assert '"suite": "reproducing"' in reports[0]
+    assert reports[0] == reports[1]
+
+
 def test_process_pool_loads_only_when_one_starts():
     # run_suite imports the pool when it starts one: the exact commands and a
     # one-worker verify never load multiprocessing

@@ -361,8 +361,17 @@ def test_eval_float_batch_matches_pointwise():
         assert batch[i] == f.eval_float_batch(X[i:i + 1], y[None, :])[0]
 
 
+def _chain(column, e):
+    """column^e by left-to-right products, column * column * ... * column."""
+    power = column
+    for _ in range(e - 1):
+        power = power * column
+    return power
+
+
 def reference_eval_float_batch(f, X, Y):
-    """Term-by-term float evaluation: every term raises whole columns itself."""
+    """Term-by-term float evaluation: every term raises whole columns itself,
+    each power a left-to-right chain of products."""
     lay = f._lay
     qx = np.sum(X * X, axis=1)
     qy = np.sum(Y * Y, axis=1)
@@ -375,11 +384,11 @@ def reference_eval_float_batch(f, X, Y):
         for i, s in enumerate(lay.x_shifts):
             e = (key >> s) & rx._EXP_MASK
             if e:
-                v = v * X[:, i] ** e
+                v = v * _chain(X[:, i], e)
         for j, s in enumerate(lay.y_shifts):
             e = (key >> s) & rx._EXP_MASK
             if e:
-                v = v * Y[:, j] ** e
+                v = v * _chain(Y[:, j], e)
         if px:
             v = v * qx ** (px / 2.0)
         if py:
@@ -442,6 +451,39 @@ def test_float_plan_jobs_match_one_job_evaluations():
     for (expr, y), got in zip(jobs, values):
         assert np.array_equal(_bits(got), _bits(reference_eval_float_batch(expr, X, y.reshape(1, 4))))
         assert np.array_equal(_bits(got), _bits(expr.eval_float_batch(X, y)))
+
+
+def test_float_plan_keeps_its_own_y():
+    # a y power of exponent 1 is a view of the plan's y: the plan holds a copy, so
+    # the caller's array may change after planning
+    f = _polynomial_expr()
+    X = np.random.default_rng(4).standard_normal((50, 4))
+    y = np.array([0.5, -1.5, 2.0, 0.25])
+    evaluate = rx._float_plan([(f, y)])
+    want = _bits(reference_eval_float_batch(f, X, y.reshape(1, 4)))
+    y[:] = 7.0
+    assert np.array_equal(_bits(evaluate(X)[0]), want)
+
+
+# signed zeros, subnormals, infinities, NaN, a square that overflows and normal values
+_POWER_BASES = [0.0, -0.0, 5e-324, -2.5e-310, np.inf, -np.inf, np.nan, 1e200, -1.1, 0.7, 3.0]
+
+
+def test_power_table_entries_are_python_float_products():
+    # x^e is e - 1 correctly rounded products, so its bits are those of the same
+    # products in pure Python, whatever the CPU and numpy's SIMD dispatch
+    X = np.zeros((len(_POWER_BASES), 2))
+    X[:, 0] = _POWER_BASES
+    monomials = [(rx.from_terms(2, 2, [((e, 0), (0, 0), 0, 0, 1)]), np.ones(2))
+                 for e in range(1, 9)]
+    with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+        table = list(rx._powers(X[:, 0], 8))
+        planned = rx._float_plan(monomials)(X)
+    for e in range(1, 9):
+        want = [_chain(v, e) for v in _POWER_BASES]  # Python floats
+        assert np.array_equal(_bits(table[e - 1]), _bits(want)), e
+        # the plan's value 1.0 * x^e, summed onto a +0.0 total
+        assert np.array_equal(_bits(planned[e - 1]), _bits([0.0 + w for w in want])), e
 
 
 @pytest.mark.parametrize("special", [np.inf, -np.inf, np.nan, 1e200, 1e-200],

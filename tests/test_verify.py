@@ -388,7 +388,7 @@ def test_one_plan_checks_every_name_before_any_cell_runs(monkeypatch):
      "1bfe8f777dd41f552285893be1e755486a153812e115208a208719bd4488c70c"),
     # the test polynomial is the kernel with y fixed at a rational pole
     ("reproducing", SuiteArgs(nmax=4, kmax=4, samples=20_000, seed=7),
-     "58bcc95b82c4f401d3734dc0403f07453cdc30fa50fe6bb50896cb4bf69f561f"),
+     "f5b2a9c37bcd6f041e569d067de8de355af9103b02c2a1cd3cbd12aa67744e73"),
     # the multivector digests; kmax 3 runs both multivector checks
     ("appendixB", SuiteArgs(kmax=3),
      "22681f55e814e3cd6746d7d445ff1f14495ac9ab157bf3144da0577b2a7ad764"),
@@ -399,6 +399,25 @@ def test_suite_report_bytes_are_pinned(suite, args, digest):
     # the routes may change engine; the cells, verdicts, digests and findings may not
     rep = run_suite(suite, args, threads=1)
     assert hashlib.sha256(rep.to_json().encode()).hexdigest() == digest
+
+
+def test_a_kernel_off_by_one_in_a_thousand_fails_every_reproducing_cell(monkeypatch):
+    # Z_k scaled by 1 + 1/1000 is off by 0.1%, inside the sampled check's 1%; the
+    # exact anchor, coefficients summing to dim H_k, fails every cell
+    direct = verify.zonal_direct_invariant
+
+    def scaled(n, k):
+        return direct(n, k).scale(Fraction(1001, 1000))
+
+    monkeypatch.setattr(verify, "zonal_direct_invariant", scaled)  # the test polynomial's
+    monkeypatch.setattr(zr, "zonal_direct", lambda n, k: scaled(n, k).to_radialexpr())
+    rep = run_suite("reproducing", SuiteArgs(nmax=3, kmax=4, samples=20_000))
+    assert len(rep.cells) == 10
+    for cell in rep.cells:
+        assert cell.status == "fail", cell.params
+        assert cell.witness["rel_error"] <= cell.params["rel_tol"]
+        assert Fraction(cell.witness["coefficient_sum"]) == \
+            Fraction(1001, 1000) * Fraction(cell.witness["dim_harmonics"])
 
 
 @pytest.mark.parametrize("threads, cpus, expected", [
@@ -477,6 +496,20 @@ def test_expr_cell_matches_the_per_side_reference(items, kind, warm, built, data
     if warm:
         lhs.digest()
     assert verify._expr_cell(params, lhs, (lambda: rhs) if built else rhs) == expected
+
+
+def test_expr_cell_witness_of_a_merged_difference():
+    # same support, but the difference's y_i^2 |y|^-1 terms merge into |y|,
+    # a key lhs does not have: the witness ranks its own support
+    one = ((0, 0, 0), (0, 0, 0))
+    squares = [((0, 0, 0), tuple(2 * (i == j) for j in range(3))) for i in range(3)]
+    lhs = rx.from_terms(3, 3, [(*one, 1, -1, 1)] + [(*m, 1, -1, 1) for m in squares])
+    rhs = rx.from_terms(3, 3, [(*one, 1, -1, 1)] + [(*m, 1, -1, 8) for m in squares])
+    assert rhs._terms.keys() == lhs._terms.keys()
+    params = {"check": "merged difference"}
+    cell = verify._expr_cell(params, lhs, rhs)
+    assert cell == reference_expr_cell(params, lhs, rhs)
+    assert [(t["px"], t["py"], t["num"]) for t in cell.witness["terms"]] == [(1, 1, "-7")]
 
 
 @pytest.mark.parametrize("kind, orders", [
